@@ -9,7 +9,6 @@ value-preserving rollout agent), and a reproducible experiment harness.
 """
 
 from .circuits import (
-    BACKEND,
     Circuit,
     CircuitMetrics,
     PositionEncoding,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentPolicy",
-    "BACKEND",
     "Circuit",
     "CircuitMetrics",
     "DiffMask",

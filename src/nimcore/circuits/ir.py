@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CircuitFormatError, EncodingError
-from .kernels import BACKEND, HAVE_FAST, _fast, pure
 
 INPUT = "INPUT"
 CONST0 = "CONST0"
@@ -26,7 +25,15 @@ OR = "OR"
 NOT = "NOT"
 
 LOGIC_KINDS = (AND, OR, NOT)
-_OPCODES = {INPUT: 0, CONST0: 1, CONST1: 2, AND: 3, OR: 4, NOT: 5}
+_OP_INPUT, _OP_CONST0, _OP_CONST1, _OP_AND, _OP_OR, _OP_NOT = range(6)
+_OPCODES = {
+    INPUT: _OP_INPUT,
+    CONST0: _OP_CONST0,
+    CONST1: _OP_CONST1,
+    AND: _OP_AND,
+    OR: _OP_OR,
+    NOT: _OP_NOT,
+}
 
 
 @dataclass(frozen=True)
@@ -43,9 +50,10 @@ class CircuitMetrics:
 
 
 class _Program:
-    """Flattened gate arrays shared by both evaluation kernels."""
+    """Flattened gate list: integer opcodes, operand tuples (an INPUT's
+    operand is its input slot) and output gate ids."""
 
-    __slots__ = ("ops", "args", "np_ops", "np_arg_off", "np_args", "np_out", "out_ids")
+    __slots__ = ("ops", "args", "out_ids")
 
     def __init__(self, circuit: "Circuit"):
         ops: list[int] = []
@@ -61,15 +69,64 @@ class _Program:
         self.ops = ops
         self.args = args
         self.out_ids = list(circuit.outputs)
-        self.np_ops = np.array(ops, dtype=np.uint8)
-        flat: list[int] = []
-        off = [0]
-        for a in args:
-            flat.extend(a)
-            off.append(len(flat))
-        self.np_arg_off = np.array(off, dtype=np.intc)
-        self.np_args = np.array(flat, dtype=np.intc)
-        self.np_out = np.array(self.out_ids, dtype=np.intc)
+
+
+def _eval_single(ops, args, bits):
+    """Evaluate one input vector; returns the full per-gate value list."""
+    values = [0] * len(ops)
+    for g, op in enumerate(ops):
+        a = args[g]
+        if op == _OP_AND:
+            v = 1
+            for idx in a:
+                if not values[idx]:
+                    v = 0
+                    break
+        elif op == _OP_OR:
+            v = 0
+            for idx in a:
+                if values[idx]:
+                    v = 1
+                    break
+        elif op == _OP_NOT:
+            v = 1 - values[a[0]]
+        elif op == _OP_INPUT:
+            v = 1 if bits[a[0]] else 0
+        elif op == _OP_CONST1:
+            v = 1
+        else:
+            v = 0
+        values[g] = v
+    return values
+
+
+def _eval_batch(ops, args, out_ids, inputs):
+    """Evaluate many 0/1 rows at once, columnar: each gate's value is a
+    vector over all rows.  Returns a (rows, outputs) uint8 array."""
+    rows = inputs.shape[0]
+    ones = np.ones(rows, dtype=np.uint8)
+    zeros = np.zeros(rows, dtype=np.uint8)
+    vals: list[np.ndarray] = [zeros] * len(ops)
+    for g, op in enumerate(ops):
+        a = args[g]
+        if op == _OP_AND:
+            v = vals[a[0]]
+            for idx in a[1:]:
+                v = v & vals[idx]
+        elif op == _OP_OR:
+            v = vals[a[0]]
+            for idx in a[1:]:
+                v = v | vals[idx]
+        elif op == _OP_NOT:
+            v = vals[a[0]] ^ 1
+        elif op == _OP_INPUT:
+            v = inputs[:, a[0]]
+        elif op == _OP_CONST1:
+            v = ones
+        else:
+            v = zeros
+        vals[g] = v
+    return np.stack([vals[o] for o in out_ids], axis=1)
 
 
 class Circuit:
@@ -147,38 +204,22 @@ class Circuit:
                 f"circuit takes {self.input_arity} input bits, got {len(bits)}"
             )
         prog = self._ensure_program()
-        if HAVE_FAST:
-            arr = np.asarray(bits, dtype=np.uint8).reshape(1, -1)
-            out = np.empty((1, len(prog.out_ids)), dtype=np.uint8)
-            values = np.empty(len(prog.ops), dtype=np.uint8)
-            _fast.run_batch(
-                prog.np_ops, prog.np_arg_off, prog.np_args, prog.np_out, arr, out, values
-            )
-            return tuple(int(x) for x in out[0])
-        values = pure.eval_single(prog.ops, prog.args, bits)
+        values = _eval_single(prog.ops, prog.args, bits)
         return tuple(values[o] for o in prog.out_ids)
 
     def evaluate_batch(self, rows) -> np.ndarray:
         """Run many input vectors; returns a (rows, outputs) uint8 array.
 
-        Small batches go through the compiled row loop when it is built;
-        large ones use the columnar evaluator, which vectorizes across
-        rows and wins past a few hundred of them (see benchmarks/).
+        As in ``evaluate``, any nonzero entry reads as 1.
         """
-        arr = np.ascontiguousarray(rows, dtype=np.uint8)
+        arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.input_arity:
             raise EncodingError(
                 f"batch must have shape (rows, {self.input_arity}), got {arr.shape}"
             )
+        bits = np.not_equal(arr, 0).view(np.uint8)
         prog = self._ensure_program()
-        if HAVE_FAST and arr.shape[0] < 256:
-            out = np.empty((arr.shape[0], len(prog.out_ids)), dtype=np.uint8)
-            values = np.empty(len(prog.ops), dtype=np.uint8)
-            _fast.run_batch(
-                prog.np_ops, prog.np_arg_off, prog.np_args, prog.np_out, arr, out, values
-            )
-            return out
-        return pure.eval_batch(prog.ops, prog.args, prog.out_ids, arr)
+        return _eval_batch(prog.ops, prog.args, prog.out_ids, bits)
 
 
 @dataclass
@@ -199,7 +240,7 @@ def validate_ac0(c: Circuit, depth_bound: int, size_bound: int) -> Ac0Report:
     return Ac0Report(not violations, violations)
 
 
-_HEADER = re.compile(r"^ac0 v1 inputs=(\d+) outputs=([\d,]+)$")
+_HEADER = re.compile(r"^ac0 v1 inputs=(\d+) outputs=(\d+(?:,\d+)*)$")
 _GATE_LINE = re.compile(r"^g(\d+) ([A-Z01]+)((?: \d+)*)$")
 
 
@@ -249,7 +290,6 @@ def load_circuit(path) -> Circuit:
 
 __all__ = [
     "AND",
-    "BACKEND",
     "Ac0Report",
     "CONST0",
     "CONST1",

@@ -2,8 +2,7 @@
 
 Everything is reproducible from a seed: per-game seeds are derived with a
 stable mixer, agents draw randomness only from the match generator, and
-result rows are ordered by (heap count, agent, game index) regardless of
-how matches were scheduled.
+result rows are ordered by (heap count, agent, game index).
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +48,6 @@ from .games import (
 )
 
 RNG_ALGORITHM = "mersenne-twister (CPython random.Random)"
-THREADS_ENV = "NIMCORE_THREADS"
 
 _AGENT_FAILURES = (
     IllegalMoveError,
@@ -271,6 +267,18 @@ class ExperimentConfig:
             raise ValueError("a seed is mandatory")
         if self.start_mode not in ("winning", "any"):
             raise ValueError("start_mode must be 'winning' or 'any'")
+        if min(self.heap_counts) < 1:
+            raise ValueError("heap counts must be >= 1")
+        if (
+            self.start_mode == "winning"
+            and self.rules.variant is Variant.NIM
+            and self.max_heap_size == 1
+            and any(hc % 2 == 0 for hc in self.heap_counts)
+        ):
+            # every heap is 1, so an even heap count always has NIM sum 0
+            raise ValueError(
+                "no winning NIM start exists for an even heap count with max_heap_size 1"
+            )
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -408,38 +416,24 @@ def _preservation_failures(record: MatchRecord) -> int:
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Run the sweep; returns ordered rows and writes CSV/JSON when
     ``cfg.out_dir`` is set.  Byte-identical output for identical configs."""
-    cells = [(hc, ai) for hc in cfg.heap_counts for ai in range(len(cfg.agents))]
     matches: dict[tuple[int, int, int], MatchRecord] = {}
-
-    def run_cell(cell: tuple[int, int]) -> list[tuple[tuple[int, int, int], MatchRecord]]:
-        hc, ai = cell
-        agent_seed = stable_mix(cfg.seed, hc, ai)
-        agent = make_agent(
-            cfg.agents[ai], cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed
-        )
-        opponent = make_agent(
-            cfg.opponent, cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed + 1
-        )
-        out = []
-        for gi in range(cfg.games_per_cell):
-            game_seed = stable_mix(cfg.seed, hc, ai, gi)
-            start = _draw_start(
-                cfg.rules, hc, cfg.max_heap_size, game_seed, cfg.start_mode == "winning"
+    for hc in cfg.heap_counts:
+        for ai, agent_spec in enumerate(cfg.agents):
+            agent_seed = stable_mix(cfg.seed, hc, ai)
+            agent = make_agent(
+                agent_spec, cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed
             )
-            record = play_match(cfg.rules, start, agent, opponent, seed=game_seed)
-            out.append(((hc, ai, gi), record))
-        return out
-
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_cell, cells):
-                for key, record in chunk:
-                    matches[key] = record
-    else:
-        for cell in cells:
-            for key, record in run_cell(cell):
-                matches[key] = record
+            opponent = make_agent(
+                cfg.opponent, cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed + 1
+            )
+            for gi in range(cfg.games_per_cell):
+                game_seed = stable_mix(cfg.seed, hc, ai, gi)
+                start = _draw_start(
+                    cfg.rules, hc, cfg.max_heap_size, game_seed, cfg.start_mode == "winning"
+                )
+                matches[(hc, ai, gi)] = play_match(
+                    cfg.rules, start, agent, opponent, seed=game_seed
+                )
 
     rows: list[ExperimentRow] = []
     for hc in cfg.heap_counts:

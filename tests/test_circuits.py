@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nimcore.circuits.ir import (
     AND,
@@ -14,7 +16,6 @@ from nimcore.circuits.ir import (
     serialize,
     validate_ac0,
 )
-from nimcore.circuits.kernels import HAVE_FAST, pure
 from nimcore.errors import CircuitFormatError, EncodingError
 
 
@@ -23,7 +24,7 @@ def and2():
 
 
 def reference_eval(circuit, bits):
-    """Definitional evaluator used to check both kernels."""
+    """Definitional evaluator used to check single and batch evaluation."""
     values = []
     slot = 0
     for g in circuit.gates:
@@ -60,6 +61,25 @@ def random_circuit(rng):
     return Circuit(gates, outputs, n_inputs)
 
 
+@st.composite
+def circuits_with_rows(draw):
+    """A random gate list and rows whose entries need not be 0/1."""
+    n_inputs = draw(st.integers(1, 6))
+    gates = [Gate(INPUT) for _ in range(n_inputs)] + [Gate("CONST0"), Gate("CONST1")]
+    for _ in range(draw(st.integers(0, 30))):
+        earlier = st.integers(0, len(gates) - 1)
+        kind = draw(st.sampled_from((AND, OR, NOT)))
+        if kind == NOT:
+            args = (draw(earlier),)
+        else:
+            args = tuple(draw(st.lists(earlier, min_size=1, max_size=6)))
+        gates.append(Gate(kind, args))
+    outputs = draw(st.lists(st.integers(0, len(gates) - 1), min_size=1, max_size=4))
+    row = st.lists(st.sampled_from((0, 1, 2, 255)), min_size=n_inputs, max_size=n_inputs)
+    rows = draw(st.lists(row, min_size=1, max_size=20))
+    return Circuit(gates, outputs, n_inputs), rows
+
+
 class TestEvaluate:
     def test_and_gate(self):
         c = and2()
@@ -90,36 +110,33 @@ class TestEvaluate:
         rng = random.Random(23)
         for _ in range(30):
             c = random_circuit(rng)
-            prog = c._ensure_program()
             rows = [
                 [rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(20)
             ]
-            arr = np.array(rows, dtype=np.uint8)
-            pure_out = pure.eval_batch(prog.ops, prog.args, prog.out_ids, arr)
-            for bits, prow in zip(rows, pure_out):
+            batch = c.evaluate_batch(np.array(rows, dtype=np.uint8))
+            for bits, brow in zip(rows, batch):
                 expected = reference_eval(c, bits)
-                assert tuple(prow) == expected
+                assert tuple(brow) == expected
                 assert c.evaluate(bits) == expected
 
-    @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
-    def test_fast_kernel_matches_pure(self):
-        from nimcore.circuits.kernels import _fast
+    @given(circuits_with_rows())
+    def test_evaluators_match_reference_on_nonbinary_entries(self, case):
+        c, rows = case
+        batch = c.evaluate_batch(rows)
+        assert batch.shape == (len(rows), len(c.outputs))
+        for bits, brow in zip(rows, batch):
+            expected = reference_eval(c, bits)
+            assert c.evaluate(bits) == expected
+            assert tuple(int(x) for x in brow) == expected
+            assert set(expected) <= {0, 1}
 
-        rng = random.Random(37)
-        for _ in range(30):
-            c = random_circuit(rng)
-            prog = c._ensure_program()
-            arr = np.array(
-                [[rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(50)],
-                dtype=np.uint8,
-            )
-            expected = pure.eval_batch(prog.ops, prog.args, prog.out_ids, arr)
-            out = np.empty((arr.shape[0], len(prog.out_ids)), dtype=np.uint8)
-            values = np.empty(len(prog.ops), dtype=np.uint8)
-            _fast.run_batch(
-                prog.np_ops, prog.np_arg_off, prog.np_args, prog.np_out, arr, out, values
-            )
-            assert np.array_equal(out, expected)
+    def test_batch_reads_nonzero_as_one(self):
+        assert and2().evaluate([2, 1]) == (1,)
+        assert and2().evaluate_batch([[2, 1]]).tolist() == [[1]]
+        inv = Circuit([Gate(INPUT), Gate(NOT, (0,))], [1], 1)
+        assert inv.evaluate_batch([[2], [0]]).tolist() == [[0], [1]]
+        wide = np.array([[256, 1], [512, 0]], dtype=np.int64)
+        assert and2().evaluate_batch(wide).tolist() == [[1], [0]]
 
 
 class TestStructure:
@@ -196,6 +213,8 @@ class TestSerialization:
             "ac0 v1 inputs=1 outputs=0\ng1 INPUT",
             "ac0 v1 inputs=1 outputs=0\ng0 XOR 0",
             "ac0 v1 inputs=1 outputs=5\ng0 INPUT",
+            "ac0 v1 inputs=1 outputs=,",
+            "ac0 v1 inputs=1 outputs=0,,0",
         ],
     )
     def test_parse_errors(self, text):

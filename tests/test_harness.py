@@ -192,11 +192,33 @@ class TestExperiment:
         ).read_bytes()
         assert rows_to_csv(a) == rows_to_csv(b)
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        seq = run_experiment(self.cfg(tmp_path, out_dir=str(tmp_path / "seq")))
-        monkeypatch.setenv("NIMCORE_THREADS", "4")
-        par = run_experiment(self.cfg(tmp_path, out_dir=str(tmp_path / "par")))
-        assert rows_to_csv(seq) == rows_to_csv(par)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # every heap is 1, so two heaps always have NIM sum 0
+            dict(rules=GameRules.nim(1), max_heap_size=1, heap_counts=[3, 2]),
+            dict(heap_counts=[3, 0]),
+            dict(heap_counts=[-1]),
+        ],
+    )
+    def test_unstartable_config_rejected(self, tmp_path, overrides):
+        with pytest.raises(ValueError):
+            self.cfg(tmp_path, **overrides)
+        doc = {
+            "rules": "nim",
+            "heap_counts": overrides["heap_counts"],
+            "max_heap_size": overrides.get("max_heap_size", 7),
+            "agents": ["oracle"],
+            "games_per_cell": 1,
+            "seed": 3,
+        }
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(doc)
+
+    def test_single_object_heaps_with_odd_count_still_run(self, tmp_path):
+        cfg = self.cfg(tmp_path, rules=GameRules.nim(1), max_heap_size=1, heap_counts=[1, 3])
+        rows = run_experiment(cfg)
+        assert [r.games for r in rows] == [3, 3, 3, 3]
 
     def test_config_from_json(self, tmp_path):
         doc = {
