@@ -107,6 +107,11 @@ class AgentPolicy:
     over (0 means the full transcript).  ``choose`` must return a move
     legal in the newest frame; stochastic policies draw from the supplied
     generator so matches replay exactly from a seed.
+
+    With ``required_frames >= 1``, ``choose`` must be a deterministic
+    function of the window it is handed and the generator: the exhaustive
+    adversary skips windows it has already proven won.  Caches are fine
+    as long as they never change an answer.
     """
 
     name = "agent"

@@ -195,10 +195,13 @@ def apply_move(p: Position, m: GameMove, rules: GameRules) -> Position:
             removed = old - m.new_count
             if removed not in rules.removal_set:
                 raise IllegalMoveError(f"removal of {removed} objects is not allowed")
+    return Position(_apply_heaps(heaps, m), p.game_id)
+
+
+def _apply_heaps(heaps: tuple[int, ...], m: GameMove) -> tuple[int, ...]:
+    """The heaps after ``m``, which the caller knows to be legal."""
     new = heaps[: m.heap_index] + (m.new_count,) + heaps[m.heap_index + 1 :]
-    if m.split_count:
-        new = new + (m.split_count,)
-    return Position(new, p.game_id)
+    return new + (m.split_count,) if m.split_count else new
 
 
 def mex(values: Iterable[int]) -> int:

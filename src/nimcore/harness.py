@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import nimber
 from .agents import (
@@ -42,9 +43,11 @@ from .games import (
     GameRules,
     Position,
     Variant,
+    _apply_heaps,
+    _iter_moves,
     apply_move,
+    grundy,
     is_terminal,
-    legal_moves,
 )
 
 RNG_ALGORITHM = "mersenne-twister (CPython random.Random)"
@@ -182,14 +185,16 @@ def replay_match(rules: GameRules, record: MatchRecord) -> str:
 
 @dataclass
 class AdversaryReport:
+    """Outcome of an exhaustive adversary sweep.
+
+    ``nodes`` counts the adversary moves expanded.  Subtrees already
+    proven won are not expanded again, so a transposition costs no nodes.
+    """
+
     agent_always_wins: bool
     counterexample: list[GameMove] | None
     nodes: int
     complete: bool
-
-
-class _NodeBudgetExceeded(Exception):
-    pass
 
 
 def exhaustive_adversary(
@@ -205,42 +210,86 @@ def exhaustive_adversary(
     (with a fixed generator, so the sweep is deterministic).  Reports the
     first losing line as a counterexample.  Exceeding the node budget
     yields an explicit partial result instead of an answer.
+
+    The walk is a depth-first search on an explicit stack.  An agent with
+    ``required_frames >= 1`` sees only its window, so the subtree below a
+    node depends only on the window the rest of the walk can still show
+    it (the newest ``required_frames`` frames when the agent moves, one
+    fewer but at least the current frame when the adversary moves) and
+    the side to move.  Subtrees proven won are keyed so and skipped when
+    met again; any loss ends the walk, so skipping them changes neither
+    the verdict nor the first counterexample.  An agent that reads the
+    whole transcript (``required_frames == 0``) gets no table.
     """
     if role not in ("first", "second"):
         raise ValueError("role must be 'first' or 'second'")
     if is_terminal(start, rules):
         raise IllegalMoveError("adversary sweep needs a non-terminal start")
-    nodes = 0
+    frames = agent.required_frames
+    keep = frames if frames >= 1 else None
+    adversary_window = max(frames - 1, 1)
+    proven: set[tuple[FrameHistory, bool]] | None = set() if frames >= 1 else None
+    game_id = start.game_id
+    line: list[GameMove] = []
+    # one entry per adversary node on the path: its history, its remaining
+    # moves, the table keys it proves won once exhausted, and len(line)
+    stack: list[tuple[FrameHistory, Iterator[GameMove], list, int]] = []
 
-    def walk(history: FrameHistory, agent_to_move: bool) -> tuple[bool, list[GameMove]]:
-        nonlocal nodes
-        p = history.current
-        if is_terminal(p, rules):
-            # the previous mover took the last object
-            return (not agent_to_move, [])
+    def terminal(heaps: tuple[int, ...]) -> bool:
+        return next(_iter_moves(heaps, rules), None) is None
+
+    def open_node(history: FrameHistory, agent_to_move: bool) -> bool | None:
+        """Play the agent's move when it is to move, then push the
+        adversary node below; True or False when the line is settled
+        without one, None once a node is pushed."""
+        keys = []
         if agent_to_move:
+            p = history.current
+            if terminal(p.heaps):
+                return False  # the adversary took the last object
+            window = history.last_k(frames)
+            if proven is not None:
+                if (window, True) in proven:
+                    return True
+                keys.append((window, True))
             try:
-                move = agent.choose(_history_for(history, agent), random.Random(0))
+                move = agent.choose(window, random.Random(0))
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
-                return (False, [])
-            ok, line = walk(history.advance(move, nxt), False)
-            return (ok, [move] + line)
-        for move in legal_moves(p, rules):
-            nodes += 1
-            if nodes > node_budget:
-                raise _NodeBudgetExceeded
-            nxt = apply_move(p, move, rules)
-            ok, line = walk(history.advance(move, nxt), True)
-            if not ok:
-                return (False, [move] + line)
-        return (True, [])
+                return False
+            line.append(move)
+            history = history.advance(move, nxt, keep)
+        heaps = history.current.heaps
+        if terminal(heaps):
+            return True  # the agent took the last object
+        if proven is not None:
+            keys.append((history.last_k(adversary_window), False))
+            if keys[-1] in proven:
+                proven.update(keys)
+                return True
+        stack.append((history, _iter_moves(heaps, rules), keys, len(line)))
+        return None
 
-    try:
-        ok, line = walk(FrameHistory.start(start), role == "first")
-    except _NodeBudgetExceeded:
-        return AdversaryReport(False, None, nodes, complete=False)
-    return AdversaryReport(ok, None if ok else line, nodes, complete=True)
+    nodes = 0
+    if open_node(FrameHistory.start(start), role == "first") is False:
+        return AdversaryReport(False, line, nodes, complete=True)
+    while stack:
+        history, moves, keys, depth = stack[-1]
+        del line[depth:]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            if proven is not None:
+                proven.update(keys)
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            return AdversaryReport(False, None, nodes, complete=False)
+        line.append(move)
+        nxt = Position(_apply_heaps(history.current.heaps, move), game_id)
+        if open_node(history.advance(move, nxt, keep), True) is False:
+            return AdversaryReport(False, line, nodes, complete=True)
+    return AdversaryReport(True, None, nodes, complete=True)
 
 
 @dataclass
@@ -269,16 +318,30 @@ class ExperimentConfig:
             raise ValueError("start_mode must be 'winning' or 'any'")
         if min(self.heap_counts) < 1:
             raise ValueError("heap counts must be >= 1")
-        if (
-            self.start_mode == "winning"
-            and self.rules.variant is Variant.NIM
-            and self.max_heap_size == 1
-            and any(hc % 2 == 0 for hc in self.heap_counts)
-        ):
-            # every heap is 1, so an even heap count always has NIM sum 0
+        if not 1 <= self.max_heap_size <= self.rules.max_heap_size:
             raise ValueError(
-                "no winning NIM start exists for an even heap count with max_heap_size 1"
+                f"max_heap_size must be in 1..{self.rules.max_heap_size}, "
+                f"got {self.max_heap_size}"
             )
+        if self.start_mode == "winning":
+            self._check_winning_start_exists()
+
+    def _check_winning_start_exists(self) -> None:
+        # A start's value is the XOR of its heaps' single-heap values.  Two
+        # distinct single-heap values make a nonzero XOR at every heap
+        # count; a single value v does only when v != 0 and the count is odd.
+        values: set[int] = set()
+        for size in range(1, self.max_heap_size + 1):
+            values.add(grundy(Position((size,), self.rules.game_id), self.rules))
+            if len(values) == 2:
+                return
+        (value,) = values
+        for hc in self.heap_counts:
+            if value == 0 or hc % 2 == 0:
+                raise ValueError(
+                    f"no winning start exists for {hc} heaps of size 1..{self.max_heap_size}: "
+                    f"every such heap has Grundy value {value}"
+                )
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -396,9 +459,8 @@ def _draw_start(rules: GameRules, heap_count: int, max_size: int, seed: int, win
         p = Position(heaps, rules.game_id)
         if not winning:
             return p
-        if rules.variant is Variant.NIM and nimber.nim_sum(p) != 0:
-            return p
-        if rules.variant is not Variant.NIM:
+        value = nimber.nim_sum(p) if rules.variant is Variant.NIM else grundy(p, rules)
+        if value != 0:
             return p
 
 

@@ -2,7 +2,9 @@
 
 These are deliberately separate implementations: plain recursive mex /
 win-loss over successor sets, with their own move enumeration.  They
-never import engine internals beyond basic types.
+never import engine internals beyond basic types, except the reference
+adversary, which drives the engine's agents and rules and differs from
+the harness only in how it walks the game.
 """
 
 from functools import lru_cache
@@ -85,3 +87,57 @@ def xor_fold(heaps):
 
 def popcount_at_least(bits, t):
     return 1 if sum(bits) >= t else 0
+
+
+class _NodeBudgetExceeded(Exception):
+    pass
+
+
+def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
+    """The recursive tree walk that ``harness.exhaustive_adversary``
+    replaced, kept as its reference: no transpositions, the full history
+    at every node, every position validated.  Recursion depth grows with
+    the game length, so it is only for short games.
+    """
+    import random
+
+    from nimcore.agents import FrameHistory
+    from nimcore.errors import IllegalMoveError
+    from nimcore.games import apply_move, is_terminal, legal_moves
+    from nimcore.harness import _AGENT_FAILURES, AdversaryReport
+
+    if role not in ("first", "second"):
+        raise ValueError("role must be 'first' or 'second'")
+    if is_terminal(start, rules):
+        raise IllegalMoveError("adversary sweep needs a non-terminal start")
+    nodes = 0
+
+    def walk(history, agent_to_move):
+        nonlocal nodes
+        p = history.current
+        if is_terminal(p, rules):
+            # the previous mover took the last object
+            return (not agent_to_move, [])
+        if agent_to_move:
+            try:
+                move = agent.choose(history.last_k(agent.required_frames), random.Random(0))
+                nxt = apply_move(p, move, rules)
+            except _AGENT_FAILURES:
+                return (False, [])
+            ok, line = walk(history.advance(move, nxt), False)
+            return (ok, [move] + line)
+        for move in legal_moves(p, rules):
+            nodes += 1
+            if nodes > node_budget:
+                raise _NodeBudgetExceeded
+            nxt = apply_move(p, move, rules)
+            ok, line = walk(history.advance(move, nxt), True)
+            if not ok:
+                return (False, [move] + line)
+        return (True, [])
+
+    try:
+        ok, line = walk(FrameHistory.start(start), role == "first")
+    except _NodeBudgetExceeded:
+        return AdversaryReport(False, None, nodes, complete=False)
+    return AdversaryReport(ok, None if ok else line, nodes, complete=True)

@@ -2,11 +2,23 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nimcore.agents import AgentPolicy, MultiFrameAgent, OracleAgent, RandomAgent, RolloutBudget
-from nimcore.errors import IllegalMoveError
-from nimcore.games import GameMove, GameRules, Position
+from nimcore.agents import (
+    AgentPolicy,
+    Mirror71Agent,
+    Mirror72Agent,
+    MultiFrameAgent,
+    OracleAgent,
+    RandomAgent,
+    RolloutBudget,
+    ScriptAgent,
+)
+from nimcore.errors import IllegalMoveError, NimcoreError
+from nimcore.games import GameMove, GameRules, Position, is_terminal
 from nimcore.harness import (
+    AdversaryReport,
     ExperimentConfig,
     exhaustive_adversary,
     make_agent,
@@ -17,6 +29,8 @@ from nimcore.harness import (
     rows_to_csv,
     run_experiment,
 )
+
+from oracles import reference_adversary
 
 NIM = GameRules.nim(16)
 
@@ -99,6 +113,50 @@ class TestExhaustiveAdversary:
         agent = MultiFrameAgent()
         report = exhaustive_adversary(NIM, Position((9, 9, 9)), agent, "first", node_budget=10)
         assert not report.complete
+
+    def test_long_game_gives_a_report(self):
+        # the first line runs about 1,500 plies deep, past any recursion limit
+        rules = GameRules.nim(1)
+        report = exhaustive_adversary(
+            rules, Position((1,) * 1501), OracleAgent(rules), node_budget=600
+        )
+        assert isinstance(report, AdversaryReport)
+        assert report.complete or report.nodes == 601
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_walk(self, data):
+        rules = data.draw(
+            st.sampled_from(
+                (GameRules.nim(4), GameRules.kayles(5), GameRules.subtraction([1, 3], 5))
+            )
+        )
+        heaps = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple))
+        start = Position(heaps, rules.game_id)
+        assume(not is_terminal(start, rules))
+        script = data.draw(
+            st.lists(st.builds(GameMove, st.integers(0, 3), st.integers(0, 3)), max_size=8)
+        )
+        agent = data.draw(
+            st.sampled_from(
+                (
+                    OracleAgent(rules),
+                    RandomAgent(rules),
+                    MultiFrameAgent(RolloutBudget(exhaustive_cap=125)),
+                    Mirror71Agent(1),
+                    Mirror72Agent(1, "first"),
+                    Mirror72Agent(1, "second"),
+                    ScriptAgent(script),  # needs the whole transcript: no table
+                )
+            )
+        )
+        role = data.draw(st.sampled_from(("first", "second")))
+        expected = reference_adversary(rules, start, agent, role)
+        report = exhaustive_adversary(rules, start, agent, role)
+        assert report.complete == expected.complete
+        assert report.agent_always_wins == expected.agent_always_wins
+        assert report.counterexample == expected.counterexample
+        assert report.nodes <= expected.nodes
 
 
 class TestAgentFactory:
@@ -199,14 +257,22 @@ class TestExperiment:
             dict(rules=GameRules.nim(1), max_heap_size=1, heap_counts=[3, 2]),
             dict(heap_counts=[3, 0]),
             dict(heap_counts=[-1]),
+            dict(max_heap_size=0),
+            dict(max_heap_size=-1),
+            # Kayles rows of one pin have value 1, like NIM heaps of one
+            dict(rules=GameRules.kayles(1), max_heap_size=1, heap_counts=[2]),
+            # taking 3 is the only move, so heaps below 3 all have value 0
+            dict(rules=GameRules.subtraction([3], 2), max_heap_size=2, heap_counts=[3]),
         ],
     )
     def test_unstartable_config_rejected(self, tmp_path, overrides):
         with pytest.raises(ValueError):
             self.cfg(tmp_path, **overrides)
+        rules = overrides.get("rules", GameRules.nim(7))
+        spec = rules.game_id.replace("(", ":").rstrip(")")  # subtraction(3) -> subtraction:3
         doc = {
-            "rules": "nim",
-            "heap_counts": overrides["heap_counts"],
+            "rules": spec,
+            "heap_counts": overrides.get("heap_counts", [3]),
             "max_heap_size": overrides.get("max_heap_size", 7),
             "agents": ["oracle"],
             "games_per_cell": 1,
@@ -214,6 +280,20 @@ class TestExperiment:
         }
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(doc)
+
+    def test_max_heap_size_above_rules_bound_rejected(self, tmp_path):
+        # a JSON config builds its rules from its own max_heap_size, so only
+        # a direct config can exceed the bound
+        with pytest.raises(ValueError):
+            self.cfg(tmp_path, rules=GameRules.nim(7), max_heap_size=20)
+
+    @pytest.mark.parametrize("rules", [GameRules.kayles(7), GameRules.subtraction([1, 3, 4], 7)])
+    def test_winning_starts_beyond_nim(self, tmp_path, rules):
+        cfg = self.cfg(
+            tmp_path, rules=rules, heap_counts=[2], agents=["oracle"], games_per_cell=40, seed=1
+        )
+        (row,) = run_experiment(cfg)
+        assert row.wins == 40
 
     def test_single_object_heaps_with_odd_count_still_run(self, tmp_path):
         cfg = self.cfg(tmp_path, rules=GameRules.nim(1), max_heap_size=1, heap_counts=[1, 3])
@@ -253,6 +333,40 @@ class TestExperiment:
                 p = apply_move(p, parse_move(text), cfg.rules)
             implied = "first" if len(match["moves"]) % 2 == 1 else "second"
             assert match["forfeit"] or implied == match["winner"]
+
+
+@settings(max_examples=60, deadline=5000)
+@given(
+    rules=st.sampled_from(("nim", "kayles", "subtraction:2,3")),
+    rules_bound=st.integers(1, 9),
+    heap_counts=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+    max_heap_size=st.integers(-1, 9),
+    start_mode=st.sampled_from(("winning", "any")),
+    agents=st.lists(
+        st.sampled_from(("oracle", "random", "multiframe", "singleframe-heuristic")),
+        min_size=1,
+        max_size=2,
+    ),
+    games_per_cell=st.integers(0, 2),
+)
+def test_config_fuzz_ends_in_rows_or_named_error(
+    rules, rules_bound, heap_counts, max_heap_size, start_mode, agents, games_per_cell
+):
+    try:
+        cfg = ExperimentConfig(
+            rules=parse_rules(rules, rules_bound),
+            heap_counts=heap_counts,
+            max_heap_size=max_heap_size,
+            agents=agents,
+            opponent="oracle",
+            games_per_cell=games_per_cell,
+            seed=5,
+            start_mode=start_mode,
+        )
+        rows = run_experiment(cfg)
+    except (ValueError, NimcoreError):
+        return
+    assert [r.games for r in rows] == [games_per_cell] * len(heap_counts) * len(agents)
 
 
 def test_verify_suite_mutation_detection(monkeypatch):
