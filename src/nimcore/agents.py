@@ -33,9 +33,9 @@ from .games import (
     Position,
     Variant,
     apply_move,
+    grundy,
     is_terminal,
     legal_moves,
-    solver_for,
 )
 from .nimber import winning_moves
 
@@ -112,10 +112,14 @@ class AgentPolicy:
     function of the window it is handed and the generator: the exhaustive
     adversary skips windows it has already proven won.  Caches are fine
     as long as they never change an answer.
+
+    ``variants`` names the rule variants the policy can play;
+    :func:`nimcore.harness.make_agent` rejects the others.
     """
 
     name = "agent"
     required_frames = 1
+    variants: frozenset[Variant] = frozenset(Variant)
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         raise NotImplementedError
@@ -137,8 +141,7 @@ class OracleAgent(AgentPolicy):
         if self.rules.variant is Variant.NIM:
             wins = winning_moves(p)
             return min(wins) if wins else min(moves)
-        solver = solver_for(self.rules)
-        zeroing = [m for m in moves if solver.grundy(apply_move(p, m, self.rules)) == 0]
+        zeroing = [m for m in moves if grundy(apply_move(p, m, self.rules), self.rules) == 0]
         return min(zeroing) if zeroing else min(moves)
 
 
@@ -185,6 +188,8 @@ class SingleFrameCircuitAgent(AgentPolicy):
     (ties broken lowest heap, lowest new count).  This is the history-free
     baseline; no optimality is claimed for it.
     """
+
+    variants = frozenset({Variant.NIM})  # one score slot per NIM move
 
     def __init__(self, circuit: Circuit, n: int, l: int, name: str = "singleframe"):
         enc = PositionEncoding(n, l, frames=1)
@@ -452,6 +457,7 @@ class MultiFrameAgent(AgentPolicy):
 
     name = "multiframe"
     required_frames = 2
+    variants = frozenset({Variant.NIM})
 
     def __init__(self, budget: RolloutBudget | None = None, seed: int = 0):
         self.budget = budget or RolloutBudget()
@@ -549,6 +555,8 @@ class Mirror71Agent(AgentPolicy):
     singles even.  Only positions reachable from that family are accepted.
     """
 
+    variants = frozenset({Variant.NIM})
+
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -589,6 +597,7 @@ class Mirror72Agent(AgentPolicy):
     """
 
     required_frames = 2
+    variants = frozenset({Variant.NIM})
 
     def __init__(self, k: int, role: str = "first"):
         if k < 1:

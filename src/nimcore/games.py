@@ -1,8 +1,8 @@
 """Impartial-game engine: NIM, subtraction games and Kayles.
 
 Positions are immutable heap vectors.  Grundy numbers and the win/loss
-oracle are computed by two independent memoized recursions so that each
-can cross-check the other (and the closed-form NIM arithmetic in
+oracle are computed by two independent memoized walks so that each can
+cross-check the other (and the closed-form NIM arithmetic in
 :mod:`nimcore.nimber`).
 
 All operations here are pure.  Memo tables are plain dicts whose
@@ -213,22 +213,21 @@ def mex(values: Iterable[int]) -> int:
     return m
 
 
-def _apply_key(key: tuple[int, ...], m: GameMove) -> tuple[int, ...]:
-    new = list(key)
-    new[m.heap_index] = m.new_count
-    if m.split_count:
-        new.append(m.split_count)
-    return tuple(sorted(new))
-
-
 class GrundySolver:
     """Memoized Grundy-number and win/loss evaluation for one rule set.
 
-    Memo keys are sorted heap tuples: all supported variants have
-    permutation-invariant values and symmetric move sets, which shrinks
-    the state space dramatically.  Tables are capacity-bounded; hitting
-    the cap raises instead of silently evicting so results stay
-    reproducible.
+    Memo keys are sorted heap tuples with the empty heaps dropped: every
+    supported variant has permutation-invariant values and symmetric move
+    sets, and an empty heap has no moves, so neither changes a value; the
+    terminal key is ``()``.  A successor key is built on tuples from a
+    per-solver table that maps a heap size to the non-empty pieces each
+    move on that heap leaves, read once per heap size off the same move
+    rules as :func:`legal_moves`.  Each walk builds a key's successors
+    once, in its stack entry.  ``win_loss`` stops expanding a key at its
+    first successor known to be a LOSS.
+
+    Tables are capacity-bounded; hitting the cap raises instead of
+    silently evicting so results stay reproducible.
     """
 
     def __init__(self, rules: GameRules, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -236,13 +235,37 @@ class GrundySolver:
         self.memo_cap = memo_cap
         self._grundy: dict[tuple[int, ...], int] = {}
         self._outcome: dict[tuple[int, ...], WinLoss] = {}
+        self._pieces: dict[int, list[tuple[int, ...]]] = {}
 
     def _canon(self, p: Position) -> tuple[int, ...]:
         validate_position(p, self.rules)
-        return tuple(sorted(p.heaps))
+        return tuple(sorted(h for h in p.heaps if h))
 
-    def _successor_keys(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return sorted({_apply_key(key, m) for m in _iter_moves(key, self.rules)})
+    def _heap_pieces(self, c: int) -> list[tuple[int, ...]]:
+        """The sorted non-empty pieces each move on a heap of ``c`` leaves."""
+        pieces = self._pieces.get(c)
+        if pieces is None:
+            pieces = self._pieces[c] = sorted(
+                {
+                    tuple(sorted(h for h in (m.new_count, m.split_count) if h))
+                    for m in _iter_moves((c,), self.rules)
+                }
+            )
+        return pieces
+
+    def _successors(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # Moves on equal heaps lead to the same keys, so each distinct heap
+        # size is expanded once.  Keys from different sizes never coincide:
+        # every piece a move leaves is smaller than the heap it came from.
+        out = []
+        previous = 0
+        for i, c in enumerate(key):
+            if c == previous:
+                continue
+            previous = c
+            rest = key[:i] + key[i + 1 :]
+            out += [tuple(sorted(rest + piece)) for piece in self._heap_pieces(c)]
+        return out
 
     def _reserve(self, table: dict) -> None:
         if len(table) >= self.memo_cap:
@@ -258,20 +281,23 @@ class GrundySolver:
         memo = self._grundy
         if key in memo:
             return memo[key]
-        stack = [key]
+        # Depth-first on an explicit stack.  The walk resumes each entry's
+        # iterator where it left off: the successor it stopped at is solved
+        # by then.  A key is never pushed while it is already on the stack,
+        # because every move strictly shrinks the position.
+        succ = self._successors(key)
+        stack = [(key, succ, iter(succ))]
         while stack:
-            k = stack[-1]
-            if k in memo:
-                stack.pop()
-                continue
-            succ = self._successor_keys(k)
-            missing = [s for s in succ if s not in memo]
-            if missing:
-                stack.extend(missing)
+            k, succ, pending = stack[-1]
+            for s in pending:
+                if s not in memo:
+                    t = self._successors(s)
+                    stack.append((s, t, iter(t)))
+                    break
             else:
+                stack.pop()
                 self._reserve(memo)
                 memo[k] = mex(memo[s] for s in succ)
-                stack.pop()
         return memo[key]
 
     def win_loss(self, p: Position) -> WinLoss:
@@ -287,23 +313,22 @@ class GrundySolver:
         memo = self._outcome
         if key in memo:
             return memo[key]
-        stack = [key]
+        # Each entry is [key, successors, cursor]; the cursor stays on an
+        # unsolved successor until it is solved, and the entry is settled
+        # at the first successor that is a LOSS.
+        stack = [[key, self._successors(key), 0]]
         while stack:
-            k = stack[-1]
-            if k in memo:
-                stack.pop()
+            entry = stack[-1]
+            k, succ, i = entry
+            while i < len(succ) and memo.get(succ[i]) is WinLoss.WIN:
+                i += 1
+            if i < len(succ) and succ[i] not in memo:
+                entry[2] = i
+                stack.append([succ[i], self._successors(succ[i]), 0])
                 continue
-            succ = self._successor_keys(k)
-            missing = [s for s in succ if s not in memo]
-            if missing:
-                stack.extend(missing)
-            else:
-                self._reserve(memo)
-                if any(memo[s] is WinLoss.LOSS for s in succ):
-                    memo[k] = WinLoss.WIN
-                else:
-                    memo[k] = WinLoss.LOSS
-                stack.pop()
+            stack.pop()
+            self._reserve(memo)
+            memo[k] = WinLoss.WIN if i < len(succ) else WinLoss.LOSS
         return memo[key]
 
 
@@ -317,14 +342,28 @@ def solver_for(rules: GameRules) -> GrundySolver:
         return _SOLVERS.setdefault(rules, GrundySolver(rules))
 
 
+def _replace_solver(rules: GameRules) -> GrundySolver:
+    """Swap the shared solver for ``rules``, whose memo is full, for a
+    fresh one with the same cap.  Values depend on the key alone, so no
+    answer changes; only a single query larger than the cap still raises."""
+    solver = _SOLVERS[rules] = GrundySolver(rules, solver_for(rules).memo_cap)
+    return solver
+
+
 def grundy(p: Position, rules: GameRules) -> int:
     """Grundy number (nimber) of ``p``: mex over the successors' values."""
-    return solver_for(rules).grundy(p)
+    try:
+        return solver_for(rules).grundy(p)
+    except MemoLimitError:
+        return _replace_solver(rules).grundy(p)
 
 
 def win_loss_oracle(p: Position, rules: GameRules) -> WinLoss:
     """Brute-force WIN/LOSS value of ``p`` for the player to move."""
-    return solver_for(rules).win_loss(p)
+    try:
+        return solver_for(rules).win_loss(p)
+    except MemoLimitError:
+        return _replace_solver(rules).win_loss(p)
 
 
 def disjunctive_sum(p: Position, q: Position) -> Position:

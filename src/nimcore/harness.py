@@ -325,6 +325,14 @@ class ExperimentConfig:
             )
         if self.start_mode == "winning":
             self._check_winning_start_exists()
+        elif all(
+            is_terminal(Position((size,), self.rules.game_id), self.rules)
+            for size in range(1, self.max_heap_size + 1)
+        ):
+            # a position has a move iff one of its heaps has one on its own
+            raise ValueError(
+                f"every start is terminal: no heap of size 1..{self.max_heap_size} has a move"
+            )
 
     def _check_winning_start_exists(self) -> None:
         # A start's value is the XOR of its heaps' single-heap values.  Two
@@ -401,33 +409,40 @@ def make_agent(
     ``i``, counted from the start position.  Entries at the opponent's
     plies must be present but are not played; empty entries are dropped;
     running out of entries forfeits.
+
+    Raises ``ValueError`` for an unknown spec and for an agent that does
+    not play ``rules.variant`` (see ``AgentPolicy.variants``).
     """
     if spec == "oracle":
-        return OracleAgent(rules)
-    if spec == "random":
-        return RandomAgent(rules)
-    if spec == "multiframe":
-        return MultiFrameAgent(budget or RolloutBudget(), seed=seed)
-    if spec == "singleframe-heuristic":
+        agent: AgentPolicy = OracleAgent(rules)
+    elif spec == "random":
+        agent = RandomAgent(rules)
+    elif spec == "multiframe":
+        agent = MultiFrameAgent(budget or RolloutBudget(), seed=seed)
+    elif spec == "singleframe-heuristic":
         if heap_count is None:
             raise ValueError("singleframe-heuristic needs the board's heap count")
-        return SingleFrameCircuitAgent.heuristic(heap_count, nimber.bit_width(rules.max_heap_size))
-    if spec.startswith("singleframe:"):
+        agent = SingleFrameCircuitAgent.heuristic(heap_count, nimber.bit_width(rules.max_heap_size))
+    elif spec.startswith("singleframe:"):
         path = spec.split(":", 1)[1]
         if heap_count is None:
             raise ValueError("singleframe circuits need the board's heap count")
-        return SingleFrameCircuitAgent(
+        agent = SingleFrameCircuitAgent(
             load_circuit(path), heap_count, nimber.bit_width(rules.max_heap_size)
         )
-    if spec.startswith("mirror71:"):
-        return Mirror71Agent(int(spec.split(":", 1)[1]))
-    if spec.startswith("mirror72:"):
+    elif spec.startswith("mirror71:"):
+        agent = Mirror71Agent(int(spec.split(":", 1)[1]))
+    elif spec.startswith("mirror72:"):
         _, k, role = spec.split(":")
-        return Mirror72Agent(int(k), role)
-    if spec.startswith("script:"):
+        agent = Mirror72Agent(int(k), role)
+    elif spec.startswith("script:"):
         body = spec.split(":", 1)[1]
-        return ScriptAgent([parse_move(part) for part in body.split(";") if part])
-    raise ValueError(f"unknown agent spec {spec!r}")
+        agent = ScriptAgent([parse_move(part) for part in body.split(";") if part])
+    else:
+        raise ValueError(f"unknown agent spec {spec!r}")
+    if rules.variant not in agent.variants:
+        raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
+    return agent
 
 
 @dataclass(frozen=True)
@@ -457,10 +472,11 @@ def _draw_start(rules: GameRules, heap_count: int, max_size: int, seed: int, win
     while True:
         heaps = tuple(rng.randint(1, max_size) for _ in range(heap_count))
         p = Position(heaps, rules.game_id)
-        if not winning:
-            return p
-        value = nimber.nim_sum(p) if rules.variant is Variant.NIM else grundy(p, rules)
-        if value != 0:
+        if winning:
+            value = nimber.nim_sum(p) if rules.variant is Variant.NIM else grundy(p, rules)
+            if value != 0:
+                return p
+        elif not is_terminal(p, rules):
             return p
 
 

@@ -3,7 +3,10 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nimcore import games
 from nimcore.errors import (
     IllegalMoveError,
     InvalidPositionError,
@@ -29,11 +32,26 @@ from oracles import (
     brute_kayles_grundy,
     brute_nim_grundy,
     brute_nim_win,
+    kayles_successors,
     make_brute_grundy,
+    make_brute_win,
+    nim_successors,
     subtraction_successors,
 )
 
 NIM8 = GameRules.nim(8)
+
+# rules and their independent brute-force (grundy, win) oracles
+VARIANTS = {
+    name: (rules, make_brute_grundy(successors), make_brute_win(successors))
+    for name, rules, successors in (
+        ("nim", NIM8, nim_successors),
+        ("kayles", GameRules.kayles(8), kayles_successors),
+        ("subtraction", GameRules.subtraction({1, 3, 4}, 8), subtraction_successors({1, 3, 4})),
+    )
+}
+# heap vectors with empty heaps among them
+HEAPS = st.lists(st.integers(0, 8), min_size=1, max_size=4).map(tuple)
 
 
 class TestPosition:
@@ -196,6 +214,63 @@ class TestGrundy:
         solver = GrundySolver(GameRules.nim(8), memo_cap=3)
         with pytest.raises(MemoLimitError):
             solver.grundy(Position((3, 5, 7)))
+        with pytest.raises(MemoLimitError):
+            solver.win_loss(Position((3, 5, 7)))
+
+    def test_full_shared_memo_is_replaced(self, monkeypatch):
+        # a full shared solver gives way to a fresh one of the same cap, so
+        # every query that fits under the cap alone is answered
+        rules = GameRules.kayles(6)
+        _, brute_grundy, brute_win = VARIANTS["kayles"]
+        monkeypatch.setitem(games._SOLVERS, rules, GrundySolver(rules, memo_cap=40))
+        answered = 0
+        for rows in itertools.product(range(7), repeat=2):
+            p = Position(rows, rules.game_id)
+            outcome = WinLoss.WIN if brute_win(rows) else WinLoss.LOSS
+            for shared, method, want in (
+                (grundy, GrundySolver.grundy, brute_grundy(rows)),
+                (win_loss_oracle, GrundySolver.win_loss, outcome),
+            ):
+                try:
+                    method(GrundySolver(rules, memo_cap=40), p)
+                except MemoLimitError:
+                    with pytest.raises(MemoLimitError):
+                        shared(p, rules)
+                else:
+                    assert shared(p, rules) == want
+                    answered += 1
+        assert games._SOLVERS[rules].memo_cap == 40
+        assert 0 < answered < 2 * 49
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(VARIANTS)),
+    positions=st.lists(HEAPS, min_size=1, max_size=8),
+)
+def test_solver_matches_brute_force(name, positions):
+    """One solver queried in the drawn order, and a fresh one per position."""
+    rules, brute_grundy, brute_win = VARIANTS[name]
+    shared = GrundySolver(rules)
+    for heaps in positions:
+        p = Position(heaps, rules.game_id)
+        want = (brute_grundy(heaps), WinLoss.WIN if brute_win(heaps) else WinLoss.LOSS)
+        fresh = GrundySolver(rules)
+        assert (shared.grundy(p), shared.win_loss(p)) == want
+        assert (fresh.grundy(p), fresh.win_loss(p)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(VARIANTS)), heaps=HEAPS)
+def test_successor_keys_follow_legal_moves(name, heaps):
+    """legal_moves and apply_move agree with the solver's own successors."""
+    rules = VARIANTS[name][0]
+    p = Position(heaps, rules.game_id)
+    after = (apply_move(p, m, rules).heaps for m in legal_moves(p, rules))
+    want = sorted({tuple(sorted(h for h in q if h)) for q in after})
+    solver = GrundySolver(rules)
+    key = tuple(sorted(h for h in heaps if h))
+    assert sorted(solver._successors(key)) == want
 
 
 class TestWinLossOracle:

@@ -15,6 +15,8 @@ from nimcore.agents import (
     RolloutBudget,
     ScriptAgent,
 )
+from nimcore.circuits.builders import build_even_nonempty_scorer
+from nimcore.circuits.ir import save_circuit
 from nimcore.errors import IllegalMoveError, NimcoreError
 from nimcore.games import GameMove, GameRules, Position, is_terminal
 from nimcore.harness import (
@@ -196,6 +198,23 @@ class TestAgentFactory:
         with pytest.raises(ValueError):
             make_agent("alphabeta", NIM)
 
+    @pytest.mark.parametrize("rules", [GameRules.kayles(7), GameRules.subtraction([1, 3, 4], 7)])
+    def test_nim_only_agents_reject_other_rules(self, tmp_path, rules):
+        circuit = tmp_path / "scorer.ac0"
+        save_circuit(build_even_nonempty_scorer(3, 3), circuit)
+        for spec in (
+            "multiframe",
+            "singleframe-heuristic",
+            f"singleframe:{circuit}",
+            "mirror71:1",
+            "mirror72:1:first",
+        ):
+            make_agent(spec, GameRules.nim(7), heap_count=3)
+            with pytest.raises(ValueError, match="does not play"):
+                make_agent(spec, rules, heap_count=3)
+        for spec in ("oracle", "random", "script:0:0"):
+            make_agent(spec, rules, heap_count=3)
+
     def test_parse_move(self):
         assert parse_move("2:6") == GameMove(2, 6)
         assert parse_move("0:2:1") == GameMove(0, 2, 1)
@@ -263,6 +282,13 @@ class TestExperiment:
             dict(rules=GameRules.kayles(1), max_heap_size=1, heap_counts=[2]),
             # taking 3 is the only move, so heaps below 3 all have value 0
             dict(rules=GameRules.subtraction([3], 2), max_heap_size=2, heap_counts=[3]),
+            # and none of them has a move
+            dict(
+                rules=GameRules.subtraction([3], 2),
+                max_heap_size=2,
+                heap_counts=[3],
+                start_mode="any",
+            ),
         ],
     )
     def test_unstartable_config_rejected(self, tmp_path, overrides):
@@ -277,6 +303,7 @@ class TestExperiment:
             "agents": ["oracle"],
             "games_per_cell": 1,
             "seed": 3,
+            "start_mode": overrides.get("start_mode", "winning"),
         }
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(doc)
@@ -294,6 +321,21 @@ class TestExperiment:
         )
         (row,) = run_experiment(cfg)
         assert row.wins == 40
+
+    def test_any_start_mode_redraws_terminal_starts(self, tmp_path):
+        # heaps of 1 have no move in subtraction {2, 3}
+        cfg = self.cfg(
+            tmp_path,
+            rules=parse_rules("subtraction:2,3", 3),
+            heap_counts=[2],
+            max_heap_size=3,
+            agents=["oracle"],
+            games_per_cell=20,
+            seed=1,
+            start_mode="any",
+        )
+        (row,) = run_experiment(cfg)
+        assert row.games == 20
 
     def test_single_object_heaps_with_odd_count_still_run(self, tmp_path):
         cfg = self.cfg(tmp_path, rules=GameRules.nim(1), max_heap_size=1, heap_counts=[1, 3])
