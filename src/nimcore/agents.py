@@ -36,6 +36,7 @@ from .games import (
     grundy,
     is_terminal,
     legal_moves,
+    validate_position,
 )
 from .nimber import winning_moves
 
@@ -135,12 +136,14 @@ class OracleAgent(AgentPolicy):
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         p = history.current
+        if self.rules.variant is Variant.NIM:
+            # the rollout oracle's rule: the lowest winning move, else the
+            # lowest legal move, read off the heaps without a move list
+            validate_position(p, self.rules)
+            return GameMove(*_opp_oracle(p.heaps, rng))
         moves = legal_moves(p, self.rules)
         if not moves:
             raise IllegalMoveError("no legal moves from a terminal position")
-        if self.rules.variant is Variant.NIM:
-            wins = winning_moves(p)
-            return min(wins) if wins else min(moves)
         zeroing = [m for m in moves if grundy(apply_move(p, m, self.rules), self.rules) == 0]
         return min(zeroing) if zeroing else min(moves)
 
@@ -152,7 +155,13 @@ class RandomAgent(AgentPolicy):
         self.rules = rules
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        moves = legal_moves(history.current, self.rules)
+        p = history.current
+        if self.rules.variant is Variant.NIM:
+            # NIM has sum(heaps) moves; one draw picks the same move and
+            # leaves the generator in the same state as indexing the list
+            validate_position(p, self.rules)
+            return GameMove(*_opp_random(p.heaps, rng))
+        moves = legal_moves(p, self.rules)
         if not moves:
             raise IllegalMoveError("no legal moves from a terminal position")
         return moves[rng.randrange(len(moves))]
@@ -212,17 +221,21 @@ class SingleFrameCircuitAgent(AgentPolicy):
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         heaps = history.current.heaps
+        # encode_heaps has checked len(heaps) == n and every count < 2**l,
+        # so slot (i << l) + v is in range for every legal candidate
         scores = self.circuit.evaluate(self.enc.encode_heaps(heaps))
-        best: GameMove | None = None
-        best_score = -1
+        l = self.enc.l
+        # scores are 0/1: the first candidate scoring 1 is the best one,
+        # and when none does, the first legal move is
         for i, c in enumerate(heaps):
+            slot = i << l
             for v in range(c):
-                s = scores[self.enc.candidate_slot(i, v)]
-                if s > best_score:
-                    best, best_score = GameMove(i, v), s
-        if best is None:
-            raise IllegalMoveError("no legal moves from a terminal position")
-        return best
+                if scores[slot + v]:
+                    return GameMove(i, v)
+        for i, c in enumerate(heaps):
+            if c:
+                return GameMove(i, 0)
+        raise IllegalMoveError("no legal moves from a terminal position")
 
 
 def _diff_indices(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -310,9 +323,12 @@ class RolloutBudget:
     Boards whose state-count bound (product of heap+1) fits under
     ``exhaustive_cap`` get a full adversary sweep per candidate; larger
     boards get ``samples`` seeded random-opponent rollouts plus, when
-    ``oracle_probe`` is set, one deterministic perfect-opponent rollout.
-    The probe costs one playout and refutes every non-preserving
-    candidate, which pure random sampling cannot guarantee.
+    ``oracle_probe`` is set, one deterministic perfect-opponent rollout
+    run first.  The probe only saves time.  Every restore reply brings the
+    position back to the candidate's value, so from a candidate with a
+    non-zero value no rollout can end in an agent win, and every random
+    sample already refutes it; the probe refutes it after one playout
+    instead of ``samples``.
     """
 
     exhaustive_cap: int = 512

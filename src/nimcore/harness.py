@@ -117,8 +117,9 @@ def parse_move(text: str) -> GameMove:
     return GameMove(*(int(p) for p in parts))
 
 
-def _history_for(history: FrameHistory, agent: AgentPolicy) -> FrameHistory:
-    return history.last_k(agent.required_frames)
+def _no_moves(heaps: tuple[int, ...], rules: GameRules) -> bool:
+    """Terminal test for heaps already validated against ``rules``."""
+    return next(_iter_moves(heaps, rules), None) is None
 
 
 def play_match(
@@ -132,6 +133,13 @@ def play_match(
 
     An agent raising or returning an illegal move forfeits (the record
     carries the reason); the game never crashes on a buggy policy.
+
+    Only the start is validated here.  Every later position comes out of
+    ``apply_move``, which validated the position before it (a legal move
+    only shrinks heaps), and the next ``apply_move`` validates it again.
+    The history keeps only the frames the agents read: the larger of the
+    two windows, or the whole transcript when an agent reads it all
+    (``required_frames == 0``).
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
@@ -139,32 +147,35 @@ def play_match(
     names = (first.name, second.name)
     seats = ("first", "second")
     agents = (first, second)
+    windows = (first.required_frames, second.required_frames)
+    keep = max(windows) if min(windows) >= 1 else None
+    nim = rules.variant is Variant.NIM
+    value = nimber.nim_sum(start) if nim else None
     history = FrameHistory.start(start)
+    p = start
     moves: list[GameMove] = []
     diagnostics: list[MoveDiagnostic] = []
     mover = 0
     forfeit = None
     while True:
-        p = history.current
-        if is_terminal(p, rules):
-            winner = seats[1 - mover]
-            break
         agent = agents[mover]
         try:
-            move = agent.choose(_history_for(history, agent), rng)
+            move = agent.choose(history.last_k(windows[mover]), rng)
             nxt = apply_move(p, move, rules)
         except _AGENT_FAILURES as exc:
             winner = seats[1 - mover]
             forfeit = f"{seats[mover]} ({names[mover]}): {exc}"
             break
-        if rules.variant is Variant.NIM:
-            diagnostics.append(
-                MoveDiagnostic(seats[mover], nimber.nim_sum(p), nimber.nim_sum(nxt))
-            )
-        else:
-            diagnostics.append(MoveDiagnostic(seats[mover], None, None))
+        # the value after this ply is the value before the next one
+        after = nimber.nim_sum(nxt) if nim else None
+        diagnostics.append(MoveDiagnostic(seats[mover], value, after))
+        value = after
         moves.append(move)
-        history = history.advance(move, nxt)
+        history = history.advance(move, nxt, keep)
+        p = nxt
+        if _no_moves(p.heaps, rules):
+            winner = seats[mover]
+            break
         mover = 1 - mover
     return MatchRecord(
         rules.game_id, start.heaps, names[0], names[1], seed, moves, winner, forfeit, diagnostics
@@ -235,9 +246,6 @@ def exhaustive_adversary(
     # moves, the table keys it proves won once exhausted, and len(line)
     stack: list[tuple[FrameHistory, Iterator[GameMove], list, int]] = []
 
-    def terminal(heaps: tuple[int, ...]) -> bool:
-        return next(_iter_moves(heaps, rules), None) is None
-
     def open_node(history: FrameHistory, agent_to_move: bool) -> bool | None:
         """Play the agent's move when it is to move, then push the
         adversary node below; True or False when the line is settled
@@ -245,7 +253,7 @@ def exhaustive_adversary(
         keys = []
         if agent_to_move:
             p = history.current
-            if terminal(p.heaps):
+            if _no_moves(p.heaps, rules):
                 return False  # the adversary took the last object
             window = history.last_k(frames)
             if proven is not None:
@@ -260,7 +268,7 @@ def exhaustive_adversary(
             line.append(move)
             history = history.advance(move, nxt, keep)
         heaps = history.current.heaps
-        if terminal(heaps):
+        if _no_moves(heaps, rules):
             return True  # the agent took the last object
         if proven is not None:
             keys.append((history.last_k(adversary_window), False))
@@ -318,6 +326,8 @@ class ExperimentConfig:
             raise ValueError("start_mode must be 'winning' or 'any'")
         if min(self.heap_counts) < 1:
             raise ValueError("heap counts must be >= 1")
+        for spec in [*self.agents, self.opponent]:
+            _check_agent_spec(spec, self.rules)
         if not 1 <= self.max_heap_size <= self.rules.max_heap_size:
             raise ValueError(
                 f"max_heap_size must be in 1..{self.rules.max_heap_size}, "
@@ -390,6 +400,30 @@ def parse_rules(text: str, max_heap_size: int = 255) -> GameRules:
     raise ValueError(f"unknown rules spec {text!r}")
 
 
+# spec name -> (policy class, whether the spec goes on as ":<argument>")
+_AGENT_SPECS: dict[str, tuple[type[AgentPolicy], bool]] = {
+    "oracle": (OracleAgent, False),
+    "random": (RandomAgent, False),
+    "multiframe": (MultiFrameAgent, False),
+    "singleframe-heuristic": (SingleFrameCircuitAgent, False),
+    "singleframe": (SingleFrameCircuitAgent, True),
+    "mirror71": (Mirror71Agent, True),
+    "mirror72": (Mirror72Agent, True),
+    "script": (ScriptAgent, True),
+}
+
+
+def _check_agent_spec(spec: str, rules: GameRules) -> None:
+    """Raise ``ValueError`` for an unknown agent spec and for one whose
+    policy does not play ``rules.variant`` (see ``AgentPolicy.variants``)."""
+    name, colon, _ = spec.partition(":")
+    entry = _AGENT_SPECS.get(name)
+    if entry is None or entry[1] != bool(colon):
+        raise ValueError(f"unknown agent spec {spec!r}")
+    if rules.variant not in entry[0].variants:
+        raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
+
+
 def make_agent(
     spec: str,
     rules: GameRules,
@@ -410,39 +444,30 @@ def make_agent(
     plies must be present but are not played; empty entries are dropped;
     running out of entries forfeits.
 
-    Raises ``ValueError`` for an unknown spec and for an agent that does
-    not play ``rules.variant`` (see ``AgentPolicy.variants``).
+    Raises ``ValueError`` as :func:`_check_agent_spec` does, and for a
+    malformed argument.
     """
-    if spec == "oracle":
-        agent: AgentPolicy = OracleAgent(rules)
-    elif spec == "random":
-        agent = RandomAgent(rules)
-    elif spec == "multiframe":
-        agent = MultiFrameAgent(budget or RolloutBudget(), seed=seed)
-    elif spec == "singleframe-heuristic":
-        if heap_count is None:
-            raise ValueError("singleframe-heuristic needs the board's heap count")
-        agent = SingleFrameCircuitAgent.heuristic(heap_count, nimber.bit_width(rules.max_heap_size))
-    elif spec.startswith("singleframe:"):
-        path = spec.split(":", 1)[1]
-        if heap_count is None:
-            raise ValueError("singleframe circuits need the board's heap count")
-        agent = SingleFrameCircuitAgent(
-            load_circuit(path), heap_count, nimber.bit_width(rules.max_heap_size)
-        )
-    elif spec.startswith("mirror71:"):
-        agent = Mirror71Agent(int(spec.split(":", 1)[1]))
-    elif spec.startswith("mirror72:"):
-        _, k, role = spec.split(":")
-        agent = Mirror72Agent(int(k), role)
-    elif spec.startswith("script:"):
-        body = spec.split(":", 1)[1]
-        agent = ScriptAgent([parse_move(part) for part in body.split(";") if part])
-    else:
-        raise ValueError(f"unknown agent spec {spec!r}")
-    if rules.variant not in agent.variants:
-        raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
-    return agent
+    _check_agent_spec(spec, rules)
+    name, _, arg = spec.partition(":")
+    if name == "oracle":
+        return OracleAgent(rules)
+    if name == "random":
+        return RandomAgent(rules)
+    if name == "multiframe":
+        return MultiFrameAgent(budget or RolloutBudget(), seed=seed)
+    if name == "mirror71":
+        return Mirror71Agent(int(arg))
+    if name == "mirror72":
+        k, role = arg.split(":")
+        return Mirror72Agent(int(k), role)
+    if name == "script":
+        return ScriptAgent([parse_move(part) for part in arg.split(";") if part])
+    if heap_count is None:
+        raise ValueError(f"{name} needs the board's heap count")
+    l = nimber.bit_width(rules.max_heap_size)
+    if name == "singleframe-heuristic":
+        return SingleFrameCircuitAgent.heuristic(heap_count, l)
+    return SingleFrameCircuitAgent(load_circuit(arg), heap_count, l)
 
 
 @dataclass(frozen=True)

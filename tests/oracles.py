@@ -4,7 +4,8 @@ These are deliberately separate implementations: plain recursive mex /
 win-loss over successor sets, with their own move enumeration.  They
 never import engine internals beyond basic types, except the reference
 adversary, which drives the engine's agents and rules and differs from
-the harness only in how it walks the game.
+the harness only in how it walks the game, and the list-based agent
+choices, which read the public move list the agents no longer build.
 """
 
 from functools import lru_cache
@@ -141,3 +142,28 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
     except _NodeBudgetExceeded:
         return AdversaryReport(False, None, nodes, complete=False)
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
+
+
+def reference_oracle_choice(p, rules):
+    """NIM oracle move from the full move list: the lowest winning move,
+    else the lowest legal move."""
+    from nimcore.errors import IllegalMoveError
+    from nimcore.games import legal_moves
+    from nimcore.nimber import winning_moves
+
+    moves = legal_moves(p, rules)
+    if not moves:
+        raise IllegalMoveError("no legal moves from a terminal position")
+    wins = winning_moves(p)
+    return min(wins) if wins else min(moves)
+
+
+def reference_random_choice(p, rules, rng):
+    """Uniform move from the full move list, one ``randrange`` draw."""
+    from nimcore.errors import IllegalMoveError
+    from nimcore.games import legal_moves
+
+    moves = legal_moves(p, rules)
+    if not moves:
+        raise IllegalMoveError("no legal moves from a terminal position")
+    return moves[rng.randrange(len(moves))]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nimcore.agents import (
     FrameHistory,
@@ -17,9 +19,16 @@ from nimcore.agents import (
     preserving_reply_literal,
     rollout,
 )
-from nimcore.errors import ContractViolationError, IllegalMoveError, StrategyDomainError
+from nimcore.errors import (
+    ContractViolationError,
+    IllegalMoveError,
+    InvalidPositionError,
+    StrategyDomainError,
+)
 from nimcore.games import GameMove, GameRules, Position, apply_move, legal_moves
 from nimcore.nimber import nim_sum
+
+from oracles import reference_oracle_choice, reference_random_choice
 
 NIM = GameRules.nim(64)
 RNG = lambda: random.Random(0)
@@ -69,6 +78,36 @@ class TestOracleAgent:
         from nimcore.games import grundy
 
         assert grundy(apply_move(Position((3,), "kayles"), move, rules), rules) == 0
+
+
+def _outcome(choose, rng):
+    """(move or error class, generator state after the call)."""
+    try:
+        result = choose()
+    except (IllegalMoveError, InvalidPositionError) as exc:
+        result = type(exc)
+    return result, rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_nim_choices_match_move_list(data, seed):
+    bound = data.draw(st.integers(1, 12))
+    heaps = data.draw(st.lists(st.integers(0, bound), min_size=1, max_size=6))
+    # a heap above the bound and a foreign game id must fail as before
+    if data.draw(st.booleans()):
+        heaps[data.draw(st.integers(0, len(heaps) - 1))] = bound + 1
+    game_id = data.draw(st.sampled_from(("nim", "nim", "kayles")))
+    rules = GameRules.nim(bound)
+    p = Position(tuple(heaps), game_id)
+    for agent, reference in (
+        (OracleAgent(rules), lambda rng: reference_oracle_choice(p, rules)),
+        (RandomAgent(rules), lambda rng: reference_random_choice(p, rules, rng)),
+    ):
+        fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+        fast = _outcome(lambda: agent.choose(FrameHistory.start(p), fast_rng), fast_rng)
+        expected = _outcome(lambda: reference(ref_rng), ref_rng)
+        assert fast == expected, agent.name
 
 
 class TestPreservingReply:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -269,6 +270,28 @@ class TestExperiment:
         ).read_bytes()
         assert rows_to_csv(a) == rows_to_csv(b)
 
+    def test_golden_digests(self, tmp_path):
+        # pinned outputs: a change that alters every run the same way fails
+        # here, where a rerun comparison cannot see it
+        cfg = self.cfg(
+            tmp_path,
+            rules=GameRules.nim(15),
+            heap_counts=[3, 5],
+            max_heap_size=15,
+            agents=["multiframe", "singleframe-heuristic", "random"],
+            games_per_cell=4,
+            seed=1,
+        )
+        run_experiment(cfg)
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "results.json")
+        }
+        assert digests == {
+            "results.csv": "154b1f581f3a7a678227271e98cfcdb26e496dfada70604cb580abc15a46ae45",
+            "results.json": "da38464b6d87a46ddeef5f805e3a707cb986b324d99c4a1226a4bd4526ffef89",
+        }
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -289,6 +312,11 @@ class TestExperiment:
                 heap_counts=[3],
                 start_mode="any",
             ),
+            # NIM-only agents or opponents under other rules, and an unknown spec
+            dict(rules=GameRules.kayles(7), agents=["oracle", "multiframe"]),
+            dict(rules=GameRules.kayles(7), opponent="multiframe"),
+            dict(rules=GameRules.subtraction([1, 3, 4], 7), agents=["singleframe-heuristic"]),
+            dict(agents=["oracle", "alphabeta"]),
         ],
     )
     def test_unstartable_config_rejected(self, tmp_path, overrides):
@@ -300,7 +328,8 @@ class TestExperiment:
             "rules": spec,
             "heap_counts": overrides.get("heap_counts", [3]),
             "max_heap_size": overrides.get("max_heap_size", 7),
-            "agents": ["oracle"],
+            "agents": overrides.get("agents", ["oracle"]),
+            "opponent": overrides.get("opponent", "oracle"),
             "games_per_cell": 1,
             "seed": 3,
             "start_mode": overrides.get("start_mode", "winning"),
@@ -377,6 +406,9 @@ class TestExperiment:
             assert match["forfeit"] or implied == match["winner"]
 
 
+_FUZZ_AGENTS = ("oracle", "random", "multiframe", "singleframe-heuristic", "mirror71:1")
+
+
 @settings(max_examples=60, deadline=5000)
 @given(
     rules=st.sampled_from(("nim", "kayles", "subtraction:2,3")),
@@ -384,30 +416,29 @@ class TestExperiment:
     heap_counts=st.lists(st.integers(0, 4), min_size=1, max_size=2),
     max_heap_size=st.integers(-1, 9),
     start_mode=st.sampled_from(("winning", "any")),
-    agents=st.lists(
-        st.sampled_from(("oracle", "random", "multiframe", "singleframe-heuristic")),
-        min_size=1,
-        max_size=2,
-    ),
+    agents=st.lists(st.sampled_from(_FUZZ_AGENTS), min_size=1, max_size=2),
+    opponent=st.sampled_from(_FUZZ_AGENTS),
     games_per_cell=st.integers(0, 2),
 )
 def test_config_fuzz_ends_in_rows_or_named_error(
-    rules, rules_bound, heap_counts, max_heap_size, start_mode, agents, games_per_cell
+    rules, rules_bound, heap_counts, max_heap_size, start_mode, agents, opponent, games_per_cell
 ):
+    # NIM-only agents are drawn under every rule set: a config that cannot
+    # run must be refused when it is built, never halfway through the sweep
     try:
         cfg = ExperimentConfig(
             rules=parse_rules(rules, rules_bound),
             heap_counts=heap_counts,
             max_heap_size=max_heap_size,
             agents=agents,
-            opponent="oracle",
+            opponent=opponent,
             games_per_cell=games_per_cell,
             seed=5,
             start_mode=start_mode,
         )
-        rows = run_experiment(cfg)
     except (ValueError, NimcoreError):
         return
+    rows = run_experiment(cfg)
     assert [r.games for r in rows] == [games_per_cell] * len(heap_counts) * len(agents)
 
 
