@@ -29,12 +29,8 @@ from .agents import (
     OracleAgent,
     RandomAgent,
     RolloutBudget,
-    RolloutOutcome,
-    RolloutResult,
     SingleFrameCircuitAgent,
     preserving_reply,
-    preserving_reply_literal,
-    rollout,
 )
 from .games import (
     GameMove,
@@ -101,8 +97,6 @@ __all__ = [
     "PositionEncoding",
     "RandomAgent",
     "RolloutBudget",
-    "RolloutOutcome",
-    "RolloutResult",
     "SingleFrameCircuitAgent",
     "ThresholdNetwork",
     "Variant",
@@ -130,9 +124,7 @@ __all__ = [
     "parse_rules",
     "play_match",
     "preserving_reply",
-    "preserving_reply_literal",
     "replay_match",
-    "rollout",
     "run_experiment",
     "threshold_at_least",
     "validate_ac0",

@@ -34,7 +34,6 @@ from .games import (
     Variant,
     apply_move,
     grundy,
-    is_terminal,
     legal_moves,
     validate_position,
 )
@@ -61,19 +60,19 @@ def stable_mix(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class FrameHistory:
-    """The most recent positions of a game, oldest first, plus the moves
-    linking consecutive frames."""
+    """The most recent positions of a game, oldest first.
+
+    The frames are all an agent sees: a move is the difference between
+    two consecutive frames, and a history started at the opening position
+    and never truncated has ``len(frames) - 1`` plies.
+    """
 
     frames: tuple[Position, ...]
-    moves: tuple[GameMove, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "moves", tuple(self.moves))
         if not self.frames:
             raise ValueError("history needs at least one frame")
-        if len(self.moves) != len(self.frames) - 1:
-            raise ValueError("history needs exactly one move between consecutive frames")
 
     @property
     def current(self) -> Position:
@@ -83,31 +82,28 @@ class FrameHistory:
     def start(cls, p: Position) -> "FrameHistory":
         return cls((p,))
 
-    def advance(
-        self, move: GameMove, new_pos: Position, keep: int | None = None
-    ) -> "FrameHistory":
+    def advance(self, new_pos: Position, keep: int | None = None) -> "FrameHistory":
         """Extended history; pass ``keep`` to truncate to that many frames."""
         frames = self.frames + (new_pos,)
-        moves = self.moves + (move,)
         if keep is not None and len(frames) > keep:
             frames = frames[-keep:]
-            moves = moves[-(keep - 1) :] if keep > 1 else ()
-        return FrameHistory(frames, moves)
+        return FrameHistory(frames)
 
     def last_k(self, k: int) -> "FrameHistory":
         """View of the newest ``k`` frames (everything when k < 1)."""
         if k < 1 or k >= len(self.frames):
             return self
-        return FrameHistory(self.frames[-k:], self.moves[-(k - 1):] if k > 1 else ())
+        return FrameHistory(self.frames[-k:])
 
 
 class AgentPolicy:
     """Base playing policy.
 
-    ``required_frames`` tells the match driver how much history to hand
-    over (0 means the full transcript).  ``choose`` must return a move
-    legal in the newest frame; stochastic policies draw from the supplied
-    generator so matches replay exactly from a seed.
+    ``required_frames`` tells the match driver how many of the newest
+    positions to hand over (0 means every position since the start).
+    ``choose`` must return a move legal in the newest frame; stochastic
+    policies draw from the supplied generator so matches replay exactly
+    from a seed.
 
     With ``required_frames >= 1``, ``choose`` must be a deterministic
     function of the window it is handed and the generator: the exhaustive
@@ -170,20 +166,20 @@ class RandomAgent(AgentPolicy):
 class ScriptAgent(AgentPolicy):
     """Plays a fixed whole-game transcript; running out of script forfeits.
 
-    Entry ``i`` is the move at ply ``i`` of the game, counted from the
-    start of the history the agent is handed (the start position in a
-    match).  Entries at the opponent's plies must be present but are never
-    played, so a second-seat script needs a placeholder at ply 0.
+    Entry ``i`` is the move at ply ``i`` of the game: the agent is handed
+    every frame since the start, so ``i`` is one fewer than their number.
+    Entries at the opponent's plies must be present but are never played,
+    so a second-seat script needs a placeholder at ply 0.
     """
 
     name = "script"
-    required_frames = 0  # needs the full transcript to count plies
+    required_frames = 0  # needs every frame since the start to count plies
 
     def __init__(self, moves):
         self.moves = tuple(moves)
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        index = len(history.moves)
+        index = len(history.frames) - 1
         if index >= len(self.moves):
             raise IllegalMoveError("scripted move list exhausted")
         return self.moves[index]
@@ -277,43 +273,10 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
     return GameMove(*hit) if hit else None
 
 
-def _reply_matching_change(q: tuple[int, ...], target: int):
-    """Reply from q whose own value change equals ``target``, or None."""
-    for r in range(len(q)):
-        v = q[r] ^ target
-        if v < q[r]:
-            return (r, v)
-    return None
-
-
-def preserving_reply_literal(
-    p_prev: Position, p_own: Position, q_after: Position
-) -> GameMove | None:
-    """Alternate preservation reading: the reply's value change must equal
-    the change of the agent's own earlier move (p_prev -> p_own).
-
-    This condition does not restore the pre-opponent value, so it does not
-    carry the win guarantee of :func:`preserving_reply`; it exists for
-    comparison.
-    """
-    a = _single_diff(p_prev, p_own)
-    _single_diff(p_own, q_after)
-    hit = _reply_matching_change(q_after.heaps, p_prev.heaps[a] ^ p_own.heaps[a])
-    return GameMove(*hit) if hit else None
-
-
 class RolloutResult(enum.Enum):
     AGENT = "agent"
     OPPONENT = "opponent"
     CAPPED = "capped"
-
-
-@dataclass(frozen=True)
-class RolloutOutcome:
-    winner: RolloutResult
-    preservation_failed: bool
-    plies: int
-    transcript: tuple[GameMove, ...]
 
 
 @dataclass(frozen=True)
@@ -322,19 +285,39 @@ class RolloutBudget:
 
     Boards whose state-count bound (product of heap+1) fits under
     ``exhaustive_cap`` get a full adversary sweep per candidate; larger
-    boards get ``samples`` seeded random-opponent rollouts plus, when
-    ``oracle_probe`` is set, one deterministic perfect-opponent rollout
-    run first.  The probe only saves time.  Every restore reply brings the
-    position back to the candidate's value, so from a candidate with a
-    non-zero value no rollout can end in an agent win, and every random
-    sample already refutes it; the probe refutes it after one playout
+    boards get one deterministic perfect-opponent rollout (the probe),
+    then ``samples`` seeded random-opponent rollouts.  A rollout stops
+    after ``ply_cap`` plies.
+
+    A rollout answers every opponent move with the reply that restores the
+    candidate's value, and every ply takes at least one object, so:
+
+    - it ends in an agent win only from a candidate of value zero, after
+      an even number of plies and without a preservation failure;
+    - from a candidate of value zero it never fails, and with ``ply_cap``
+      at least the candidate's object count it ends in an agent win;
+    - from any other candidate it never ends in an agent win, and against
+      the perfect opponent with that cap it ends in an opponent win.
+
+    So the probe only saves time: every random sample already refutes a
+    candidate of non-zero value, and the probe does so after one playout
     instead of ``samples``.
+
+    Raises ``ValueError`` when ``samples < 0``, ``ply_cap < 1`` or
+    ``exhaustive_cap < 0``.
     """
 
     exhaustive_cap: int = 512
     samples: int = 8
     ply_cap: int = 512
-    oracle_probe: bool = True
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        if self.ply_cap < 1:
+            raise ValueError(f"ply_cap must be >= 1, got {self.ply_cap}")
+        if self.exhaustive_cap < 0:
+            raise ValueError(f"exhaustive_cap must be >= 0, got {self.exhaustive_cap}")
 
 
 def _opp_oracle(heaps: tuple[int, ...], rng) -> tuple[int, int]:
@@ -365,7 +348,10 @@ def _opp_random(heaps: tuple[int, ...], rng: random.Random) -> tuple[int, int]:
 
 
 def _fast_rollout(pb, opp, rng, ply_cap):
-    """Tuple-level preserving rollout; returns (result, failed, plies)."""
+    """Preserving rollout from ``pb``, the heaps the agent just moved to,
+    against ``opp(heaps, rng)``; returns (result, failed, plies).  A
+    preservation failure scores as an opponent win, and reaching
+    ``ply_cap`` as ``CAPPED`` (see :class:`RolloutBudget`)."""
     plies = 0
     while True:
         if not any(pb):
@@ -385,80 +371,6 @@ def _fast_rollout(pb, opp, rng, ply_cap):
         r, w = hit
         pb = q[:r] + (w,) + q[r + 1 :]
         plies += 1
-
-
-def rollout(
-    history: FrameHistory,
-    opponent: AgentPolicy,
-    seed: int,
-    ply_cap: int,
-    mode: str = "restore",
-) -> RolloutOutcome:
-    """Play out a line from the newest frame (a position the agent just
-    moved to), answering every opponent move with a preserving reply.
-
-    Ends at a terminal position, on preservation failure (scored
-    pessimistically as an opponent win), or at the ply cap (reported as
-    its own outcome, distinct from a win or loss).  ``mode`` selects the
-    preservation predicate: "restore" (default, cancels the opponent's
-    change) or "literal" (matches the agent's original move change; no
-    win guarantee).
-    """
-    if mode not in ("restore", "literal"):
-        raise ValueError(f"unknown rollout mode {mode!r}")
-    anchor = history.current
-    rules = GameRules.nim(max(255, max(anchor.heaps, default=1)))
-    target = 0
-    if mode == "literal":
-        if len(history.frames) < 2:
-            raise ContractViolationError(
-                "literal mode needs the agent's own move in history"
-            )
-        # literal mode compares every reply against the change of the
-        # initiating move, fixed for the whole playout
-        own = _single_diff(history.frames[-2], history.frames[-1])
-        target = history.frames[-2].heaps[own] ^ history.frames[-1].heaps[own]
-    rng = random.Random(seed)
-    hist = history
-    transcript: list[GameMove] = []
-    plies = 0
-    failed = False
-    winner = RolloutResult.AGENT
-    while True:
-        cur = hist.current
-        if is_terminal(cur, rules):
-            winner = RolloutResult.AGENT
-            break
-        if plies >= ply_cap:
-            winner = RolloutResult.CAPPED
-            break
-        move = opponent.choose(hist.last_k(opponent.required_frames), rng)
-        q = apply_move(cur, move, rules)
-        transcript.append(move)
-        plies += 1
-        hist = hist.advance(move, q)
-        if is_terminal(q, rules):
-            winner = RolloutResult.OPPONENT
-            break
-        if plies >= ply_cap:
-            winner = RolloutResult.CAPPED
-            break
-        if mode == "restore":
-            reply = preserving_reply(anchor, q)
-        else:
-            hit = _reply_matching_change(q.heaps, target)
-            reply = GameMove(*hit) if hit else None
-        if reply is None:
-            failed = True
-            winner = RolloutResult.OPPONENT
-            break
-        nxt = apply_move(q, reply, rules)
-        transcript.append(reply)
-        plies += 1
-        hist = hist.advance(reply, nxt)
-        if mode == "restore":
-            anchor = nxt
-    return RolloutOutcome(winner, failed, plies, tuple(transcript))
 
 
 class MultiFrameAgent(AgentPolicy):
@@ -542,23 +454,15 @@ class MultiFrameAgent(AgentPolicy):
         return result
 
     def _sampled(self, child: tuple[int, ...], ci: int) -> tuple[bool, float]:
-        wins = 0
-        total = 0
-        if self.budget.oracle_probe:
-            res, _, _ = _fast_rollout(child, _opp_oracle, None, self.budget.ply_cap)
-            total += 1
-            if res is RolloutResult.AGENT:
-                wins += 1
-            else:
-                return False, wins / total
+        ply_cap = self.budget.ply_cap
+        if _fast_rollout(child, _opp_oracle, None, ply_cap)[0] is not RolloutResult.AGENT:
+            return False, 0.0
+        wins = 1  # the probe's
         for s in range(self.budget.samples):
             rng = random.Random(stable_mix(self.seed, len(child), *child, ci, s))
-            res, _, _ = _fast_rollout(child, _opp_random, rng, self.budget.ply_cap)
-            total += 1
-            if res is RolloutResult.AGENT:
+            if _fast_rollout(child, _opp_random, rng, ply_cap)[0] is RolloutResult.AGENT:
                 wins += 1
-        if total == 0:
-            return False, 0.0
+        total = 1 + self.budget.samples
         return wins == total, wins / total
 
 

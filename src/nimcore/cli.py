@@ -77,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_play(args) -> int:
     start = Position.from_text(args.start)
-    max_size = args.max_heap_size or max(255, max(start.heaps))
+    max_size = args.max_heap_size
+    if max_size is None:
+        max_size = max(255, max(start.heaps))
     rules = parse_rules(args.rules, max_size)
     start = Position(start.heaps, rules.game_id)
     budget = RolloutBudget(

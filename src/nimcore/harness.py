@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -138,8 +138,8 @@ def play_match(
     ``apply_move``, which validated the position before it (a legal move
     only shrinks heaps), and the next ``apply_move`` validates it again.
     The history keeps only the frames the agents read: the larger of the
-    two windows, or the whole transcript when an agent reads it all
-    (``required_frames == 0``).
+    two windows, or every position since the start when an agent reads
+    them all (``required_frames == 0``).
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
@@ -171,7 +171,7 @@ def play_match(
         diagnostics.append(MoveDiagnostic(seats[mover], value, after))
         value = after
         moves.append(move)
-        history = history.advance(move, nxt, keep)
+        history = history.advance(nxt, keep)
         p = nxt
         if _no_moves(p.heaps, rules):
             winner = seats[mover]
@@ -229,8 +229,8 @@ def exhaustive_adversary(
     fewer but at least the current frame when the adversary moves) and
     the side to move.  Subtrees proven won are keyed so and skipped when
     met again; any loss ends the walk, so skipping them changes neither
-    the verdict nor the first counterexample.  An agent that reads the
-    whole transcript (``required_frames == 0``) gets no table.
+    the verdict nor the first counterexample.  An agent that reads every
+    frame since the start (``required_frames == 0``) gets no table.
     """
     if role not in ("first", "second"):
         raise ValueError("role must be 'first' or 'second'")
@@ -266,7 +266,7 @@ def exhaustive_adversary(
             except _AGENT_FAILURES:
                 return False
             line.append(move)
-            history = history.advance(move, nxt, keep)
+            history = history.advance(nxt, keep)
         heaps = history.current.heaps
         if _no_moves(heaps, rules):
             return True  # the agent took the last object
@@ -295,7 +295,7 @@ def exhaustive_adversary(
             return AdversaryReport(False, None, nodes, complete=False)
         line.append(move)
         nxt = Position(_apply_heaps(history.current.heaps, move), game_id)
-        if open_node(history.advance(move, nxt, keep), True) is False:
+        if open_node(history.advance(nxt, keep), True) is False:
             return AdversaryReport(False, line, nodes, complete=True)
     return AdversaryReport(True, None, nodes, complete=True)
 
@@ -363,28 +363,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        """Build a config from its JSON document.
+
+        Raises ``ValueError`` naming the key when a required key is missing
+        or null, or when a key is unknown, at the top level or in ``budget``.
+        """
+        _check_keys(doc, "config", cls, ("heap_counts", "agents", "games_per_cell", "seed"))
         budget = doc.get("budget", {})
+        _check_keys(budget, "budget", RolloutBudget)
+        max_heap_size = int(doc.get("max_heap_size", 255))
         return cls(
-            rules=parse_rules(doc.get("rules", "nim"), int(doc.get("max_heap_size", 255))),
+            rules=parse_rules(doc.get("rules", "nim"), max_heap_size),
             heap_counts=list(doc["heap_counts"]),
-            max_heap_size=int(doc.get("max_heap_size", 255)),
+            max_heap_size=max_heap_size,
             agents=list(doc["agents"]),
             opponent=doc.get("opponent", "oracle"),
             games_per_cell=int(doc["games_per_cell"]),
             seed=int(doc["seed"]),
             start_mode=doc.get("start_mode", "winning"),
-            budget=RolloutBudget(
-                exhaustive_cap=int(budget.get("exhaustive_cap", 512)),
-                samples=int(budget.get("samples", 8)),
-                ply_cap=int(budget.get("ply_cap", 512)),
-                oracle_probe=bool(budget.get("oracle_probe", True)),
-            ),
+            budget=RolloutBudget(**{key: int(value) for key, value in budget.items()}),
             out_dir=doc.get("out_dir"),
         )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _check_keys(doc, where: str, schema, required=()) -> None:
+    """A JSON object's keys are the fields of the dataclass ``schema``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in required:
+        if doc.get(key) is None:
+            raise ValueError(f"{where} is missing key {key!r}")
+    known = {f.name for f in fields(schema)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {where} key {key!r}")
 
 
 def parse_rules(text: str, max_heap_size: int = 255) -> GameRules:

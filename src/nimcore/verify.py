@@ -577,10 +577,10 @@ def _never_miss_sweep(rules, start, agent, agent_seat: str) -> tuple[bool, str]:
             if nimber.nim_sum(p) != 0 and nimber.nim_sum(nxt) != 0:
                 failures.append(f"missed a win at {p.heaps}")
                 return
-            walk(history.advance(move, nxt), False)
+            walk(history.advance(nxt), False)
         else:
             for move in legal_moves(p, rules):
-                walk(history.advance(move, apply_move(p, move, rules)), True)
+                walk(history.advance(apply_move(p, move, rules)), True)
                 if failures:
                     return
 

@@ -125,14 +125,14 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
                 return (False, [])
-            ok, line = walk(history.advance(move, nxt), False)
+            ok, line = walk(history.advance(nxt), False)
             return (ok, [move] + line)
         for move in legal_moves(p, rules):
             nodes += 1
             if nodes > node_budget:
                 raise _NodeBudgetExceeded
             nxt = apply_move(p, move, rules)
-            ok, line = walk(history.advance(move, nxt), True)
+            ok, line = walk(history.advance(nxt), True)
             if not ok:
                 return (False, [move] + line)
         return (True, [])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nimcore
 from nimcore.agents import (
     FrameHistory,
     Mirror71Agent,
@@ -15,9 +16,10 @@ from nimcore.agents import (
     RolloutBudget,
     RolloutResult,
     SingleFrameCircuitAgent,
+    _fast_rollout,
+    _opp_oracle,
+    _opp_random,
     preserving_reply,
-    preserving_reply_literal,
-    rollout,
 )
 from nimcore.errors import (
     ContractViolationError,
@@ -35,13 +37,13 @@ RNG = lambda: random.Random(0)
 
 
 def hist(*heaps_seq):
-    frames = [Position(h) for h in heaps_seq]
-    h = FrameHistory.start(frames[0])
-    for prev, cur in zip(frames, frames[1:]):
-        changed = [i for i, (a, b) in enumerate(zip(prev.heaps, cur.heaps)) if a != b]
-        assert len(changed) == 1
-        h = h.advance(GameMove(changed[0], cur.heaps[changed[0]]), cur)
-    return h
+    return FrameHistory(tuple(Position(h) for h in heaps_seq))
+
+
+def test_public_names_resolve():
+    assert len(set(nimcore.__all__)) == len(nimcore.__all__)
+    for name in nimcore.__all__:
+        assert hasattr(nimcore, name), name
 
 
 class TestFrameHistory:
@@ -51,9 +53,14 @@ class TestFrameHistory:
         assert h.last_k(2).frames == h.frames[1:]
         assert h.current.heaps == (2, 1, 7)
 
-    def test_needs_linking_moves(self):
+    def test_advance_keeps_newest_frames(self):
+        h = hist((3, 5, 7), (2, 5, 7)).advance(Position((2, 1, 7)), keep=2)
+        assert h == hist((2, 5, 7), (2, 1, 7))
+        assert h.advance(Position((2, 1, 3))) == hist((2, 5, 7), (2, 1, 7), (2, 1, 3))
+
+    def test_needs_a_frame(self):
         with pytest.raises(ValueError):
-            FrameHistory((Position((1,)), Position((0,))), ())
+            FrameHistory(())
 
 
 class TestOracleAgent:
@@ -139,58 +146,65 @@ class TestPreservingReply:
                 assert reply is not None
                 assert nim_sum(apply_move(q, reply, NIM)) == 0
 
-    def test_literal_mode_differs_from_restore(self):
-        p_prev, p_own, q = Position((3, 5, 7)), Position((2, 5, 7)), Position((2, 1, 7))
-        restore = preserving_reply(p_own, q)
-        literal = preserving_reply_literal(p_prev, p_own, q)
-        assert restore == GameMove(2, 3)
-        assert literal == GameMove(1, 0)  # matches the own-move change of 1
-        assert nim_sum(apply_move(q, literal, NIM)) != 0
-
 
 class TestRollout:
     def test_terminal_start_wins_immediately(self):
-        out = rollout(hist((0, 0)), OracleAgent(NIM), seed=1, ply_cap=10)
-        assert out.winner is RolloutResult.AGENT and out.plies == 0
+        assert _fast_rollout((0, 0), _opp_oracle, None, 10) == (RolloutResult.AGENT, False, 0)
 
     def test_preserved_pair_always_wins(self):
-        for opponent in (OracleAgent(NIM), RandomAgent(NIM)):
-            for seed in range(20):
-                out = rollout(hist((1, 1)), opponent, seed=seed, ply_cap=50)
-                assert out.winner is RolloutResult.AGENT
-                assert not out.preservation_failed
+        lines = [(_opp_oracle, None)]
+        lines += [(_opp_random, random.Random(seed)) for seed in range(20)]
+        for opp, rng in lines:
+            assert _fast_rollout((1, 1), opp, rng, 50) == (RolloutResult.AGENT, False, 2)
 
     def test_nonzero_start_fails_against_oracle(self):
-        out = rollout(hist((2, 2, 1)), OracleAgent(NIM), seed=0, ply_cap=50)
-        assert out.winner is RolloutResult.OPPONENT
+        result, _, _ = _fast_rollout((2, 2, 1), _opp_oracle, None, 50)
+        assert result is RolloutResult.OPPONENT
 
     def test_ply_cap_distinct_outcome(self):
-        out = rollout(hist((4, 4)), OracleAgent(NIM), seed=0, ply_cap=1)
-        assert out.winner is RolloutResult.CAPPED
+        assert _fast_rollout((4, 4), _opp_oracle, None, 1) == (RolloutResult.CAPPED, False, 1)
 
-    def test_transcript_replays(self):
-        h = hist((2, 4, 6))
-        out = rollout(h, RandomAgent(NIM), seed=5, ply_cap=100)
-        p = h.current
-        for m in out.transcript:
-            p = apply_move(p, m, NIM)
-        assert not any(p.heaps)
 
-    def test_literal_mode_runs_multiple_rounds(self):
-        # own move changed heap0 by 7^5=2; every reply must change by 2 too
-        h = hist((7, 6, 6, 4, 4), (5, 6, 6, 4, 4))
-        out = rollout(h, RandomAgent(NIM), seed=9, ply_cap=60, mode="literal")
-        p = h.current
-        for i, m in enumerate(out.transcript):
-            before = p.heaps[m.heap_index]
-            p = apply_move(p, m, NIM)
-            if i % 2 == 1:  # replies sit at odd transcript offsets
-                assert before ^ m.new_count == 2
-        assert out.plies >= 4 or out.preservation_failed
+@settings(max_examples=300, deadline=None)
+@given(
+    heaps=st.lists(st.integers(0, 31), min_size=1, max_size=6).map(tuple),
+    oracle=st.booleans(),
+    seed=st.integers(0, 2**32),
+    ply_cap=st.integers(1, 200),
+)
+def test_rollout_outcomes_follow_the_start_value(heaps, oracle, seed, ply_cap):
+    """The claims of the ``RolloutBudget`` docstring."""
+    opp, rng = (_opp_oracle, None) if oracle else (_opp_random, random.Random(seed))
+    result, failed, plies = _fast_rollout(heaps, opp, rng, ply_cap)
+    zero = nim_sum(Position(heaps)) == 0
+    full_cap = ply_cap >= sum(heaps)
+    assert plies <= ply_cap
+    if result is RolloutResult.CAPPED:
+        assert plies == ply_cap
+    if failed:
+        assert result is RolloutResult.OPPONENT
+    if result is RolloutResult.AGENT:
+        assert zero and plies % 2 == 0 and not failed
+    if zero:
+        assert not failed
+        if full_cap:
+            assert result is RolloutResult.AGENT
+    else:
+        assert result is not RolloutResult.AGENT
+        if oracle and full_cap:
+            assert result is RolloutResult.OPPONENT
 
-    def test_literal_mode_needs_own_move(self):
-        with pytest.raises(ContractViolationError):
-            rollout(hist((2, 2)), RandomAgent(NIM), seed=0, ply_cap=10, mode="literal")
+
+@pytest.mark.parametrize(
+    "field", [dict(samples=-1), dict(ply_cap=0), dict(ply_cap=-5), dict(exhaustive_cap=-1)]
+)
+def test_bad_budget_rejected(field):
+    with pytest.raises(ValueError, match=next(iter(field))):
+        RolloutBudget(**field)
+
+
+def test_smallest_budget_accepted():
+    assert RolloutBudget(exhaustive_cap=0, samples=0, ply_cap=1).ply_cap == 1
 
 
 class TestMultiFrameAgent:

@@ -70,6 +70,22 @@ class TestPlay:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-heap-size", "0"],
+            ["--ply-cap", "0", "--exhaustive-cap", "0"],
+            ["--samples", "-1"],
+        ],
+    )
+    def test_bad_bounds_rejected(self, capsys, flags):
+        rc = main(
+            ["play", "--start", "3,5,7,9,11", "--first", "multiframe", "--second", "oracle"]
+            + flags
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTournament:
     def test_runs_config(self, tmp_path, capsys):
@@ -89,6 +105,13 @@ class TestTournament:
         assert rc == 0
         assert out.startswith("heap_count,agent,")
         assert (tmp_path / "res" / "results.csv").exists()
+
+    def test_config_without_seed_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"heap_counts": [3], "agents": ["oracle"], "games_per_cell": 1}))
+        rc = main(["tournament", "--config", str(path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCompileModel:

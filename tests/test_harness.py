@@ -36,6 +36,7 @@ from nimcore.harness import (
 from oracles import reference_adversary
 
 NIM = GameRules.nim(16)
+_DELETE = object()  # a config edit that removes the key
 
 
 class BrokenAgent(AgentPolicy):
@@ -387,10 +388,34 @@ class TestExperiment:
         assert cfg.heap_counts == [3, 5] and cfg.opponent == "random"
 
     def test_seed_mandatory(self, tmp_path):
-        with pytest.raises((KeyError, ValueError)):
+        with pytest.raises(ValueError, match="seed"):
             ExperimentConfig.from_json(
                 {"heap_counts": [3], "agents": ["oracle"], "games_per_cell": 1}
             )
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (dict(heap_counts=_DELETE), "heap_counts"),
+            (dict(agents=_DELETE), "agents"),
+            (dict(games_per_cell=_DELETE), "games_per_cell"),
+            (dict(seed=_DELETE), "seed"),
+            (dict(seed=None), "seed"),
+            (dict(sede=3), "sede"),
+            (dict(budget={"sampels": 0}), "sampels"),
+            (dict(budget={"samples": 2, "oracle_probe": True}), "oracle_probe"),
+            (dict(budget=[8]), "budget"),
+        ],
+    )
+    def test_malformed_json_config_names_the_key(self, edit, key):
+        doc = {"heap_counts": [3], "agents": ["oracle"], "games_per_cell": 1, "seed": 3}
+        for name, value in edit.items():
+            if value is _DELETE:
+                del doc[name]
+            else:
+                doc[name] = value
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json(doc)
 
     def test_replay_all_matches(self, tmp_path):
         cfg = self.cfg(tmp_path, agents=["multiframe"], games_per_cell=4)
