@@ -40,6 +40,7 @@ from .games import (
 from .nimber import winning_moves
 
 _MASK64 = (1 << 64) - 1
+_MAX_EXHAUSTIVE_CAP = 1 << 16  # keeps MultiFrameAgent._all_lines_win shallow
 
 
 def stable_mix(*parts: int) -> int:
@@ -303,8 +304,16 @@ class RolloutBudget:
     candidate of non-zero value, and the probe does so after one playout
     instead of ``samples``.
 
+    ``exhaustive_cap`` is at most ``2**16``.  A sweep sees only boards no
+    larger, heap by heap, than the one it starts from, so one decision
+    adds at most ``exhaustive_cap`` boards to the agent's memo.  Each
+    level of the sweep shrinks two heaps, so the heaps other than the
+    largest one lose an object per level or more: the sweep recurses at
+    most ``sum(heaps) - max(heaps)`` deep, at most 255 under the cap
+    (the value at ``(255, 255)``).
+
     Raises ``ValueError`` when ``samples < 0``, ``ply_cap < 1`` or
-    ``exhaustive_cap < 0``.
+    ``exhaustive_cap`` is outside ``0..2**16``.
     """
 
     exhaustive_cap: int = 512
@@ -316,8 +325,10 @@ class RolloutBudget:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.ply_cap < 1:
             raise ValueError(f"ply_cap must be >= 1, got {self.ply_cap}")
-        if self.exhaustive_cap < 0:
-            raise ValueError(f"exhaustive_cap must be >= 0, got {self.exhaustive_cap}")
+        if not 0 <= self.exhaustive_cap <= _MAX_EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"exhaustive_cap must be in 0..{_MAX_EXHAUSTIVE_CAP}, got {self.exhaustive_cap}"
+            )
 
 
 def _opp_oracle(heaps: tuple[int, ...], rng) -> tuple[int, int]:
@@ -426,7 +437,13 @@ class MultiFrameAgent(AgentPolicy):
     def _all_lines_win(self, pb: tuple[int, ...]) -> bool:
         """Exhaustive adversary below ``pb``: every opponent line must end
         with the agent's reply taking the last object, never failing
-        preservation."""
+        preservation.
+
+        This is the agent's own search, kept apart from the harness walk
+        (``exhaustive_adversary``) that certifies the agent: a certifier
+        that shared code with what it certifies could hide a shared bug.
+        Its recursion depth is bounded through ``exhaustive_cap`` (see
+        :class:`RolloutBudget`)."""
         if not any(pb):
             return True
         memo = self._exhaustive

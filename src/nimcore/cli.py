@@ -13,8 +13,6 @@ import json
 import random
 import sys
 
-import numpy as np
-
 from .circuits.encoding import PositionEncoding
 from .circuits.ir import load_circuit, save_circuit
 from .errors import NimcoreError
@@ -29,7 +27,7 @@ from .harness import (
     run_experiment,
 )
 from .models import compile_to_ac0, load_network
-from .verify import run_checks, _random_diff_rows
+from .verify import _nimber_diff_mismatches, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,23 +145,10 @@ def _cmd_verify_circuit(args) -> int:
             f"{len(circuit.outputs)} outputs, expected {enc2.total_bits} / {l + 1}"
         )
         return 1
-    rng = random.Random(args.seed)
-    pairs, bits = _random_diff_rows(rng, enc2, k, args.samples)
-    out = circuit.evaluate_batch(bits)
-    bad = 0
-    for (p1, p2), row in zip(pairs, out):
-        expected = 0
-        for a, b in zip(p1, p2):
-            expected ^= a ^ b
-        got = 0
-        for bit in row[:l]:
-            got = (got << 1) | int(bit)
-        if got != expected or row[l] != 1:
-            bad += 1
-    if k < n:
-        _, over = _random_diff_rows(rng, enc2, k, max(1, args.samples // 10), force_over=True)
-        over_out = circuit.evaluate_batch(over)
-        bad += int(np.count_nonzero(over_out[:, l]))
+    wrong, endorsed = _nimber_diff_mismatches(
+        circuit, enc2, k, args.samples, random.Random(args.seed)
+    )
+    bad = len(wrong) + endorsed
     if bad:
         print(f"FAIL {bad} mismatches over {args.samples} sampled pairs")
         return 1

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import nimber
+from ._jsondoc import expect
 from .agents import (
     AgentPolicy,
     FrameHistory,
@@ -221,14 +222,26 @@ def exhaustive_adversary(
     (with a fixed generator, so the sweep is deterministic).  Reports the
     first losing line as a counterexample.  Exceeding the node budget
     yields an explicit partial result instead of an answer.
+    """
+    # the agent loses when it faces a position the adversary emptied
+    return _adversary_walk(rules, start, agent, role, node_budget, lambda p, after: after is None)
+
+
+def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryReport:
+    """Walk every adversary line below ``start`` until the agent breaks the
+    rule ``fails(before, after)``, checked at each position ``before`` the
+    agent faces: ``after`` is the position it moves to, or None when
+    ``before`` has no moves.  An agent that raises or plays an illegal move
+    breaks every rule.  ``agent_always_wins`` reports that no line broke it.
 
     The walk is a depth-first search on an explicit stack.  An agent with
     ``required_frames >= 1`` sees only its window, so the subtree below a
     node depends only on the window the rest of the walk can still show
     it (the newest ``required_frames`` frames when the agent moves, one
     fewer but at least the current frame when the adversary moves) and
-    the side to move.  Subtrees proven won are keyed so and skipped when
-    met again; any loss ends the walk, so skipping them changes neither
+    the side to move, as long as ``fails`` reads nothing but its two
+    arguments.  Subtrees proven clean are keyed so and skipped when met
+    again; any failure ends the walk, so skipping them changes neither
     the verdict nor the first counterexample.  An agent that reads every
     frame since the start (``required_frames == 0``) gets no table.
     """
@@ -243,7 +256,7 @@ def exhaustive_adversary(
     game_id = start.game_id
     line: list[GameMove] = []
     # one entry per adversary node on the path: its history, its remaining
-    # moves, the table keys it proves won once exhausted, and len(line)
+    # moves, the table keys it proves clean once exhausted, and len(line)
     stack: list[tuple[FrameHistory, Iterator[GameMove], list, int]] = []
 
     def open_node(history: FrameHistory, agent_to_move: bool) -> bool | None:
@@ -254,7 +267,7 @@ def exhaustive_adversary(
         if agent_to_move:
             p = history.current
             if _no_moves(p.heaps, rules):
-                return False  # the adversary took the last object
+                return not fails(p, None)
             window = history.last_k(frames)
             if proven is not None:
                 if (window, True) in proven:
@@ -266,6 +279,8 @@ def exhaustive_adversary(
             except _AGENT_FAILURES:
                 return False
             line.append(move)
+            if fails(p, nxt):
+                return False
             history = history.advance(nxt, keep)
         heaps = history.current.heaps
         if _no_moves(heaps, rules):
@@ -366,23 +381,27 @@ class ExperimentConfig:
         """Build a config from its JSON document.
 
         Raises ``ValueError`` naming the key when a required key is missing
-        or null, or when a key is unknown, at the top level or in ``budget``.
+        or null, when a key is unknown, at the top level or in ``budget``,
+        or when a value has the wrong JSON type.
         """
         _check_keys(doc, "config", cls, ("heap_counts", "agents", "games_per_cell", "seed"))
         budget = doc.get("budget", {})
         _check_keys(budget, "budget", RolloutBudget)
-        max_heap_size = int(doc.get("max_heap_size", 255))
+        max_heap_size = expect(doc.get("max_heap_size", 255), int, "max_heap_size")
+        out_dir = doc.get("out_dir")
         return cls(
-            rules=parse_rules(doc.get("rules", "nim"), max_heap_size),
-            heap_counts=list(doc["heap_counts"]),
+            rules=parse_rules(expect(doc.get("rules", "nim"), str, "rules"), max_heap_size),
+            heap_counts=expect(doc["heap_counts"], int, "heap_counts", depth=1),
             max_heap_size=max_heap_size,
-            agents=list(doc["agents"]),
-            opponent=doc.get("opponent", "oracle"),
-            games_per_cell=int(doc["games_per_cell"]),
-            seed=int(doc["seed"]),
-            start_mode=doc.get("start_mode", "winning"),
-            budget=RolloutBudget(**{key: int(value) for key, value in budget.items()}),
-            out_dir=doc.get("out_dir"),
+            agents=expect(doc["agents"], str, "agents", depth=1),
+            opponent=expect(doc.get("opponent", "oracle"), str, "opponent"),
+            games_per_cell=expect(doc["games_per_cell"], int, "games_per_cell"),
+            seed=expect(doc["seed"], int, "seed"),
+            start_mode=expect(doc.get("start_mode", "winning"), str, "start_mode"),
+            budget=RolloutBudget(
+                **{key: expect(value, int, f"budget.{key}") for key, value in budget.items()}
+            ),
+            out_dir=None if out_dir is None else expect(out_dir, str, "out_dir"),
         )
 
     @classmethod

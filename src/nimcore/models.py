@@ -25,6 +25,7 @@ from math import comb
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ._jsondoc import expect
 from .circuits.builders import DEFAULT_GATE_BUDGET, CircuitBuilder
 from .circuits.ir import Circuit
 from .errors import EncodingError, ThresholdCapError, UnsupportedModelError
@@ -383,18 +384,32 @@ def network_to_json(net: ThresholdNetwork) -> dict:
 
 
 def network_from_json(doc: dict) -> ThresholdNetwork:
+    """Build a network from its JSON document.
+
+    Raises ``ValueError`` naming the key when a required key is missing,
+    when a key is unknown, when a value has the wrong JSON type, or when
+    ``kind`` is unknown.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    for key in doc:
+        if key not in ("kind", "widths", "q0", "P", "weights", "thresholds", "recurrent", "T", "K"):
+            raise ValueError(f"unknown model key {key!r}")
     try:
-        kind = ModelKind(doc["kind"].lower())
+        kind = expect(doc["kind"], str, "kind").lower()
+        if kind not in {k.value for k in ModelKind}:
+            raise ValueError(f"key 'kind' must be nn, rnn or ltst, got {kind!r}")
+        recurrent = doc.get("recurrent")
         return ThresholdNetwork(
-            kind=kind,
-            widths=tuple(doc["widths"]),
-            q0=int(doc["q0"]),
-            p_bound=int(doc["P"]),
-            weights=doc["weights"],
-            thresholds=doc["thresholds"],
-            recurrent=doc.get("recurrent"),
-            steps=int(doc.get("T", 1)),
-            window=int(doc.get("K", 1)),
+            kind=ModelKind(kind),
+            widths=expect(doc["widths"], int, "widths", depth=1),
+            q0=expect(doc["q0"], int, "q0"),
+            p_bound=expect(doc["P"], int, "P"),
+            weights=expect(doc["weights"], int, "weights", depth=3),
+            thresholds=expect(doc["thresholds"], int, "thresholds", depth=2),
+            recurrent=None if recurrent is None else expect(recurrent, int, "recurrent", depth=3),
+            steps=expect(doc.get("T", 1), int, "T"),
+            window=expect(doc.get("K", 1), int, "K"),
         )
     except KeyError as exc:
         raise ValueError(f"model document misses required field {exc}") from None

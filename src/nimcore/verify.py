@@ -20,7 +20,6 @@ import numpy as np
 
 from . import games, nimber
 from .agents import (
-    FrameHistory,
     Mirror71Agent,
     Mirror72Agent,
     MultiFrameAgent,
@@ -41,6 +40,7 @@ from .errors import ContractViolationError
 from .games import GameRules, Position, apply_move, legal_moves
 from .harness import (
     ExperimentConfig,
+    _adversary_walk,
     exhaustive_adversary,
     play_match,
     rows_to_csv,
@@ -200,6 +200,32 @@ def _random_diff_rows(rng, enc2: PositionEncoding, k: int, rows: int, force_over
     return pairs, bits
 
 
+def _nimber_diff_mismatches(
+    circuit: Circuit, enc2: PositionEncoding, k: int, samples: int, rng: random.Random
+) -> tuple[list, int]:
+    """Check a circuit against the local identity on random rows.
+
+    Draws ``samples`` position pairs differing in at most ``k`` heaps and,
+    when ``k < n``, a tenth as many differing in more.  Returns the pairs
+    whose value bits or validity bit are wrong, and the number of
+    over-changed pairs whose validity bit is set.
+    """
+    l = enc2.l
+    pairs, bits = _random_diff_rows(rng, enc2, k, samples)
+    wrong = []
+    for (p1, p2), row in zip(pairs, circuit.evaluate_batch(bits)):
+        expected = 0
+        for a, b in zip(p1, p2):
+            expected ^= a ^ b
+        if decode_value(row[:l]) != expected or row[l] != 1:
+            wrong.append((p1, p2))
+    endorsed = 0
+    if k < enc2.n:
+        _, over_bits = _random_diff_rows(rng, enc2, k, max(1, samples // 10), force_over=True)
+        endorsed = int(np.count_nonzero(circuit.evaluate_batch(over_bits)[:, l]))
+    return wrong, endorsed
+
+
 def check_nimber_diff_circuit(
     samples_per_config: int = 2_500,
     configs: tuple[tuple[int, int, int], ...] = ((2, 3, 2), (4, 4, 2), (6, 6, 1), (8, 8, 2)),
@@ -213,21 +239,12 @@ def check_nimber_diff_circuit(
     for n, l, k in configs:
         circuit = build_nimber_diff_circuit(n, l, k)
         enc2 = PositionEncoding(n, l, frames=2)
-        pairs, bits = _random_diff_rows(rng, enc2, k, samples_per_config)
-        out = circuit.evaluate_batch(bits)
-        for (p1, p2), row in zip(pairs, out):
-            expected = 0
-            for a, b in zip(p1, p2):
-                expected ^= a ^ b
-            if decode_value(row[:l]) != expected or row[l] != 1:
-                return False, f"value mismatch at n={n} l={l} for {p1} vs {p2}"
-        if k < n:
-            _, over_bits = _random_diff_rows(
-                rng, enc2, k, max(1, samples_per_config // 10), force_over=True
-            )
-            over_out = circuit.evaluate_batch(over_bits)
-            if over_out[:, l].any():
-                return False, f"validity bit endorses an over-changed pair at n={n}"
+        wrong, endorsed = _nimber_diff_mismatches(circuit, enc2, k, samples_per_config, rng)
+        if wrong:
+            p1, p2 = wrong[0]
+            return False, f"value mismatch at n={n} l={l} for {p1} vs {p2}"
+        if endorsed:
+            return False, f"validity bit endorses an over-changed pair at n={n}"
         total += samples_per_config
     depths = []
     sizes = []
@@ -562,51 +579,34 @@ def check_scaled_mastery(
     return True, f"{played} seeded games won without preservation failures"
 
 
-def _never_miss_sweep(rules, start, agent, agent_seat: str) -> tuple[bool, str]:
-    """Every time the agent faces a non-zero position, its move must zero it."""
-
-    failures: list[str] = []
-
-    def walk(history: FrameHistory, agent_to_move: bool) -> None:
-        p = history.current
-        if games.is_terminal(p, rules) or failures:
-            return
-        if agent_to_move:
-            move = agent.choose(history.last_k(agent.required_frames), random.Random(0))
-            nxt = apply_move(p, move, rules)
-            if nimber.nim_sum(p) != 0 and nimber.nim_sum(nxt) != 0:
-                failures.append(f"missed a win at {p.heaps}")
-                return
-            walk(history.advance(nxt), False)
-        else:
-            for move in legal_moves(p, rules):
-                walk(history.advance(apply_move(p, move, rules)), True)
-                if failures:
-                    return
-
-    walk(FrameHistory.start(start), agent_seat == "first")
-    return (not failures, failures[0] if failures else "never misses a win")
+def _missed_a_win(before: Position, after: Position | None) -> bool:
+    """The never-miss rule: the agent faced a non-zero NIM sum and left one."""
+    return after is not None and nimber.nim_sum(before) != 0 and nimber.nim_sum(after) != 0
 
 
 def check_mirror_strategies_exhaustive(k_values=(1, 2)) -> tuple[bool, str]:
+    """From its start each strategy wins every line in the first seat, and
+    in the second seat zeroes every non-zero position it faces."""
+    rules = GameRules.nim(3)
     for k in k_values:
-        rules = GameRules.nim(3)
         start71 = Position((1,) * (2 * k) + (2,))
-        agent71 = Mirror71Agent(k)
-        report = exhaustive_adversary(rules, start71, agent71, role="first")
-        if not (report.complete and report.agent_always_wins):
-            return False, f"mirror71 k={k} loses a line: {report.counterexample}"
-        ok, detail = _never_miss_sweep(rules, start71, agent71, "second")
-        if not ok:
-            return False, f"mirror71 k={k} second role: {detail}"
-
         start72 = Position((2,) * (2 * k) + (3,))
-        report = exhaustive_adversary(rules, start72, Mirror72Agent(k, "first"), role="first")
-        if not (report.complete and report.agent_always_wins):
-            return False, f"mirror72 k={k} first role loses: {report.counterexample}"
-        ok, detail = _never_miss_sweep(rules, start72, Mirror72Agent(k, "second"), "second")
-        if not ok:
-            return False, f"mirror72 k={k} second role: {detail}"
+        for name, start, agent, role in (
+            ("mirror71", start71, Mirror71Agent(k), "first"),
+            ("mirror71", start71, Mirror71Agent(k), "second"),
+            ("mirror72", start72, Mirror72Agent(k, "first"), "first"),
+            ("mirror72", start72, Mirror72Agent(k, "second"), "second"),
+        ):
+            if role == "first":
+                report = exhaustive_adversary(rules, start, agent, role)
+            else:
+                report = _adversary_walk(rules, start, agent, role, 500_000, _missed_a_win)
+            label = f"{name} k={k} {role} role"
+            if not report.complete:
+                return False, f"{label}: no verdict within {report.nodes} nodes"
+            if not report.agent_always_wins:
+                broke = "loses" if role == "first" else "misses a win"
+                return False, f"{label} {broke} on the line {report.counterexample}"
     return True, f"both strategies verified exhaustively for k in {tuple(k_values)}"
 
 

@@ -3,8 +3,8 @@
 These are deliberately separate implementations: plain recursive mex /
 win-loss over successor sets, with their own move enumeration.  They
 never import engine internals beyond basic types, except the reference
-adversary, which drives the engine's agents and rules and differs from
-the harness only in how it walks the game, and the list-based agent
+walks, which drive the engine's agents and rules and differ from the
+harness only in how they walk the game, and the list-based agent
 choices, which read the public move list the agents no longer build.
 """
 
@@ -141,6 +141,49 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
         ok, line = walk(FrameHistory.start(start), role == "first")
     except _NodeBudgetExceeded:
         return AdversaryReport(False, None, nodes, complete=False)
+    return AdversaryReport(ok, None if ok else line, nodes, complete=True)
+
+
+def reference_never_miss(rules, start, agent, role="second"):
+    """The recursive walker behind the never-miss check before
+    ``verify`` ran it as a rule on the harness walk, kept as its
+    reference: every time the agent faces a non-zero NIM sum, its move
+    must leave zero.  No transpositions, the full history at every node,
+    every position validated.  An agent that raises or plays an illegal
+    move fails, as in the harness walk.  Only for short games.
+    """
+    import random
+
+    from nimcore import nimber
+    from nimcore.agents import FrameHistory
+    from nimcore.games import apply_move, is_terminal, legal_moves
+    from nimcore.harness import _AGENT_FAILURES, AdversaryReport
+
+    nodes = 0
+
+    def walk(history, agent_to_move):
+        nonlocal nodes
+        p = history.current
+        if is_terminal(p, rules):
+            return (True, [])
+        if agent_to_move:
+            try:
+                move = agent.choose(history.last_k(agent.required_frames), random.Random(0))
+                nxt = apply_move(p, move, rules)
+            except _AGENT_FAILURES:
+                return (False, [])
+            if nimber.nim_sum(p) != 0 and nimber.nim_sum(nxt) != 0:
+                return (False, [move])
+            ok, line = walk(history.advance(nxt), False)
+            return (ok, [move] + line)
+        for move in legal_moves(p, rules):
+            nodes += 1
+            ok, line = walk(history.advance(apply_move(p, move, rules)), True)
+            if not ok:
+                return (False, [move] + line)
+        return (True, [])
+
+    ok, line = walk(FrameHistory.start(start), role == "first")
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
 
 

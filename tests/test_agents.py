@@ -196,7 +196,14 @@ def test_rollout_outcomes_follow_the_start_value(heaps, oracle, seed, ply_cap):
 
 
 @pytest.mark.parametrize(
-    "field", [dict(samples=-1), dict(ply_cap=0), dict(ply_cap=-5), dict(exhaustive_cap=-1)]
+    "field",
+    [
+        dict(samples=-1),
+        dict(ply_cap=0),
+        dict(ply_cap=-5),
+        dict(exhaustive_cap=-1),
+        dict(exhaustive_cap=2**16 + 1),
+    ],
 )
 def test_bad_budget_rejected(field):
     with pytest.raises(ValueError, match=next(iter(field))):
@@ -205,6 +212,21 @@ def test_bad_budget_rejected(field):
 
 def test_smallest_budget_accepted():
     assert RolloutBudget(exhaustive_cap=0, samples=0, ply_cap=1).ply_cap == 1
+
+
+@pytest.mark.parametrize(
+    "heaps, move",
+    [
+        ((255, 255), GameMove(0, 0)),  # lost: the first candidate
+        ((1,) * 16, GameMove(0, 0)),
+        ((15,) * 4, GameMove(0, 0)),
+        ((1,) * 12 + (15,), GameMove(12, 0)),  # the one zeroing move
+    ],
+)
+def test_decides_at_the_exhaustive_cap_bound(heaps, move):
+    # each board's state-count bound is exactly 2**16, so the sweep decides it
+    agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=2**16))
+    assert agent.choose(hist(heaps), random.Random(0)) == move
 
 
 class TestMultiFrameAgent:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nimcore.circuits.builders import build_nimber_diff_circuit
-from nimcore.circuits.ir import save_circuit
+from nimcore.circuits.ir import Circuit, Gate, save_circuit
 from nimcore.cli import main
 from nimcore.models import ModelKind, ThresholdNetwork, network_to_json
 
@@ -76,6 +76,9 @@ class TestPlay:
             ["--max-heap-size", "0"],
             ["--ply-cap", "0", "--exhaustive-cap", "0"],
             ["--samples", "-1"],
+            # once a RecursionError in the multi-frame agent's sweep
+            ["--exhaustive-cap", str(2**4000)],
+            ["--exhaustive-cap", str(2**16 + 1)],
         ],
     )
     def test_bad_bounds_rejected(self, capsys, flags):
@@ -85,6 +88,16 @@ class TestPlay:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+_CONFIG = {
+    "heap_counts": [3],
+    "max_heap_size": 7,
+    "agents": ["oracle"],
+    "games_per_cell": 1,
+    "seed": 5,
+}
+_MODEL = {"kind": "nn", "widths": [1, 1], "q0": 1, "P": 1, "weights": [[[1]]], "thresholds": [[1]]}
 
 
 class TestTournament:
@@ -112,6 +125,32 @@ class TestTournament:
         rc = main(["tournament", "--config", str(path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (dict(heap_counts=3), "heap_counts"),
+            (dict(heap_counts=[3, True]), "heap_counts"),
+            (dict(budget={"samples": [2]}), "samples"),
+            (dict(budget={"ply_cap": 2.5}), "ply_cap"),
+            (dict(rules=5), "rules"),
+            (dict(opponent=7), "opponent"),
+            (dict(agents="oracle"), "agents"),
+            (dict(agents=["oracle", 1]), "agents"),
+            (dict(games_per_cell=1.9), "games_per_cell"),
+            (dict(seed="12"), "seed"),
+            (dict(seed=True), "seed"),
+            (dict(max_heap_size=[7]), "max_heap_size"),
+            (dict(start_mode=0), "start_mode"),
+            (dict(out_dir=1), "out_dir"),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, edit, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_CONFIG, **edit}))
+        rc = main(["tournament", "--config", str(path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
 
 class TestCompileModel:
@@ -145,6 +184,31 @@ class TestCompileModel:
         rc = main(["compile-model", str(model), "-o", str(tmp_path / "x.ac0")])
         assert rc == 2
         assert "negative weight" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (dict(q0=[1]), "q0"),
+            (dict(kind=3), "kind"),
+            (dict(kind="cnn"), "kind"),
+            (dict(widths="1,1"), "widths"),
+            (dict(P=True), "P"),
+            (dict(weights=[[[1.5]]]), "weights"),
+            (dict(weights=[[1]]), "weights"),
+            (dict(thresholds=[["1"]]), "thresholds"),
+            (dict(recurrent=5), "recurrent"),
+            (dict(T=1.0), "T"),
+            (dict(K="2"), "K"),
+            (dict(steps=3), "steps"),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, edit, key):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**_MODEL, **edit}))
+        rc = main(["compile-model", str(model), "-o", str(tmp_path / "x.ac0")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestVerifyCircuit:
@@ -189,6 +253,26 @@ class TestVerifyCircuit:
             ["verify-circuit", str(path), "--against", "nimber-diff", "--n", "4", "--l", "3"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("flaw", ["reversed-value", "never-valid", "always-valid"])
+    def test_wrong_values_fail(self, tmp_path, capsys, flaw):
+        # the right shape but the wrong values: value bits least significant
+        # first, or a constant validity bit
+        good = build_nimber_diff_circuit(4, 3, 2)
+        gates = list(good.gates) + [Gate("CONST0"), Gate("CONST1")]
+        value, valid = good.outputs[:3], good.outputs[3:]
+        if flaw == "reversed-value":
+            value = tuple(reversed(value))
+        else:
+            valid = (len(gates) - (2 if flaw == "never-valid" else 1),)
+        path = tmp_path / "flawed.ac0"
+        save_circuit(Circuit(gates, value + valid, good.input_arity), path)
+        rc = main(
+            ["verify-circuit", str(path), "--against", "nimber-diff", "--n", "4", "--l", "3",
+             "--samples", "200"]
+        )
+        assert rc == 1
+        assert "mismatches over 200 sampled pairs" in capsys.readouterr().out
 
 
 class TestVerifySubcommand:

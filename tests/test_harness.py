@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,10 +20,12 @@ from nimcore.agents import (
 from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
 from nimcore.errors import IllegalMoveError, NimcoreError
-from nimcore.games import GameMove, GameRules, Position, is_terminal
+from nimcore import verify
+from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal
 from nimcore.harness import (
     AdversaryReport,
     ExperimentConfig,
+    _adversary_walk,
     exhaustive_adversary,
     make_agent,
     parse_move,
@@ -33,7 +36,7 @@ from nimcore.harness import (
     run_experiment,
 )
 
-from oracles import reference_adversary
+from oracles import reference_adversary, reference_never_miss
 
 NIM = GameRules.nim(16)
 _DELETE = object()  # a config edit that removes the key
@@ -161,6 +164,70 @@ class TestExhaustiveAdversary:
         assert report.agent_always_wins == expected.agent_always_wins
         assert report.counterexample == expected.counterexample
         assert report.nodes <= expected.nodes
+
+
+class _MissAt(Mirror72Agent):
+    """Mirror72 that, in the second seat, empties heap 2 at ``MISS``
+    (NIM sum 3) and so leaves NIM sum 1 instead of zero."""
+
+    MISS = (1, 1, 2, 1, 0)
+
+    def choose(self, history, rng):
+        if self.role == "second" and history.current.heaps == self.MISS:
+            return GameMove(2, 0)
+        return super().choose(history, rng)
+
+
+class TestNeverMissRule:
+    """The never-miss check: the adversary walk under the rule that the
+    agent must zero every non-zero NIM sum it faces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_walk(self, data):
+        rules = GameRules.nim(4)
+        heaps = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple))
+        start = Position(heaps)
+        assume(not is_terminal(start, rules))
+        agent = data.draw(
+            st.sampled_from(
+                (
+                    OracleAgent(rules),
+                    RandomAgent(rules),
+                    MultiFrameAgent(RolloutBudget(exhaustive_cap=125)),
+                    Mirror71Agent(1),
+                    Mirror72Agent(1, "first"),
+                    Mirror72Agent(1, "second"),
+                )
+            )
+        )
+        role = data.draw(st.sampled_from(("first", "second")))
+        expected = reference_never_miss(rules, start, agent, role)
+        report = _adversary_walk(rules, start, agent, role, 500_000, verify._missed_a_win)
+        assert report.complete
+        assert report.agent_always_wins == expected.agent_always_wins
+        assert report.counterexample == expected.counterexample
+        assert report.nodes <= expected.nodes
+
+    def test_planted_miss_is_found(self, monkeypatch):
+        rules = GameRules.nim(3)
+        start = Position((2, 2, 2, 2, 3))
+        agent = _MissAt(2, "second")
+        report = _adversary_walk(rules, start, agent, "second", 500_000, verify._missed_a_win)
+        assert report.complete and not report.agent_always_wins
+        *lead, miss = report.counterexample
+        p = start
+        for move in lead:
+            p = apply_move(p, move, rules)
+        assert p.heaps == _MissAt.MISS
+        assert miss == GameMove(2, 0)
+        assert report.counterexample == reference_never_miss(rules, start, agent).counterexample
+        # the verify check finds it too, and passes without the flaw
+        assert verify.check_mirror_strategies_exhaustive((2,))[0]
+        monkeypatch.setattr(verify, "Mirror72Agent", _MissAt)
+        ok, detail = verify.check_mirror_strategies_exhaustive((1, 2))
+        assert not ok
+        assert detail.startswith("mirror72 k=2 second role misses a win")
 
 
 class TestAgentFactory:
@@ -416,6 +483,13 @@ class TestExperiment:
                 doc[name] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_json(doc)
+
+    def test_readme_config_builds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_json(json.loads(block))
+        assert cfg.rules.game_id == "nim" and cfg.heap_counts == [3, 5, 7]
 
     def test_replay_all_matches(self, tmp_path):
         cfg = self.cfg(tmp_path, agents=["multiframe"], games_per_cell=4)
