@@ -41,6 +41,7 @@ from .nimber import winning_moves
 
 _MASK64 = (1 << 64) - 1
 _MAX_EXHAUSTIVE_CAP = 1 << 16  # keeps MultiFrameAgent._all_lines_win shallow
+_SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
 
 
 def stable_mix(*parts: int) -> int:
@@ -322,13 +323,28 @@ class RolloutBudget:
 
     def __post_init__(self):
         if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
+            raise ValueError(f"samples must be >= 0, got {_shown(self.samples)}")
         if self.ply_cap < 1:
-            raise ValueError(f"ply_cap must be >= 1, got {self.ply_cap}")
+            raise ValueError(f"ply_cap must be >= 1, got {_shown(self.ply_cap)}")
         if not 0 <= self.exhaustive_cap <= _MAX_EXHAUSTIVE_CAP:
             raise ValueError(
-                f"exhaustive_cap must be in 0..{_MAX_EXHAUSTIVE_CAP}, got {self.exhaustive_cap}"
+                f"exhaustive_cap must be in 0..{_MAX_EXHAUSTIVE_CAP}, "
+                f"got {_shown(self.exhaustive_cap)}"
             )
+
+
+def _shown(value: int) -> str:
+    """``value`` as written, or by its digit count once it has more than
+    ``_SHOWN_DIGITS`` digits, so an error about it stays one short line."""
+    n = abs(value)
+    if n < 10**_SHOWN_DIGITS:
+        return str(value)
+    # count up from a digit below bit_length() * log10(2); str() would refuse
+    # ints past sys.get_int_max_str_digits()
+    digits = int(n.bit_length() * 0.30103) - 1
+    while n >= 10**digits:
+        digits += 1
+    return f"a {'negative ' if value < 0 else ''}{digits}-digit number"
 
 
 def _opp_oracle(heaps: tuple[int, ...], rng) -> tuple[int, int]:

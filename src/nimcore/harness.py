@@ -227,6 +227,23 @@ def exhaustive_adversary(
     return _adversary_walk(rules, start, agent, role, node_budget, lambda p, after: after is None)
 
 
+_Frames = tuple[tuple[int, ...], ...]  # heap tuples, oldest first
+
+
+class _SeededOnFirstDraw:
+    """Stands in for ``random.Random(0)``: the generator is created and
+    seeded on the first attribute read, and that read and every later one
+    go to it.  An agent that never draws never pays for the seeding."""
+
+    _rng: random.Random | None = None
+
+    def __getattr__(self, name: str):
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(0)
+        return getattr(rng, name)
+
+
 def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryReport:
     """Walk every adversary line below ``start`` until the agent breaks the
     rule ``fails(before, after)``, checked at each position ``before`` the
@@ -234,13 +251,20 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     ``before`` has no moves.  An agent that raises or plays an illegal move
     breaks every rule.  ``agent_always_wins`` reports that no line broke it.
 
-    The walk is a depth-first search on an explicit stack.  An agent with
-    ``required_frames >= 1`` sees only its window, so the subtree below a
-    node depends only on the window the rest of the walk can still show
-    it (the newest ``required_frames`` frames when the agent moves, one
-    fewer but at least the current frame when the adversary moves) and
-    the side to move, as long as ``fails`` reads nothing but its two
-    arguments.  Subtrees proven clean are keyed so and skipped when met
+    The walk is a depth-first search on an explicit stack over heap
+    tuples: its history is a tuple of heap tuples, cut to the newest
+    ``required_frames`` when that is at least 1.  Only when the agent is
+    asked for a move is it handed a ``FrameHistory`` of ``Position``
+    objects built from that history, with a fresh ``Random(0)``, seeded
+    on first draw, so the walk is deterministic.
+
+    An agent with ``required_frames >= 1`` sees only its window, so the
+    subtree below a node depends only on the window the rest of the walk
+    can still show it (the newest ``required_frames`` frames when the
+    agent moves, one fewer but at least the current frame when the
+    adversary moves) and the side to move, as long as ``fails`` reads
+    nothing but its two arguments.  Subtrees proven clean are keyed by
+    (that window of heap tuples, side to move) and skipped when met
     again; any failure ends the walk, so skipping them changes neither
     the verdict nor the first counterexample.  An agent that reads every
     frame since the start (``required_frames == 0``) gets no table.
@@ -250,43 +274,45 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     if is_terminal(start, rules):
         raise IllegalMoveError("adversary sweep needs a non-terminal start")
     frames = agent.required_frames
-    keep = frames if frames >= 1 else None
     adversary_window = max(frames - 1, 1)
-    proven: set[tuple[FrameHistory, bool]] | None = set() if frames >= 1 else None
+    proven: set[tuple[_Frames, bool]] | None = set() if frames >= 1 else None
     game_id = start.game_id
     line: list[GameMove] = []
     # one entry per adversary node on the path: its history, its remaining
-    # moves, the table keys it proves clean once exhausted, and len(line)
-    stack: list[tuple[FrameHistory, Iterator[GameMove], list, int]] = []
+    # moves, the table keys it proves clean once exhausted, and len(line);
+    # a history grows by ``(history + (heaps,))[-frames:]``, where ``[-0:]``
+    # keeps every frame
+    stack: list[tuple[_Frames, Iterator[GameMove], list, int]] = []
 
-    def open_node(history: FrameHistory, agent_to_move: bool) -> bool | None:
+    def open_node(history: _Frames, agent_to_move: bool) -> bool | None:
         """Play the agent's move when it is to move, then push the
         adversary node below; True or False when the line is settled
         without one, None once a node is pushed."""
         keys = []
         if agent_to_move:
-            p = history.current
-            if _no_moves(p.heaps, rules):
-                return not fails(p, None)
-            window = history.last_k(frames)
+            heaps = history[-1]
+            if _no_moves(heaps, rules):
+                return not fails(Position(heaps, game_id), None)
             if proven is not None:
-                if (window, True) in proven:
+                if (history, True) in proven:
                     return True
-                keys.append((window, True))
+                keys.append((history, True))
+            window = FrameHistory(tuple(Position(h, game_id) for h in history))
+            p = window.current
             try:
-                move = agent.choose(window, random.Random(0))
+                move = agent.choose(window, _SeededOnFirstDraw())
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
                 return False
             line.append(move)
             if fails(p, nxt):
                 return False
-            history = history.advance(nxt, keep)
-        heaps = history.current.heaps
+            history = (history + (nxt.heaps,))[-frames:]
+        heaps = history[-1]
         if _no_moves(heaps, rules):
             return True  # the agent took the last object
         if proven is not None:
-            keys.append((history.last_k(adversary_window), False))
+            keys.append((history[-adversary_window:], False))
             if keys[-1] in proven:
                 proven.update(keys)
                 return True
@@ -294,7 +320,7 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
         return None
 
     nodes = 0
-    if open_node(FrameHistory.start(start), role == "first") is False:
+    if open_node((start.heaps,), role == "first") is False:
         return AdversaryReport(False, line, nodes, complete=True)
     while stack:
         history, moves, keys, depth = stack[-1]
@@ -309,8 +335,8 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
         if nodes > node_budget:
             return AdversaryReport(False, None, nodes, complete=False)
         line.append(move)
-        nxt = Position(_apply_heaps(history.current.heaps, move), game_id)
-        if open_node(history.advance(nxt, keep), True) is False:
+        nxt = _apply_heaps(history[-1], move)
+        if open_node((history + (nxt,))[-frames:], True) is False:
             return AdversaryReport(False, line, nodes, complete=True)
     return AdversaryReport(True, None, nodes, complete=True)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nimcore
 from nimcore.circuits.builders import build_nimber_diff_circuit
 from nimcore.circuits.ir import Circuit, Gate, save_circuit
 from nimcore.cli import main
@@ -88,6 +93,21 @@ class TestPlay:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cap, shown",
+        [(2**4000, "got a 1205-digit number"), (2**16 + 1, "got 65537")],
+        ids=["2**4000", "2**16+1"],
+    )
+    def test_out_of_range_error_is_one_short_line(self, capsys, cap, shown):
+        rc = main(
+            ["play", "--start", "3,5", "--first", "multiframe", "--second", "oracle",
+             "--exhaustive-cap", str(cap)]
+        )
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and line.endswith(shown)
+        assert len(line) < 200
 
 
 _CONFIG = {
@@ -283,3 +303,18 @@ class TestVerifySubcommand:
         report = run_checks(["worked-example"], "desk")
         assert report.ok
         assert any("PASS worked-example" in line for line in report.summary_lines())
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(nimcore.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-m", "nimcore", "verify", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "--scale" in result.stdout

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nimcore.agents import (
     AgentPolicy,
+    FrameHistory,
     Mirror71Agent,
     Mirror72Agent,
     MultiFrameAgent,
@@ -21,11 +23,12 @@ from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
 from nimcore.errors import IllegalMoveError, NimcoreError
 from nimcore import verify
-from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal
+from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal, legal_moves
 from nimcore.harness import (
     AdversaryReport,
     ExperimentConfig,
     _adversary_walk,
+    _SeededOnFirstDraw,
     exhaustive_adversary,
     make_agent,
     parse_move,
@@ -35,6 +38,7 @@ from nimcore.harness import (
     rows_to_csv,
     run_experiment,
 )
+from nimcore.nimber import nim_sum
 
 from oracles import reference_adversary, reference_never_miss
 
@@ -47,6 +51,23 @@ class BrokenAgent(AgentPolicy):
 
     def choose(self, history, rng):
         return GameMove(99, 0)
+
+
+class DrawingAgent(AgentPolicy):
+    """Draws three times per decision and plays the legal move its last
+    draw picks, so a decision depends on the generator's whole stream,
+    not only on its first draw."""
+
+    name = "draws"
+
+    def __init__(self, rules):
+        self.rules = rules
+
+    def choose(self, history, rng):
+        moves = legal_moves(history.current, self.rules)
+        rng.random()
+        rng.randrange(5)
+        return moves[rng.randrange(len(moves))]
 
 
 class TestPlayMatch:
@@ -153,6 +174,7 @@ class TestExhaustiveAdversary:
                     Mirror71Agent(1),
                     Mirror72Agent(1, "first"),
                     Mirror72Agent(1, "second"),
+                    DrawingAgent(rules),
                     ScriptAgent(script),  # needs the whole transcript: no table
                 )
             )
@@ -164,6 +186,76 @@ class TestExhaustiveAdversary:
         assert report.agent_always_wins == expected.agent_always_wins
         assert report.counterexample == expected.counterexample
         assert report.nodes <= expected.nodes
+
+
+    def test_generator_stream_matches_random0(self):
+        lazy, eager = _SeededOnFirstDraw(), random.Random(0)
+        for bound in (2, 7, 1000, 3):
+            assert lazy.random() == eager.random()
+            assert lazy.randrange(bound) == eager.randrange(bound)
+        assert lazy.getstate() == eager.getstate()
+
+    # every winning start of the bench's certify grids, one fresh agent per
+    # start; a lost table entry would raise these totals
+    @pytest.mark.parametrize(
+        "heaps, size, starts, nodes", [(3, 6, 300, 7056), (4, 3, 192, 2560)]
+    )
+    def test_certify_grid_node_counts(self, heaps, size, starts, nodes):
+        rules = GameRules.nim(size)
+        grid = (Position(h) for h in itertools.product(range(size + 1), repeat=heaps))
+        reports = [
+            exhaustive_adversary(
+                rules, p, MultiFrameAgent(RolloutBudget(exhaustive_cap=343)), role="first"
+            )
+            for p in grid
+            if nim_sum(p)
+        ]
+        assert len(reports) == starts
+        assert all(r.complete and r.agent_always_wins for r in reports)
+        assert sum(r.nodes for r in reports) == nodes
+
+    @pytest.mark.parametrize(
+        "rules, heaps",
+        [
+            (GameRules.nim(1), (1,) * 5),
+            (GameRules.kayles(1), (1,) * 5),
+            (GameRules.subtraction([1], 4), (3, 2, 4)),
+        ],
+    )
+    @pytest.mark.parametrize("frames", [0, 1, 2, 3])
+    @pytest.mark.parametrize("role", ["first", "second"])
+    def test_agent_window(self, rules, heaps, frames, role):
+        agent = _WindowChecker(rules, frames, sum(heaps))
+        start = Position(heaps, rules.game_id)
+        report = _adversary_walk(rules, start, agent, role, 500_000, lambda before, after: False)
+        assert report.complete and report.agent_always_wins
+        assert agent.calls
+
+
+class _WindowChecker(AgentPolicy):
+    """Asserts the window it is handed and plays the lowest legal move.
+
+    Every move of the games it is walked on takes one object, so the plies
+    played are the objects taken since the start of ``total`` objects."""
+
+    def __init__(self, rules, frames, total):
+        self.rules = rules
+        self.required_frames = frames
+        self.total = total
+        self.calls = 0
+
+    def choose(self, history, rng):
+        self.calls += 1
+        assert isinstance(history, FrameHistory)
+        assert all(
+            isinstance(f, Position) and f.game_id == self.rules.game_id for f in history.frames
+        )
+        totals = [f.total for f in history.frames]
+        assert all(a - b == 1 for a, b in zip(totals, totals[1:]))
+        plies = self.total - totals[-1]
+        frames = self.required_frames
+        assert len(totals) == (min(frames, plies + 1) if frames >= 1 else plies + 1)
+        return min(legal_moves(history.current, self.rules))
 
 
 class _MissAt(Mirror72Agent):
@@ -198,6 +290,7 @@ class TestNeverMissRule:
                     Mirror71Agent(1),
                     Mirror72Agent(1, "first"),
                     Mirror72Agent(1, "second"),
+                    DrawingAgent(rules),
                 )
             )
         )
