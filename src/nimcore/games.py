@@ -1,9 +1,10 @@
 """Impartial-game engine: NIM, subtraction games and Kayles.
 
-Positions are immutable heap vectors.  Grundy numbers and the win/loss
-oracle are computed by two independent memoized walks so that each can
-cross-check the other (and the closed-form NIM arithmetic in
-:mod:`nimcore.nimber`).
+Positions are immutable heap vectors.  Grundy numbers come from the
+Sprague–Grundy sum rule: a position's value is the XOR of its heaps'
+values, read from a per-heap table.  The win/loss oracle is an
+independent memoized walk over whole positions, so each can cross-check
+the other (and the closed-form NIM arithmetic in :mod:`nimcore.nimber`).
 
 All operations here are pure.  Memo tables are plain dicts whose
 single-key updates are atomic under the GIL, and every entry is a
@@ -214,17 +215,19 @@ def mex(values: Iterable[int]) -> int:
 
 
 class GrundySolver:
-    """Memoized Grundy-number and win/loss evaluation for one rule set.
+    """Grundy-number and win/loss evaluation for one rule set.
 
-    Memo keys are sorted heap tuples with the empty heaps dropped: every
-    supported variant has permutation-invariant values and symmetric move
-    sets, and an empty heap has no moves, so neither changes a value; the
-    terminal key is ``()``.  A successor key is built on tuples from a
-    per-solver table that maps a heap size to the non-empty pieces each
-    move on that heap leaves, read once per heap size off the same move
-    rules as :func:`legal_moves`.  Each walk builds a key's successors
-    once, in its stack entry.  ``win_loss`` stops expanding a key at its
-    first successor known to be a LOSS.
+    ``grundy`` is the XOR of per-heap values from one table keyed by heap
+    size and filled bottom-up: a heap's value is the mex, over the pieces
+    each move on it leaves, of the XOR of the pieces' values.  ``win_loss``
+    is the independent oracle, a walk over whole positions.  Its memo keys
+    are sorted heap tuples with the empty heaps dropped: every supported
+    variant has permutation-invariant values and symmetric move sets, and
+    an empty heap has no moves, so neither changes a value; the terminal
+    key is ``()``.  Both read the non-empty pieces each move on a heap
+    leaves off a per-solver table filled from the same move rules as
+    :func:`legal_moves`.  The walk builds a key's successors once, in its
+    stack entry, and stops at a key's first successor known to be a LOSS.
 
     Tables are capacity-bounded; hitting the cap raises instead of
     silently evicting so results stay reproducible.
@@ -233,13 +236,9 @@ class GrundySolver:
     def __init__(self, rules: GameRules, memo_cap: int = DEFAULT_MEMO_CAP):
         self.rules = rules
         self.memo_cap = memo_cap
-        self._grundy: dict[tuple[int, ...], int] = {}
+        self._grundy: dict[int, int] = {}  # heap size -> value
         self._outcome: dict[tuple[int, ...], WinLoss] = {}
         self._pieces: dict[int, list[tuple[int, ...]]] = {}
-
-    def _canon(self, p: Position) -> tuple[int, ...]:
-        validate_position(p, self.rules)
-        return tuple(sorted(h for h in p.heaps if h))
 
     def _heap_pieces(self, c: int) -> list[tuple[int, ...]]:
         """The sorted non-empty pieces each move on a heap of ``c`` leaves."""
@@ -275,30 +274,25 @@ class GrundySolver:
             )
 
     def grundy(self, p: Position) -> int:
-        return self._grundy_key(self._canon(p))
-
-    def _grundy_key(self, key: tuple[int, ...]) -> int:
-        memo = self._grundy
-        if key in memo:
-            return memo[key]
-        # Depth-first on an explicit stack.  The walk resumes each entry's
-        # iterator where it left off: the successor it stopped at is solved
-        # by then.  A key is never pushed while it is already on the stack,
-        # because every move strictly shrinks the position.
-        succ = self._successors(key)
-        stack = [(key, succ, iter(succ))]
-        while stack:
-            k, succ, pending = stack[-1]
-            for s in pending:
-                if s not in memo:
-                    t = self._successors(s)
-                    stack.append((s, t, iter(t)))
-                    break
-            else:
-                stack.pop()
-                self._reserve(memo)
-                memo[k] = mex(memo[s] for s in succ)
-        return memo[key]
+        validate_position(p, self.rules)
+        table = self._grundy
+        # Sizes are filled in increasing order, so the table's keys are
+        # always 0..len-1 and every piece of a filled size is already in
+        # it.  Each entry is set once, by setdefault: threads that fill
+        # the same size at once all compute the same value.
+        for c in range(len(table), max(p.heaps) + 1):
+            self._reserve(table)
+            values = set()
+            for piece in self._heap_pieces(c):
+                value = 0
+                for h in piece:
+                    value ^= table[h]
+                values.add(value)
+            table.setdefault(c, mex(values))
+        value = 0
+        for h in p.heaps:
+            value ^= table[h]
+        return value
 
     def win_loss(self, p: Position) -> WinLoss:
         """Exhaustive game-value oracle, independent of Grundy numbers.
@@ -307,9 +301,8 @@ class GrundySolver:
         a LOSS; terminal positions are LOSSes (the previous mover took
         the last object).
         """
-        return self._win_loss_key(self._canon(p))
-
-    def _win_loss_key(self, key: tuple[int, ...]) -> WinLoss:
+        validate_position(p, self.rules)
+        key = tuple(sorted(h for h in p.heaps if h))
         memo = self._outcome
         if key in memo:
             return memo[key]
@@ -342,20 +335,9 @@ def solver_for(rules: GameRules) -> GrundySolver:
         return _SOLVERS.setdefault(rules, GrundySolver(rules))
 
 
-def _replace_solver(rules: GameRules) -> GrundySolver:
-    """Swap the shared solver for ``rules``, whose memo is full, for a
-    fresh one with the same cap.  Values depend on the key alone, so no
-    answer changes; only a single query larger than the cap still raises."""
-    solver = _SOLVERS[rules] = GrundySolver(rules, solver_for(rules).memo_cap)
-    return solver
-
-
 def grundy(p: Position, rules: GameRules) -> int:
-    """Grundy number (nimber) of ``p``: mex over the successors' values."""
-    try:
-        return solver_for(rules).grundy(p)
-    except MemoLimitError:
-        return _replace_solver(rules).grundy(p)
+    """Grundy number (nimber) of ``p``: the XOR of its heaps' values."""
+    return solver_for(rules).grundy(p)
 
 
 def win_loss_oracle(p: Position, rules: GameRules) -> WinLoss:
@@ -363,7 +345,11 @@ def win_loss_oracle(p: Position, rules: GameRules) -> WinLoss:
     try:
         return solver_for(rules).win_loss(p)
     except MemoLimitError:
-        return _replace_solver(rules).win_loss(p)
+        # Swap the full shared solver for a fresh one with the same cap.
+        # Values depend on the key alone, so no answer changes; only a
+        # single query larger than the cap still raises.
+        solver = _SOLVERS[rules] = GrundySolver(rules, solver_for(rules).memo_cap)
+        return solver.win_loss(p)
 
 
 def disjunctive_sum(p: Position, q: Position) -> Position:

@@ -86,16 +86,29 @@ def check_grundy_vs_nim_sum(max_heaps: int = 4, max_size: int = 8) -> tuple[bool
     return True, f"{count} positions agree"
 
 
-def check_sum_rule(max_heaps: int = 2, max_size: int = 6) -> tuple[bool, str]:
-    rules = GameRules.nim(max_size)
-    solver = games.GrundySolver(rules)
-    positions = list(_nim_positions(max_heaps, max_size))
-    for p in positions:
-        for q in positions:
-            s = games.disjunctive_sum(p, q)
-            if solver.grundy(s) != solver.grundy(p) ^ solver.grundy(q):
-                return False, f"sum rule fails at {p.heaps} + {q.heaps}"
-    return True, f"{len(positions) ** 2} pairs agree"
+def check_grundy_definition(max_kayles_pins: int = 12) -> tuple[bool, str]:
+    """Every position's Grundy value is the mex of its successors' values,
+    so terminal positions are 0.  The grids are closed under moves (Kayles
+    up to the order of rows), so by induction this proves every value on
+    them: NIM max 6 and subtraction {1,3,4} max 8 with 1-3 heaps, and every
+    multiset of Kayles rows with at most ``max_kayles_pins`` pins."""
+    n = max_kayles_pins
+    grids = [
+        (rules, [h for hc in (1, 2, 3) for h in itertools.product(range(size + 1), repeat=hc)])
+        for rules, size in ((GameRules.nim(6), 6), (GameRules.subtraction({1, 3, 4}, 8), 8))
+    ]
+    # k rows of at most n pins in all hold at most n - k + 1 pins each
+    sizes = itertools.combinations_with_replacement
+    rows = (r for k in range(n + 1) for r in sizes(range(1, n - k + 2), k))
+    grids.append((GameRules.kayles(n), [r or (0,) for r in rows if sum(r) <= n]))
+    for rules, grid in grids:
+        solver = games.GrundySolver(rules)
+        for heaps in grid:
+            p = Position(heaps, rules.game_id)
+            children = {solver.grundy(apply_move(p, m, rules)) for m in legal_moves(p, rules)}
+            if solver.grundy(p) != min(set(range(len(children) + 1)) - children):
+                return False, f"{rules.game_id} grundy{heaps} is not the mex of its successors"
+    return True, f"{sum(len(g) for _, g in grids)} positions equal the mex of their successors"
 
 
 def check_strategy_control(max_heaps: int = 4, max_size: int = 8) -> tuple[bool, str]:
@@ -715,7 +728,7 @@ def _checks(scale: str) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     return [
         ("worked-example", check_worked_example),
         ("grundy-equals-nim-sum", check_grundy_vs_nim_sum),
-        ("disjunctive-sum-rule", check_sum_rule),
+        ("grundy-definition", check_grundy_definition),
         ("strategy-control", check_strategy_control),
         ("kayles-row-values", check_kayles_values),
         ("winning-moves", check_winning_moves),

@@ -79,6 +79,17 @@ brute_nim_win = make_brute_win(nim_successors)
 brute_kayles_grundy = make_brute_grundy(kayles_successors)
 
 
+def kayles_row_values(max_row):
+    """Grundy values of single Kayles rows 0..max_row by the one-row
+    formula: taking one or two pins leaves rows ``a`` and ``b`` with
+    ``a + b`` one or two fewer, worth ``g(a) ^ g(b)``."""
+    g = []
+    for n in range(max_row + 1):
+        rests = [rest for rest in (n - 1, n - 2) if rest >= 0]
+        g.append(brute_mex(g[a] ^ g[rest - a] for rest in rests for a in range(rest + 1)))
+    return g
+
+
 def xor_fold(heaps):
     acc = 0
     for h in heaps:

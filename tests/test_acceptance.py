@@ -14,6 +14,7 @@ from nimcore.nimber import nim_sum
 from nimcore.verify import (
     check_compiler_depth_independence,
     check_compiler_differential,
+    check_grundy_definition,
     check_grundy_vs_nim_sum,
     check_mirror_strategies_exhaustive,
     check_mirror_strategies_random,
@@ -41,6 +42,12 @@ def test_acceptance_2_corollary_equivalence():
     t = time.perf_counter()
     ok, detail = check_grundy_vs_nim_sum(max_heaps=4, max_size=8)
     report(2, "grundy = nim-sum = win/loss, exhaustive", ok, detail, t)
+
+
+def test_acceptance_2b_grundy_definition():
+    t = time.perf_counter()
+    ok, detail = check_grundy_definition(max_kayles_pins=12)
+    report("2b", "grundy = mex of successors on NIM, subtraction and Kayles grids", ok, detail, t)
 
 
 def test_acceptance_3_nimber_diff_circuit():

@@ -1,12 +1,14 @@
 import itertools
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nimcore import games
+from nimcore import games, verify
 from nimcore.errors import (
     IllegalMoveError,
     InvalidPositionError,
@@ -32,11 +34,13 @@ from oracles import (
     brute_kayles_grundy,
     brute_nim_grundy,
     brute_nim_win,
+    kayles_row_values,
     kayles_successors,
     make_brute_grundy,
     make_brute_win,
     nim_successors,
     subtraction_successors,
+    xor_fold,
 )
 
 NIM8 = GameRules.nim(8)
@@ -210,6 +214,14 @@ class TestGrundy:
         for n in range(22):
             assert grundy(Position((n,), rules.game_id), rules) == oracle((n,))
 
+    def test_long_kayles_rows_by_the_sum_rule(self):
+        # the table holds one entry per row length, 256 here, where a walk
+        # over whole positions would need far more than the cap
+        rows = (255, 70, 31, 12)
+        values = kayles_row_values(255)
+        solver = GrundySolver(GameRules.kayles(255), memo_cap=300)
+        assert solver.grundy(Position(rows, "kayles")) == xor_fold(values[r] for r in rows)
+
     def test_memo_cap_raises(self):
         solver = GrundySolver(GameRules.nim(8), memo_cap=3)
         with pytest.raises(MemoLimitError):
@@ -273,6 +285,19 @@ def test_successor_keys_follow_legal_moves(name, heaps):
     assert sorted(solver._successors(key)) == want
 
 
+def test_grundy_definition_check_catches_added_heap_values(monkeypatch):
+    assert verify.check_grundy_definition()[0]
+    solve = GrundySolver.grundy
+
+    def added(self, p):
+        return sum(solve(self, Position((h,), p.game_id)) for h in p.heaps)
+
+    monkeypatch.setattr(games.GrundySolver, "grundy", added)
+    ok, detail = verify.check_grundy_definition()
+    assert not ok
+    assert detail == "nim grundy(1, 1) is not the mex of its successors"
+
+
 class TestWinLossOracle:
     def test_terminal_is_loss(self):
         assert win_loss_oracle(Position((0, 0)), NIM8) is WinLoss.LOSS
@@ -313,3 +338,28 @@ def test_thread_safety_bit_identical():
     with ThreadPoolExecutor(max_workers=4) as pool:
         list(pool.map(solver.grundy, shuffled))
     assert [solver.grundy(p) for p in positions] == sequential
+
+
+def test_heap_table_race():
+    """Threads that fill one solver's per-heap table at once leave every
+    entry at its single-thread value."""
+    rules = GameRules.kayles(255)
+    want = kayles_row_values(255)
+    rows = [Position((r,), rules.game_id) for r in range(252, 256)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            solver = GrundySolver(rules)
+            barrier = threading.Barrier(len(rows))
+
+            def query(p):
+                barrier.wait(timeout=60)
+                return solver.grundy(p)
+
+            with ThreadPoolExecutor(max_workers=len(rows)) as pool:
+                got = list(pool.map(query, rows, timeout=120))
+            assert got == want[252:]
+            assert [solver._grundy[c] for c in range(256)] == want
+    finally:
+        sys.setswitchinterval(interval)

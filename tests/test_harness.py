@@ -70,6 +70,24 @@ class DrawingAgent(AgentPolicy):
         return moves[rng.randrange(len(moves))]
 
 
+class FlawAfter(OracleAgent):
+    """A two-frame oracle that plays its lowest legal move instead when its
+    window starts with the frames ``flaw`` (heap tuples, oldest first), so
+    its choice reads its older frame."""
+
+    required_frames = 2
+
+    def __init__(self, rules, flaw):
+        super().__init__(rules)
+        self.flaw = flaw
+
+    def choose(self, history, rng):
+        window = tuple(f.heaps for f in history.frames)
+        if window[: len(self.flaw)] == self.flaw:
+            return min(legal_moves(history.current, self.rules))
+        return super().choose(history, rng)
+
+
 class TestPlayMatch:
     def test_oracle_beats_random_from_winning_start(self):
         for seed in range(5):
@@ -165,6 +183,7 @@ class TestExhaustiveAdversary:
         script = data.draw(
             st.lists(st.builds(GameMove, st.integers(0, 3), st.integers(0, 3)), max_size=8)
         )
+        older = tuple(data.draw(st.integers(0, h)) for h in heaps)
         agent = data.draw(
             st.sampled_from(
                 (
@@ -175,6 +194,7 @@ class TestExhaustiveAdversary:
                     Mirror72Agent(1, "first"),
                     Mirror72Agent(1, "second"),
                     DrawingAgent(rules),
+                    FlawAfter(rules, (older,)),
                     ScriptAgent(script),  # needs the whole transcript: no table
                 )
             )
@@ -187,6 +207,19 @@ class TestExhaustiveAdversary:
         assert report.counterexample == expected.counterexample
         assert report.nodes <= expected.nodes
 
+
+    def test_planted_window_flaw_is_found(self):
+        # the agent faces (0,0,2,3) after several older frames and errs only
+        # after (0,1,2,3): a table keyed on the current frame alone would
+        # skip the flaw as proven and report that the agent always wins
+        rules = GameRules.nim(3)
+        start = Position((1, 2, 3, 3))
+        agent = FlawAfter(rules, ((0, 1, 2, 3), (0, 0, 2, 3)))
+        report = exhaustive_adversary(rules, start, agent, "first")
+        assert report.complete and not report.agent_always_wins
+        line = [parse_move(m) for m in ("1:1", "2:2", "0:0", "1:0", "2:0", "3:0")]
+        assert report.counterexample == line
+        assert reference_adversary(rules, start, agent).counterexample == line
 
     def test_generator_stream_matches_random0(self):
         lazy, eager = _SeededOnFirstDraw(), random.Random(0)
@@ -281,6 +314,7 @@ class TestNeverMissRule:
         heaps = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple))
         start = Position(heaps)
         assume(not is_terminal(start, rules))
+        older = tuple(data.draw(st.integers(0, h)) for h in heaps)
         agent = data.draw(
             st.sampled_from(
                 (
@@ -291,6 +325,7 @@ class TestNeverMissRule:
                     Mirror72Agent(1, "first"),
                     Mirror72Agent(1, "second"),
                     DrawingAgent(rules),
+                    FlawAfter(rules, (older,)),
                 )
             )
         )
@@ -511,6 +546,20 @@ class TestExperiment:
         )
         (row,) = run_experiment(cfg)
         assert row.wins == 40
+
+    def test_kayles_sweep_on_long_rows(self, tmp_path):
+        # starts and oracle moves read Grundy values of up to four rows of
+        # up to 30 pins each
+        cfg = self.cfg(
+            tmp_path,
+            rules=GameRules.kayles(30),
+            heap_counts=[3, 4],
+            max_heap_size=30,
+            games_per_cell=10,
+            seed=1,
+        )
+        rows = run_experiment(cfg)
+        assert [(r.heap_count, r.wins) for r in rows if r.agent == "oracle"] == [(3, 10), (4, 10)]
 
     def test_any_start_mode_redraws_terminal_starts(self, tmp_path):
         # heaps of 1 have no move in subtraction {2, 3}
