@@ -406,8 +406,20 @@ class MultiFrameAgent(AgentPolicy):
     For each candidate move it asks: starting from the candidate, do all
     rollouts end in wins with every reply preserving value?  The first
     candidate (tie-break order) that qualifies is played; if none does,
-    the candidate with the best win fraction is.  Decisions depend only
-    on the current position, so they are cached.
+    the candidate with the best win fraction is.  Searched decisions are
+    cached by the current position.
+
+    The agent remembers the children its search proved, which are zero
+    positions (see :class:`RolloutBudget`).  When the older of its two
+    frames is one of them, the opponent has since shrunk exactly one heap,
+    and that frame holds fewer than ``ply_cap`` objects, it plays the
+    paper's two-frame reply instead of searching: ``_reply_restore``, read
+    off the changed heap and a per-heap comparison, without the global
+    NIM sum.  From a zero position those restore replies are exactly the
+    winning moves, at most one per heap, and both rules take the lowest
+    heap; the search proves that move, because its rollouts from a child
+    smaller than the cap cannot be cut short.  So the reply is the move
+    the search would return, and ``choose`` stays a function of its window.
     """
 
     name = "multiframe"
@@ -419,6 +431,7 @@ class MultiFrameAgent(AgentPolicy):
         self.seed = seed
         self._decisions: dict[tuple[int, ...], GameMove] = {}
         self._exhaustive: dict[tuple[int, ...], bool] = {}
+        self._proven: set[tuple[int, ...]] = set()
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         heaps = history.current.heaps
@@ -426,9 +439,27 @@ class MultiFrameAgent(AgentPolicy):
             raise IllegalMoveError("no legal moves from a terminal position")
         cached = self._decisions.get(heaps)
         if cached is None:
+            cached = self._restore(history.frames, heaps)
+        if cached is None:
             cached = self._decide(heaps)
             self._decisions[heaps] = cached
         return cached
+
+    def _restore(self, frames: tuple[Position, ...], heaps: tuple[int, ...]) -> GameMove | None:
+        """The two-frame reply to the opponent's move into ``heaps``, or
+        None when the window does not qualify and the search must decide."""
+        if len(frames) < 2:
+            return None
+        pb = frames[-2].heaps
+        if pb not in self._proven or len(pb) != len(heaps) or sum(pb) >= self.budget.ply_cap:
+            return None
+        d = _diff_indices(pb, heaps)
+        if len(d) != 1 or heaps[d[0]] >= pb[d[0]]:
+            return None
+        # pb is a zero position and heaps is not, so a reply exists
+        r, w = _reply_restore(pb, heaps, d[0])
+        self._proven.add(heaps[:r] + (w,) + heaps[r + 1 :])
+        return GameMove(r, w)
 
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
         exhaustive = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
@@ -444,6 +475,7 @@ class MultiFrameAgent(AgentPolicy):
             else:
                 ok, frac = self._sampled(child, ci)
             if ok:
+                self._proven.add(child)
                 return GameMove(i, v)
             if frac > fallback_frac:
                 fallback, fallback_frac = GameMove(i, v), frac

@@ -367,6 +367,13 @@ class ExperimentConfig:
             raise ValueError("start_mode must be 'winning' or 'any'")
         if min(self.heap_counts) < 1:
             raise ValueError("heap counts must be >= 1")
+        # a repeated count would get one row per listing, but its games are
+        # keyed by count, so results.json would keep only one listing's games
+        seen: set[int] = set()
+        for hc in self.heap_counts:
+            if hc in seen:
+                raise ValueError(f"heap count {hc} is listed more than once")
+            seen.add(hc)
         for spec in [*self.agents, self.opponent]:
             _check_agent_spec(spec, self.rules)
         if not 1 <= self.max_heap_size <= self.rules.max_heap_size:
@@ -666,8 +673,65 @@ def _write_outputs(cfg, rows, matches) -> None:
             }
             for r in rows
         ],
-        "matches": [
-            matches[key].to_json() for key in sorted(matches)
-        ],
     }
-    (out / "results.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # the bytes of json.dumps(doc | {"matches": ...}, indent=2, sort_keys=True):
+    # "matches" sorts first, and its records, the bulk of the file, are laid
+    # out by template instead of by the pure-Python encoder indent selects
+    head = json.dumps(doc, indent=2, sort_keys=True)
+    records = [_record_json(matches[key]) for key in sorted(matches)]
+    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    (out / "results.json").write_text('{\n  "matches": ' + body + "," + head[1:] + "\n")
+
+
+_json_str = json.encoder.encode_basestring_ascii  # a JSON string literal, as json.dumps writes it
+
+_RECORD = """\
+    {
+      "diagnostics": %s,
+      "first": %s,
+      "forfeit": %s,
+      "moves": %s,
+      "rules": %s,
+      "second": %s,
+      "seed": %d,
+      "start": %s,
+      "winner": %s
+    }"""
+
+_DIAGNOSTIC = """{
+          "mover": %s,
+          "nim_sum_after": %s,
+          "nim_sum_before": %s
+        }"""
+
+
+def _record_json(r: MatchRecord) -> str:
+    """``r.to_json()`` as an entry of the ``matches`` list of
+    ``json.dumps(..., indent=2, sort_keys=True)``, byte for byte."""
+    diagnostics = [
+        _DIAGNOSTIC
+        % (_json_str(d.mover), _int_or_null(d.nim_sum_after), _int_or_null(d.nim_sum_before))
+        for d in r.diagnostics
+    ]
+    return _RECORD % (
+        _list_json(diagnostics),
+        _json_str(r.first),
+        "null" if r.forfeit is None else _json_str(r.forfeit),
+        _list_json([_json_str(_move_text(m)) for m in r.moves]),
+        _json_str(r.rules_id),
+        _json_str(r.second),
+        r.seed,
+        _list_json([str(h) for h in r.start]),
+        _json_str(r.winner),
+    )
+
+
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+def _list_json(items: list[str]) -> str:
+    """A list of JSON texts laid out as a value of a record's key."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"

@@ -1,8 +1,10 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nimcore
@@ -259,6 +261,97 @@ class TestMultiFrameAgent:
         a = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
         b = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
         assert a.choose(h, RNG()) == b.choose(h, RNG())
+
+
+def _spy_on_search(agent):
+    """The list of positions ``agent`` searches from now on."""
+    searches = []
+    decide = agent._decide
+    agent._decide = lambda heaps: searches.append(heaps) or decide(heaps)
+    return searches
+
+
+def _spied_choose(agent, *frames):
+    """(the agent's move on the window ``frames``, whether it searched)."""
+    searches = _spy_on_search(agent)
+    return agent.choose(hist(*frames), RNG()), bool(searches)
+
+
+def _proving(budget, a, seed=0):
+    """An agent that has searched a parent of the zero position ``a``:
+    raising heap 0 makes ``a`` the parent's lowest winning move, which the
+    search proves unless its rollouts are cut short."""
+    agent = MultiFrameAgent(budget, seed)
+    agent.choose(hist((a[0] + 1,) + a[1:]), RNG())
+    return agent
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_restore_reply_is_the_searched_move(data):
+    rest = data.draw(st.lists(st.integers(0, 15), min_size=0, max_size=4))
+    a = (functools.reduce(operator.xor, rest, 0),) + tuple(rest)  # a zero position
+    assume(any(a))
+    i = data.draw(st.sampled_from([j for j, c in enumerate(a) if c]))
+    b = a[:i] + (data.draw(st.integers(0, a[i] - 1)),) + a[i + 1 :]
+    budget = RolloutBudget(
+        exhaustive_cap=data.draw(st.sampled_from((0, 1, 64, 2**16))),
+        samples=data.draw(st.integers(0, 3)),
+        ply_cap=data.draw(st.integers(1, 2 * sum(a) + 2)),
+    )
+    seed = data.draw(st.integers(0, 2**32))
+    agent = _proving(budget, a, seed)
+    proven = a in agent._proven
+    # a zero child under the cap always passes the search; over it only
+    # the exhaustive sweep, which has no cap, proves it
+    assert proven or sum(a) >= budget.ply_cap
+    move, searched = _spied_choose(agent, a, b)
+    assert move == MultiFrameAgent(budget, seed)._decide(b)
+    assert searched == (not proven or sum(a) >= budget.ply_cap)
+
+
+class TestRestoreReply:
+    A = (1, 2, 3)  # a zero position
+    B = (1, 2, 1)  # the opponent's move from it
+
+    def test_plays_the_reply_without_searching(self):
+        agent = _proving(RolloutBudget(), self.A)
+        assert self.A in agent._proven
+        assert _spied_choose(agent, self.A, self.B) == (GameMove(1, 0), False)
+        assert (1, 0, 1) in agent._proven
+        # the reply's child qualifies in turn
+        assert _spied_choose(agent, (1, 0, 1), (0, 0, 1)) == (GameMove(2, 0), False)
+
+    @pytest.mark.parametrize(
+        "budget, window",
+        [
+            (RolloutBudget(ply_cap=6), (A, B)),  # the older frame holds ply_cap objects
+            (RolloutBudget(exhaustive_cap=0, ply_cap=6), (A, B)),
+            (RolloutBudget(), (A, (0, 1, 3))),  # two heaps changed
+            (RolloutBudget(), (A, (1, 2, 4))),  # a heap grew
+            (RolloutBudget(), (A, A)),  # nothing changed
+            (RolloutBudget(), ((1, 2, 2), (1, 2, 1))),  # a non-zero older frame
+            (RolloutBudget(), (A, (1, 2, 1, 3))),  # a different heap count
+        ],
+    )
+    def test_searches_otherwise(self, budget, window):
+        agent = _proving(budget, self.A)
+        move, searched = _spied_choose(agent, *window)
+        assert searched
+        assert move == MultiFrameAgent(budget)._decide(window[-1])
+
+    def test_searches_from_an_unproven_zero_position(self):
+        assert _spied_choose(MultiFrameAgent(), self.A, self.B) == (GameMove(1, 0), True)
+
+    def test_fires_in_a_seeded_game(self):
+        from nimcore.harness import play_match
+
+        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
+        searches = _spy_on_search(agent)
+        record = play_match(NIM, Position((9, 11, 6, 2)), agent, OracleAgent(NIM), seed=3)
+        assert record.winner == "first"
+        assert searches == [(9, 11, 6, 2)]
+        assert len(record.moves) > 2  # so the agent moved again without a search
 
 
 class TestSingleFrameAgent:

@@ -25,10 +25,15 @@ from nimcore.errors import IllegalMoveError, NimcoreError
 from nimcore import verify
 from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal, legal_moves
 from nimcore.harness import (
+    RNG_ALGORITHM,
     AdversaryReport,
     ExperimentConfig,
+    ExperimentRow,
+    MatchRecord,
+    MoveDiagnostic,
     _adversary_walk,
     _SeededOnFirstDraw,
+    _write_outputs,
     exhaustive_adversary,
     make_agent,
     parse_move,
@@ -495,6 +500,7 @@ class TestExperiment:
             dict(rules=GameRules.nim(1), max_heap_size=1, heap_counts=[3, 2]),
             dict(heap_counts=[3, 0]),
             dict(heap_counts=[-1]),
+            dict(heap_counts=[3, 5, 3]),
             dict(max_heap_size=0),
             dict(max_heap_size=-1),
             # Kayles rows of one pin have value 1, like NIM heaps of one
@@ -532,6 +538,10 @@ class TestExperiment:
         }
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(doc)
+
+    def test_repeated_heap_count_named(self, tmp_path):
+        with pytest.raises(ValueError, match="heap count 3 is listed more than once"):
+            self.cfg(tmp_path, heap_counts=[3, 5, 3])
 
     def test_max_heap_size_above_rules_bound_rejected(self, tmp_path):
         # a JSON config builds its rules from its own max_heap_size, so only
@@ -681,6 +691,77 @@ def test_config_fuzz_ends_in_rows_or_named_error(
         return
     rows = run_experiment(cfg)
     assert [r.games for r in rows] == [games_per_cell] * len(heap_counts) * len(agents)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_TRICKY = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé☃\U0001d11e ab:') | st.characters())
+_SUMS = st.none() | st.integers(0, 2**70)
+
+
+@st.composite
+def _match_records(draw):
+    return MatchRecord(
+        rules_id=draw(st.sampled_from(("nim", "kayles", "subtraction(1,3)")) | _TRICKY),
+        start=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))),
+        first=draw(_TRICKY),
+        second=draw(st.sampled_from(("oracle", "mirror72:2:first")) | _TRICKY),
+        seed=draw(st.integers(0, 2**64)),
+        # split counts above zero are Kayles' three-part moves
+        moves=draw(
+            st.lists(st.builds(GameMove, st.integers(0, 9), st.integers(0, 99), st.integers(0, 99)))
+        ),
+        winner=draw(st.sampled_from(("first", "second"))),
+        forfeit=draw(st.none() | _TRICKY),
+        diagnostics=draw(st.lists(st.builds(MoveDiagnostic, _TRICKY, _SUMS, _SUMS), max_size=4)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(_match_records(), max_size=3),
+    games=st.integers(0, 3),
+    seed=st.integers(0, 2**64),
+    wins=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+)
+def test_results_json_is_the_json_module_text(tmp_path_factory, records, games, seed, wins):
+    out = tmp_path_factory.mktemp("out")
+    cfg = ExperimentConfig(
+        rules=GameRules.nim(7),
+        heap_counts=[3],
+        max_heap_size=7,
+        agents=["oracle"],
+        opponent="random",
+        games_per_cell=games,
+        seed=seed,
+        out_dir=str(out),
+    )
+    rows = [ExperimentRow(i + 2, "oracle", 7, w, w / 7, w / 3, w % 2) for i, w in enumerate(wins)]
+    matches = {(3, 0, gi): r for gi, r in enumerate(records)}
+    _write_outputs(cfg, rows, matches)
+    doc = {
+        "metadata": {
+            "rng": RNG_ALGORITHM,
+            "seed": seed,
+            "rules": "nim",
+            "opponent": "random",
+            "start_mode": "winning",
+        },
+        "rows": [
+            {
+                "heap_count": r.heap_count,
+                "agent": r.agent,
+                "games": r.games,
+                "wins": r.wins,
+                "win_rate": round(r.win_rate, 4),
+                "mean_plies": round(r.mean_plies, 2),
+                "preservation_failures": r.preservation_failures,
+            }
+            for r in rows
+        ],
+        "matches": [r.to_json() for r in records],
+    }
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (out / "results.json").read_text() == expected
 
 
 def test_verify_suite_mutation_detection(monkeypatch):
