@@ -40,7 +40,7 @@ from .games import (
 from .nimber import winning_moves
 
 _MASK64 = (1 << 64) - 1
-_MAX_EXHAUSTIVE_CAP = 1 << 16  # keeps MultiFrameAgent._all_lines_win shallow
+_MAX_EXHAUSTIVE_CAP = 1 << 16  # the accepted range of RolloutBudget.exhaustive_cap is 0..this
 _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
 
 
@@ -285,33 +285,27 @@ class RolloutResult(enum.Enum):
 class RolloutBudget:
     """Search effort knobs for the multi-frame agent.
 
-    Boards whose state-count bound (product of heap+1) fits under
-    ``exhaustive_cap`` get a full adversary sweep per candidate; larger
-    boards get one deterministic perfect-opponent rollout (the probe),
-    then ``samples`` seeded random-opponent rollouts.  A rollout stops
-    after ``ply_cap`` plies.
+    A candidate is decided exactly, by one perfect-opponent rollout with
+    room for every ply, when the board's state-count bound (product of
+    heap+1) is at most ``exhaustive_cap`` or the candidate holds at most
+    ``ply_cap`` objects.  Any other candidate gets one perfect-opponent
+    rollout (the probe), then ``samples`` seeded random-opponent
+    rollouts, each stopped after ``ply_cap`` plies.
 
     A rollout answers every opponent move with the reply that restores the
     candidate's value, and every ply takes at least one object, so:
 
     - it ends in an agent win only from a candidate of value zero, after
       an even number of plies and without a preservation failure;
-    - from a candidate of value zero it never fails, and with ``ply_cap``
+    - from a candidate of value zero it never fails, and with a ply cap
       at least the candidate's object count it ends in an agent win;
     - from any other candidate it never ends in an agent win, and against
       the perfect opponent with that cap it ends in an opponent win.
 
-    So the probe only saves time: every random sample already refutes a
-    candidate of non-zero value, and the probe does so after one playout
-    instead of ``samples``.
-
-    ``exhaustive_cap`` is at most ``2**16``.  A sweep sees only boards no
-    larger, heap by heap, than the one it starts from, so one decision
-    adds at most ``exhaustive_cap`` boards to the agent's memo.  Each
-    level of the sweep shrinks two heaps, so the heaps other than the
-    largest one lose an object per level or more: the sweep recurses at
-    most ``sum(heaps) - max(heaps)`` deep, at most 255 under the cap
-    (the value at ``(255, 255)``).
+    So the exact rollout passes a candidate if and only if it is a zero
+    position, and the probe only saves time: every random sample already
+    refutes a candidate of non-zero value, and the probe does so after
+    one playout instead of ``samples``.
 
     Raises ``ValueError`` when ``samples < 0``, ``ply_cap < 1`` or
     ``exhaustive_cap`` is outside ``0..2**16``.
@@ -404,7 +398,9 @@ class MultiFrameAgent(AgentPolicy):
     """Value-preserving rollout agent for NIM.
 
     For each candidate move it asks: starting from the candidate, do all
-    rollouts end in wins with every reply preserving value?  The first
+    rollouts end in wins with every reply preserving value?  One rollout
+    with room for every ply answers that exactly; larger candidates on
+    larger boards are sampled (see :class:`RolloutBudget`).  The first
     candidate (tie-break order) that qualifies is played; if none does,
     the candidate with the best win fraction is.  Searched decisions are
     cached by the current position.
@@ -417,8 +413,8 @@ class MultiFrameAgent(AgentPolicy):
     off the changed heap and a per-heap comparison, without the global
     NIM sum.  From a zero position those restore replies are exactly the
     winning moves, at most one per heap, and both rules take the lowest
-    heap; the search proves that move, because its rollouts from a child
-    smaller than the cap cannot be cut short.  So the reply is the move
+    heap; the search proves that move, because it decides a child smaller
+    than the cap by the exact rollout.  So the reply is the move
     the search would return, and ``choose`` stays a function of its window.
     """
 
@@ -430,7 +426,6 @@ class MultiFrameAgent(AgentPolicy):
         self.budget = budget or RolloutBudget()
         self.seed = seed
         self._decisions: dict[tuple[int, ...], GameMove] = {}
-        self._exhaustive: dict[tuple[int, ...], bool] = {}
         self._proven: set[tuple[int, ...]] = set()
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
@@ -462,18 +457,14 @@ class MultiFrameAgent(AgentPolicy):
         return GameMove(r, w)
 
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
-        exhaustive = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
+        exact = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
         fallback: GameMove | None = None
         fallback_frac = -1.0
         for ci, (i, v) in enumerate(
             (i, v) for i, c in enumerate(heaps) for v in range(c)
         ):
             child = heaps[:i] + (v,) + heaps[i + 1 :]
-            if exhaustive:
-                ok = self._all_lines_win(child)
-                frac = 1.0 if ok else 0.0
-            else:
-                ok, frac = self._sampled(child, ci)
+            ok, frac = self._judge(child, ci, exact)
             if ok:
                 self._proven.add(child)
                 return GameMove(i, v)
@@ -482,44 +473,17 @@ class MultiFrameAgent(AgentPolicy):
         assert fallback is not None
         return fallback
 
-    def _all_lines_win(self, pb: tuple[int, ...]) -> bool:
-        """Exhaustive adversary below ``pb``: every opponent line must end
-        with the agent's reply taking the last object, never failing
-        preservation.
-
-        This is the agent's own search, kept apart from the harness walk
-        (``exhaustive_adversary``) that certifies the agent: a certifier
-        that shared code with what it certifies could hide a shared bug.
-        Its recursion depth is bounded through ``exhaustive_cap`` (see
-        :class:`RolloutBudget`)."""
-        if not any(pb):
-            return True
-        memo = self._exhaustive
-        hit = memo.get(pb)
-        if hit is not None:
-            return hit
-        result = True
-        for i, c in enumerate(pb):
-            for v in range(c):
-                q = pb[:i] + (v,) + pb[i + 1 :]
-                if not any(q):
-                    result = False
-                    break
-                reply = _reply_restore(pb, q, i)
-                if reply is None:
-                    result = False
-                    break
-                r, w = reply
-                if not self._all_lines_win(q[:r] + (w,) + q[r + 1 :]):
-                    result = False
-                    break
-            if not result:
-                break
-        memo[pb] = result
-        return result
-
-    def _sampled(self, child: tuple[int, ...], ci: int) -> tuple[bool, float]:
+    def _judge(self, child: tuple[int, ...], ci: int, exact: bool) -> tuple[bool, float]:
+        """(whether candidate ``ci``, moving to ``child``, passes, its win
+        fraction).  On an ``exact`` board, or when ``child`` holds at most
+        ``ply_cap`` objects, one perfect-opponent rollout with room for
+        every ply decides it; otherwise the capped probe and the seeded
+        random samples do (see :class:`RolloutBudget`)."""
+        objects = sum(child)
         ply_cap = self.budget.ply_cap
+        if exact or objects <= ply_cap:
+            ok = _fast_rollout(child, _opp_oracle, None, objects)[0] is RolloutResult.AGENT
+            return ok, 1.0 if ok else 0.0
         if _fast_rollout(child, _opp_oracle, None, ply_cap)[0] is not RolloutResult.AGENT:
             return False, 0.0
         wins = 1  # the probe's

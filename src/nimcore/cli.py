@@ -44,9 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     play.add_argument("--second", required=True, help="agent spec for the second mover")
     play.add_argument("--seed", type=int, default=0)
     play.add_argument("--max-heap-size", type=int, default=None)
-    play.add_argument("--samples", type=int, default=8, help="rollouts per candidate")
-    play.add_argument("--exhaustive-cap", type=int, default=512)
-    play.add_argument("--ply-cap", type=int, default=512)
+    play.add_argument("--samples", type=int, default=8, help="random rollouts per sampled candidate")
+    play.add_argument(
+        "--exhaustive-cap", type=int, default=512,
+        help="boards with at most this many states (product of heap+1) are decided exactly",
+    )
+    play.add_argument(
+        "--ply-cap", type=int, default=512,
+        help="sampled rollouts stop after this many plies; "
+        "candidates with at most this many objects are decided exactly",
+    )
     play.add_argument("--record", default=None, help="write the match record as JSON")
 
     tour = sub.add_parser("tournament", help="run a seeded experiment sweep")

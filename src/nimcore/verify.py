@@ -36,7 +36,7 @@ from .circuits.builders import (
 )
 from .circuits.encoding import PositionEncoding, decode_value
 from .circuits.ir import Circuit, Gate, parse, serialize
-from .errors import ContractViolationError
+from .errors import ContractViolationError, GateBudgetError
 from .games import GameRules, Position, apply_move, legal_moves
 from .harness import (
     ExperimentConfig,
@@ -412,7 +412,7 @@ def check_compiler_differential(
         net = _random_network(rng)
         try:
             circuit = compile_to_ac0(net, threshold_cap=4, gate_budget=200_000)
-        except Exception:
+        except GateBudgetError:
             continue  # over-budget draws are resampled, the space is bounded
         steps = net.steps if net.kind is not ModelKind.NN else 1
         if circuit.metrics().depth > 2 * net.L * steps:
@@ -673,6 +673,9 @@ def check_experiment_determinism() -> tuple[bool, str]:
         csv_b = (open(f"{tmp}/b/results.csv", "rb").read(), rows_to_csv(rows_b))
         if csv_a != csv_b:
             return False, "identical configs produced different CSV bytes"
+        json_a, json_b = (open(f"{tmp}/{d}/results.json", "rb").read() for d in "ab")
+        if json_a != json_b:
+            return False, "identical configs produced different JSON bytes"
     return True, "tournament output is byte-identical across runs"
 
 

@@ -112,9 +112,17 @@ def test_acceptance_8_determinism(tmp_path):
     )
     run_experiment(ExperimentConfig(**base, out_dir=str(tmp_path / "a")))
     run_experiment(ExperimentConfig(**base, out_dir=str(tmp_path / "b")))
-    a = (tmp_path / "a" / "results.csv").read_bytes()
-    b = (tmp_path / "b" / "results.csv").read_bytes()
-    report(8, "byte-identical tournaments", a == b, f"{len(a)} CSV bytes compared", t)
+    a, b = (
+        [(tmp_path / d / name).read_bytes() for name in ("results.csv", "results.json")]
+        for d in "ab"
+    )
+    report(
+        8,
+        "byte-identical tournaments",
+        a == b,
+        f"{len(a[0])} CSV and {len(a[1])} JSON bytes compared",
+        t,
+    )
 
 
 def test_acceptance_9_demonstration(tmp_path):

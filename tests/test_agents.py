@@ -231,6 +231,24 @@ def test_decides_at_the_exhaustive_cap_bound(heaps, move):
     assert agent.choose(hist(heaps), random.Random(0)) == move
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_regime_plays_the_oracle_move(data):
+    heaps = tuple(data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4)))
+    assume(any(heaps))
+    budget = RolloutBudget(
+        exhaustive_cap=data.draw(st.sampled_from((0, 1, 64, 2**16))),
+        samples=data.draw(st.integers(0, 3)),
+        ply_cap=data.draw(st.integers(1, 50)),
+    )
+    within_cap = functools.reduce(operator.mul, (c + 1 for c in heaps)) <= budget.exhaustive_cap
+    # every child holds at most sum(heaps) - 1 objects
+    assume(within_cap or sum(heaps) - 1 <= budget.ply_cap)
+    agent = MultiFrameAgent(budget, data.draw(st.integers(0, 2**32)))
+    # the lowest winning move, else the first non-empty heap emptied
+    assert agent.choose(hist(heaps), RNG()) == OracleAgent(NIM).choose(hist(heaps), RNG())
+
+
 class TestMultiFrameAgent:
     def test_exhaustive_picks_zeroing_move(self):
         agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1024))
@@ -242,6 +260,19 @@ class TestMultiFrameAgent:
         move = agent.choose(hist((3, 5, 7)), RNG())
         child = apply_move(Position((3, 5, 7)), move, NIM)
         assert nim_sum(child) == 0
+
+    @pytest.mark.parametrize(
+        "heaps, move",
+        [
+            # the lowest winning move, 0:1, passes the probe but not every
+            # sample, so the next winning move is played
+            ((2, 2, 3), GameMove(1, 1)),
+            ((2, 6, 7), GameMove(1, 5)),
+        ],
+    )
+    def test_samples_can_refute_a_probed_candidate(self, heaps, move):
+        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=0, samples=3, ply_cap=4), seed=0)
+        assert agent.choose(hist(heaps), RNG()) == move
 
     def test_losing_position_falls_back(self):
         agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1024))
@@ -303,7 +334,7 @@ def test_restore_reply_is_the_searched_move(data):
     agent = _proving(budget, a, seed)
     proven = a in agent._proven
     # a zero child under the cap always passes the search; over it only
-    # the exhaustive sweep, which has no cap, proves it
+    # the exact rollout, which has room for every ply, proves it
     assert proven or sum(a) >= budget.ply_cap
     move, searched = _spied_choose(agent, a, b)
     assert move == MultiFrameAgent(budget, seed)._decide(b)

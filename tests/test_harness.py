@@ -774,3 +774,22 @@ def test_verify_suite_mutation_detection(monkeypatch):
     monkeypatch.setattr(nimber, "nim_sum", lambda p: 0)
     broken = run_checks(["worked-example"], "desk")
     assert not broken.ok
+
+
+def test_determinism_check_compares_json(monkeypatch):
+    run = verify.run_experiment
+    runs = []
+
+    def stamped(config):
+        rows = run(config)
+        runs.append(config.out_dir)
+        with open(Path(config.out_dir) / "results.json", "a") as f:
+            f.write(f"run {len(runs)}\n")  # the CSV stays identical
+        return rows
+
+    assert verify.check_experiment_determinism()[0]
+    monkeypatch.setattr(verify, "run_experiment", stamped)
+    assert verify.check_experiment_determinism() == (
+        False,
+        "identical configs produced different JSON bytes",
+    )

@@ -171,3 +171,24 @@ class TestJsonFormat:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="kind"):
             network_from_json({"widths": [1, 1]})
+
+
+class _Runaway(BaseException):
+    """Stops a check that keeps retrying after a compiler error."""
+
+
+def test_compiler_differential_raises_compiler_errors(monkeypatch):
+    from nimcore import verify
+
+    calls = []
+
+    def broken(net, **kwargs):
+        calls.append(net)
+        if len(calls) > 50:
+            raise _Runaway("compiler errors were resampled")
+        raise RuntimeError("compiler bug")
+
+    monkeypatch.setattr(verify, "compile_to_ac0", broken)
+    with pytest.raises(RuntimeError, match="compiler bug"):
+        verify.check_compiler_differential(models=2, inputs_per_model=1)
+    assert len(calls) == 1
