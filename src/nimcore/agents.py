@@ -13,7 +13,6 @@ strategies for boards of duplicated components plus one odd heap.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from math import prod
@@ -275,12 +274,6 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
     return GameMove(*hit) if hit else None
 
 
-class RolloutResult(enum.Enum):
-    AGENT = "agent"
-    OPPONENT = "opponent"
-    CAPPED = "capped"
-
-
 @dataclass(frozen=True)
 class RolloutBudget:
     """Search effort knobs for the multi-frame agent.
@@ -289,18 +282,19 @@ class RolloutBudget:
     room for every ply, when the board's state-count bound (product of
     heap+1) is at most ``exhaustive_cap`` or the candidate holds at most
     ``ply_cap`` objects.  Any other candidate gets one perfect-opponent
-    rollout (the probe), then ``samples`` seeded random-opponent
-    rollouts, each stopped after ``ply_cap`` plies.
+    rollout (the probe) and, when it wins, ``samples`` seeded
+    random-opponent rollouts, each stopped after ``ply_cap`` plies.
 
     A rollout answers every opponent move with the reply that restores the
-    candidate's value, and every ply takes at least one object, so:
+    candidate's value, and every ply takes at least one object.  It
+    answers one question: does the board empty on the agent's move within
+    the ply cap?  So:
 
-    - it ends in an agent win only from a candidate of value zero, after
-      an even number of plies and without a preservation failure;
-    - from a candidate of value zero it never fails, and with a ply cap
-      at least the candidate's object count it ends in an agent win;
-    - from any other candidate it never ends in an agent win, and against
-      the perfect opponent with that cap it ends in an opponent win.
+    - it answers yes only from a candidate of value zero, since every
+      reply leaves the candidate's value and the empty board has value
+      zero;
+    - from a candidate of value zero a restoring reply always exists, and
+      with a ply cap at least the candidate's object count it answers yes.
 
     So the exact rollout passes a candidate if and only if it is a zero
     position, and the probe only saves time: every random sample already
@@ -368,30 +362,23 @@ def _opp_random(heaps: tuple[int, ...], rng: random.Random) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-def _fast_rollout(pb, opp, rng, ply_cap):
-    """Preserving rollout from ``pb``, the heaps the agent just moved to,
-    against ``opp(heaps, rng)``; returns (result, failed, plies).  A
-    preservation failure scores as an opponent win, and reaching
-    ``ply_cap`` as ``CAPPED`` (see :class:`RolloutBudget`)."""
-    plies = 0
-    while True:
+def _fast_rollout(pb, opp, rng, ply_cap) -> bool:
+    """Whether the preserving rollout from ``pb``, the heaps the agent just
+    moved to, against ``opp(heaps, rng)`` empties the board on the agent's
+    move within ``ply_cap`` plies.  A preservation failure, which includes
+    the opponent taking the last object, is a loss (see
+    :class:`RolloutBudget`)."""
+    for _ in range(ply_cap // 2):
         if not any(pb):
-            return RolloutResult.AGENT, False, plies
-        if plies >= ply_cap:
-            return RolloutResult.CAPPED, False, plies
+            return True
         i, v = opp(pb, rng)
         q = pb[:i] + (v,) + pb[i + 1 :]
-        plies += 1
-        if not any(q):
-            return RolloutResult.OPPONENT, False, plies
-        if plies >= ply_cap:
-            return RolloutResult.CAPPED, False, plies
         hit = _reply_restore(pb, q, i)
         if hit is None:
-            return RolloutResult.OPPONENT, True, plies
+            return False
         r, w = hit
         pb = q[:r] + (w,) + q[r + 1 :]
-        plies += 1
+    return not any(pb)
 
 
 class MultiFrameAgent(AgentPolicy):
@@ -475,22 +462,21 @@ class MultiFrameAgent(AgentPolicy):
 
     def _judge(self, child: tuple[int, ...], ci: int, exact: bool) -> tuple[bool, float]:
         """(whether candidate ``ci``, moving to ``child``, passes, its win
-        fraction).  On an ``exact`` board, or when ``child`` holds at most
-        ``ply_cap`` objects, one perfect-opponent rollout with room for
-        every ply decides it; otherwise the capped probe and the seeded
-        random samples do (see :class:`RolloutBudget`)."""
+        fraction).  One perfect-opponent rollout, the probe, comes first.
+        On an ``exact`` board, or when ``child`` holds at most ``ply_cap``
+        objects, it has room for every ply and decides the candidate
+        alone; otherwise it stops at ``ply_cap`` and, when it wins, the
+        seeded random samples follow (see :class:`RolloutBudget`)."""
         objects = sum(child)
-        ply_cap = self.budget.ply_cap
-        if exact or objects <= ply_cap:
-            ok = _fast_rollout(child, _opp_oracle, None, objects)[0] is RolloutResult.AGENT
-            return ok, 1.0 if ok else 0.0
-        if _fast_rollout(child, _opp_oracle, None, ply_cap)[0] is not RolloutResult.AGENT:
+        cap = objects if exact else min(objects, self.budget.ply_cap)
+        if not _fast_rollout(child, _opp_oracle, None, cap):
             return False, 0.0
+        if cap == objects:
+            return True, 1.0
         wins = 1  # the probe's
         for s in range(self.budget.samples):
             rng = random.Random(stable_mix(self.seed, len(child), *child, ci, s))
-            if _fast_rollout(child, _opp_random, rng, ply_cap)[0] is RolloutResult.AGENT:
-                wins += 1
+            wins += _fast_rollout(child, _opp_random, rng, cap)
         total = 1 + self.budget.samples
         return wins == total, wins / total
 

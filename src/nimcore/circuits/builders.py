@@ -34,9 +34,6 @@ class CircuitBuilder:
         self._consts: dict[int, int] = {}
         self._nots: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._gates)
-
     def _add(self, kind: str, args: Sequence[int] = ()) -> int:
         if len(self._gates) >= self.gate_budget:
             raise GateBudgetError(
@@ -95,9 +92,6 @@ class CircuitBuilder:
 
     def xor2(self, a: int, b: int) -> int:
         return self.or_([self.and_([a, self.not_(b)]), self.and_([self.not_(a), b])])
-
-    def xnor2(self, a: int, b: int) -> int:
-        return self.or_([self.and_([a, b]), self.and_([self.not_(a), self.not_(b)])])
 
     def inline(self, circuit: Circuit, wires: Sequence[int]) -> list[int]:
         """Copy ``circuit`` into this builder, wiring its inputs to ``wires``."""

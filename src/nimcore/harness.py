@@ -481,15 +481,29 @@ _AGENT_SPECS: dict[str, tuple[type[AgentPolicy], bool]] = {
 }
 
 
-def _check_agent_spec(spec: str, rules: GameRules) -> None:
-    """Raise ``ValueError`` for an unknown agent spec and for one whose
-    policy does not play ``rules.variant`` (see ``AgentPolicy.variants``)."""
-    name, colon, _ = spec.partition(":")
+def _check_agent_spec(spec: str, rules: GameRules) -> AgentPolicy | None:
+    """Raise ``ValueError`` for an unknown agent spec, for one whose
+    policy does not play ``rules.variant`` (see ``AgentPolicy.variants``)
+    and for a malformed ``mirror71:``, ``mirror72:`` or ``script:``
+    argument.  Returns the agent such a spec names, built from its
+    argument alone, and None for every other spec."""
+    name, colon, arg = spec.partition(":")
     entry = _AGENT_SPECS.get(name)
     if entry is None or entry[1] != bool(colon):
         raise ValueError(f"unknown agent spec {spec!r}")
     if rules.variant not in entry[0].variants:
         raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
+    try:
+        if name == "mirror71":
+            return Mirror71Agent(int(arg))
+        if name == "mirror72":
+            k, role = arg.split(":")
+            return Mirror72Agent(int(k), role)
+        if name == "script":
+            return ScriptAgent([parse_move(part) for part in arg.split(";") if part])
+    except ValueError as exc:
+        raise ValueError(f"malformed agent spec {spec!r}: {exc}") from None
+    return None
 
 
 def make_agent(
@@ -512,10 +526,11 @@ def make_agent(
     plies must be present but are not played; empty entries are dropped;
     running out of entries forfeits.
 
-    Raises ``ValueError`` as :func:`_check_agent_spec` does, and for a
-    malformed argument.
+    Raises ``ValueError`` as :func:`_check_agent_spec` does.
     """
-    _check_agent_spec(spec, rules)
+    agent = _check_agent_spec(spec, rules)
+    if agent is not None:
+        return agent
     name, _, arg = spec.partition(":")
     if name == "oracle":
         return OracleAgent(rules)
@@ -523,13 +538,6 @@ def make_agent(
         return RandomAgent(rules)
     if name == "multiframe":
         return MultiFrameAgent(budget or RolloutBudget(), seed=seed)
-    if name == "mirror71":
-        return Mirror71Agent(int(arg))
-    if name == "mirror72":
-        k, role = arg.split(":")
-        return Mirror72Agent(int(k), role)
-    if name == "script":
-        return ScriptAgent([parse_move(part) for part in arg.split(";") if part])
     if heap_count is None:
         raise ValueError(f"{name} needs the board's heap count")
     l = nimber.bit_width(rules.max_heap_size)

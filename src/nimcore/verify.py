@@ -765,10 +765,20 @@ def _checks(scale: str) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
 
 
 def run_checks(names: list[str] | None = None, scale: str = "desk") -> VerifyReport:
+    """Run the checks named in ``names``, or every check when it is None.
+
+    Raises ``ValueError`` for an unknown scale or check name, so a typo
+    cannot pass as an empty green report.
+    """
     if scale not in ("desk", "extended"):
         raise ValueError("scale must be 'desk' or 'extended'")
+    checks = _checks(scale)
+    if names is not None:
+        unknown = sorted(set(names) - {name for name, _ in checks})
+        if unknown:
+            raise ValueError(f"unknown check names: {', '.join(unknown)}")
     results = []
-    for name, fn in _checks(scale):
+    for name, fn in checks:
         if names is not None and name not in names:
             continue
         try:

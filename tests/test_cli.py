@@ -75,6 +75,13 @@ class TestPlay:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["mirror71:x", "mirror72:1:first:x", "script:0"])
+    def test_malformed_agent_argument_names_the_spec(self, capsys, spec):
+        rc = main(["play", "--start", "1,2,2", "--first", spec, "--second", "oracle"])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and repr(spec) in line
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -519,6 +519,11 @@ class TestExperiment:
             dict(rules=GameRules.kayles(7), opponent="multiframe"),
             dict(rules=GameRules.subtraction([1, 3, 4], 7), agents=["singleframe-heuristic"]),
             dict(agents=["oracle", "alphabeta"]),
+            # malformed agent arguments: once accepted, then a crash mid-run
+            dict(agents=["oracle", "mirror72:1"]),
+            dict(agents=["oracle", "mirror71:x"]),
+            dict(opponent="mirror72:1:first:x"),
+            dict(agents=["script:0:0;1"]),
         ],
     )
     def test_unstartable_config_rejected(self, tmp_path, overrides):
@@ -774,6 +779,13 @@ def test_verify_suite_mutation_detection(monkeypatch):
     monkeypatch.setattr(nimber, "nim_sum", lambda p: 0)
     broken = run_checks(["worked-example"], "desk")
     assert not broken.ok
+
+
+def test_verify_rejects_unknown_check_names():
+    from nimcore.verify import run_checks
+
+    with pytest.raises(ValueError, match="worked-exampel"):
+        run_checks(["worked-example", "worked-exampel"], "desk")
 
 
 def test_determinism_check_compares_json(monkeypatch):

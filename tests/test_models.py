@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from nimcore.errors import EncodingError, ThresholdCapError, UnsupportedModelError
+from nimcore.errors import (
+    EncodingError,
+    GateBudgetError,
+    ThresholdCapError,
+    UnsupportedModelError,
+)
 from nimcore.models import (
     ModelKind,
     ThresholdNetwork,
@@ -120,7 +125,7 @@ class TestCompile:
             net = _random_network(rng)
             try:
                 circuit = compile_to_ac0(net, gate_budget=200_000)
-            except Exception:
+            except GateBudgetError:
                 continue
             for model_input in _model_inputs(net, rng, 40):
                 assert tuple(circuit.evaluate(_flat_bits(net, model_input))) == tuple(
@@ -134,7 +139,7 @@ class TestCompile:
             net = _random_network(rng)
             try:
                 circuit = compile_to_ac0(net, gate_budget=200_000)
-            except Exception:
+            except GateBudgetError:
                 continue
             steps = net.steps if net.kind is not ModelKind.NN else 1
             assert circuit.metrics().depth <= 2 * net.L * steps
