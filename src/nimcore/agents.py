@@ -190,9 +190,13 @@ class SingleFrameCircuitAgent(AgentPolicy):
     """Scores candidate moves with a circuit over the current frame only.
 
     The circuit sees one encoded position and emits one score bit per
-    candidate slot.  The agent picks the highest-scoring legal candidate
-    (ties broken lowest heap, lowest new count).  This is the history-free
-    baseline; no optimality is claimed for it.
+    candidate slot.  The agent plays the first legal candidate, in
+    tie-break order (lowest heap, lowest new count), that scores 1, and
+    the first legal move when none does.  ``Circuit.first_set`` evaluates
+    only the gates those slots need, up to the first that scores 1.  The
+    move depends on the current frame alone, so it is remembered per heap
+    tuple.  This is the history-free baseline; no optimality is claimed
+    for it.
     """
 
     variants = frozenset({Variant.NIM})  # one score slot per NIM move
@@ -210,6 +214,7 @@ class SingleFrameCircuitAgent(AgentPolicy):
         self.circuit = circuit
         self.enc = enc
         self.name = name
+        self._decisions: dict[tuple[int, ...], GameMove] = {}
 
     @classmethod
     def heuristic(cls, n: int, l: int) -> "SingleFrameCircuitAgent":
@@ -218,17 +223,22 @@ class SingleFrameCircuitAgent(AgentPolicy):
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         heaps = history.current.heaps
-        # encode_heaps has checked len(heaps) == n and every count < 2**l,
+        move = self._decisions.get(heaps)
+        if move is None:
+            move = self._decide(heaps)
+            self._decisions[heaps] = move
+        return move
+
+    def _decide(self, heaps: tuple[int, ...]) -> GameMove:
+        # encode_heaps checks len(heaps) == n and every count < 2**l,
         # so slot (i << l) + v is in range for every legal candidate
-        scores = self.circuit.evaluate(self.enc.encode_heaps(heaps))
+        bits = self.enc.encode_heaps(heaps)
         l = self.enc.l
-        # scores are 0/1: the first candidate scoring 1 is the best one,
-        # and when none does, the first legal move is
-        for i, c in enumerate(heaps):
-            slot = i << l
-            for v in range(c):
-                if scores[slot + v]:
-                    return GameMove(i, v)
+        slot = self.circuit.first_set(
+            bits, [(i << l) + v for i, c in enumerate(heaps) for v in range(c)]
+        )
+        if slot is not None:
+            return GameMove(slot >> l, slot & ((1 << l) - 1))
         for i, c in enumerate(heaps):
             if c:
                 return GameMove(i, 0)

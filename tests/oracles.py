@@ -221,3 +221,23 @@ def reference_random_choice(p, rules, rng):
     if not moves:
         raise IllegalMoveError("no legal moves from a terminal position")
     return moves[rng.randrange(len(moves))]
+
+
+def reference_singleframe_choice(circuit, n, l, heaps):
+    """Single-frame agent move from the full score tuple, evaluated by the
+    batch evaluator: the first legal candidate (lowest heap, lowest new
+    count) scoring 1, else the first legal move."""
+    from nimcore.circuits import PositionEncoding
+    from nimcore.errors import IllegalMoveError
+    from nimcore.games import GameMove
+
+    bits = PositionEncoding(n, l, frames=1).encode_heaps(heaps)
+    scores = circuit.evaluate_batch([bits])[0]
+    for i, c in enumerate(heaps):
+        for v in range(c):
+            if scores[(i << l) + v]:
+                return GameMove(i, v)
+    for i, c in enumerate(heaps):
+        if c:
+            return GameMove(i, 0)
+    raise IllegalMoveError("no legal moves from a terminal position")

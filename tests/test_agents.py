@@ -22,8 +22,10 @@ from nimcore.agents import (
     _opp_random,
     preserving_reply,
 )
+from nimcore.circuits.ir import AND, INPUT, NOT, OR, Circuit, Gate
 from nimcore.errors import (
     ContractViolationError,
+    EncodingError,
     IllegalMoveError,
     InvalidPositionError,
     StrategyDomainError,
@@ -31,7 +33,11 @@ from nimcore.errors import (
 from nimcore.games import GameMove, GameRules, Position, apply_move, legal_moves
 from nimcore.nimber import nim_sum
 
-from oracles import reference_oracle_choice, reference_random_choice
+from oracles import (
+    reference_oracle_choice,
+    reference_random_choice,
+    reference_singleframe_choice,
+)
 
 NIM = GameRules.nim(64)
 RNG = lambda: random.Random(0)
@@ -400,8 +406,65 @@ class TestSingleFrameAgent:
         from nimcore.circuits.builders import build_even_nonempty_scorer
 
         circuit = build_even_nonempty_scorer(3, 3)
-        with pytest.raises(Exception):
+        with pytest.raises(EncodingError, match="takes 9 bits"):
             SingleFrameCircuitAgent(circuit, 2, 3)
+        # 2 heaps of 3 bits and 3 heaps of 2 bits both take 6 input bits,
+        # but have 16 and 12 candidate slots
+        circuit = build_even_nonempty_scorer(2, 3)
+        with pytest.raises(EncodingError, match="emits 16 scores, expected 12"):
+            SingleFrameCircuitAgent(circuit, 3, 2)
+
+    def test_no_scoring_candidate_plays_first_legal_move(self):
+        from nimcore.circuits.builders import CircuitBuilder
+
+        b = CircuitBuilder()
+        b.inputs(2 * 2)
+        zero = b.const(0)
+        agent = SingleFrameCircuitAgent(b.build([zero] * (2 << 2)), 2, 2)
+        # one agent over both orders of the same heaps: the remembered
+        # move of one is illegal in the other
+        for heaps, move in [((0, 3), GameMove(1, 0)), ((3, 0), GameMove(0, 0))] * 2:
+            assert agent.choose(hist(heaps), RNG()) == move
+        with pytest.raises(IllegalMoveError):
+            agent.choose(hist((0, 0)), RNG())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_full_scan_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        l = data.draw(st.integers(1, 3), label="l")
+        slots = n << l
+        gates = [Gate(INPUT) for _ in range(n * l)] + [Gate("CONST0"), Gate("CONST1")]
+        while len(gates) < slots or data.draw(st.booleans()):
+            earlier = st.integers(0, len(gates) - 1)
+            kind = data.draw(st.sampled_from((AND, OR, NOT)))
+            if kind == NOT:
+                args = (data.draw(earlier),)
+            else:
+                args = tuple(data.draw(st.lists(earlier, min_size=1, max_size=4)))
+            gates.append(Gate(kind, args))
+        # one distinct output gate per candidate slot
+        outputs = data.draw(
+            st.lists(
+                st.integers(0, len(gates) - 1), min_size=slots, max_size=slots, unique=True
+            ),
+            label="outputs",
+        )
+        circuit = Circuit(gates, outputs, n * l)
+        heap = st.integers(0, (1 << l) - 1)
+        pool = data.draw(st.lists(st.tuples(*[heap] * n), min_size=1, max_size=4))
+        seq = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        agent = SingleFrameCircuitAgent(circuit, n, l)  # reused: repeats hit its cache
+        for heaps in seq:
+            fresh = SingleFrameCircuitAgent(circuit, n, l)
+            if not any(heaps):
+                for a in (agent, fresh):
+                    with pytest.raises(IllegalMoveError):
+                        a.choose(hist(heaps), RNG())
+                continue
+            want = reference_singleframe_choice(circuit, n, l, heaps)
+            assert agent.choose(hist(heaps), RNG()) == want
+            assert fresh.choose(hist(heaps), RNG()) == want
 
 
 class TestMirror71:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,67 @@ class TestEvaluate:
         assert inv.evaluate_batch([[2], [0]]).tolist() == [[0], [1]]
         wide = np.array([[256, 1], [512, 0]], dtype=np.int64)
         assert and2().evaluate_batch(wide).tolist() == [[1], [0]]
+
+
+class TestFirstSet:
+    @given(circuits_with_rows(), st.data())
+    def test_matches_reference(self, case, data):
+        c, rows = case
+        # any order, repeats allowed, possibly empty
+        picks = data.draw(st.lists(st.integers(0, len(c.outputs) - 1), max_size=8))
+        for bits in rows:
+            expected = reference_eval(c, bits)
+            want = next((k for k in picks if expected[k]), None)
+            assert c.first_set(bits, picks) == want
+
+    def test_empty_outputs(self):
+        assert and2().first_set([1, 1], []) is None
+
+    def test_wrong_bit_count_as_evaluate(self):
+        with pytest.raises(EncodingError) as single:
+            and2().evaluate([1])
+        with pytest.raises(EncodingError) as first:
+            and2().first_set([1], [0])
+        assert str(first.value) == str(single.value)
+
+    @pytest.mark.parametrize("bad", [1, 7, -1])
+    def test_output_index_out_of_range_named(self, bad):
+        # raised even though output 0, read first, is set
+        with pytest.raises(EncodingError, match=rf"output index {bad} out of range"):
+            and2().first_set([1, 1], [0, bad])
+
+
+class TestConeOrder:
+    def test_deep_not_chain_needs_no_recursion(self):
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        gates = [Gate(INPUT)] + [Gate(NOT, (i,)) for i in range(depth)]
+        c = Circuit(gates, [depth, 1], 1)
+        assert c.evaluate([1]) == (1, 0)
+        assert c.first_set([0], [0, 1]) == 1
+        assert c.first_set([1], [1, 0]) == 0
+
+    def test_dead_gates_do_not_matter(self):
+        gates = [Gate(INPUT) for _ in range(3)] + [
+            Gate(AND, (0, 1)),  # read by nothing
+            Gate(OR, (0, 2)),
+            Gate(NOT, (3,)),  # read by nothing
+            Gate(AND, (4, 1)),
+            Gate("CONST1"),  # read by nothing
+        ]
+        c = Circuit(gates, [6, 4], 3)
+        for row in range(8):
+            bits = [(row >> j) & 1 for j in range(3)]
+            expected = reference_eval(c, bits)
+            assert c.evaluate(bits) == expected
+            assert c.first_set(bits, [0, 1]) == next(
+                (k for k in (0, 1) if expected[k]), None
+            )
+
+    def test_batch_builds_no_order(self):
+        c = and2()
+        c.evaluate_batch([[1, 0]])
+        assert c._cones is None
 
 
 class TestStructure:
