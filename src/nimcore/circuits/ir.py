@@ -71,50 +71,6 @@ class _Program:
         self.out_ids = list(circuit.outputs)
 
 
-class _ConeOrder:
-    """The gates renumbered output cone by output cone, for single rows.
-
-    Output 0's cone comes first, then the gates output 1 adds, and so on;
-    ``ends[k]`` is the number of gates needed through output ``k``, and
-    ``out_ids[k]`` is output ``k``'s gate in the new numbering.  Each
-    chunk is sorted by old index, so the order stays topological, and
-    gates no output reads are left out.  Marking uses an explicit stack,
-    so a deep circuit cannot exhaust the recursion limit.
-    """
-
-    __slots__ = ("ops", "args", "out_ids", "ends")
-
-    def __init__(self, circuit: "Circuit", prog: _Program):
-        gates = circuit.gates
-        new_id = [-1] * len(gates)
-        order: list[int] = []
-        self.ends: list[int] = []
-        for o in circuit.outputs:
-            chunk: list[int] = []
-            if new_id[o] == -1:
-                new_id[o] = -2  # marked, not yet placed
-                stack = [o]
-                while stack:
-                    g = stack.pop()
-                    chunk.append(g)
-                    for a in gates[g].args:
-                        if new_id[a] == -1:
-                            new_id[a] = -2
-                            stack.append(a)
-            chunk.sort()
-            for g in chunk:
-                new_id[g] = len(order)
-                order.append(g)
-            self.ends.append(len(order))
-        self.ops = [prog.ops[g] for g in order]
-        # an INPUT keeps its input slot; other operands are renumbered
-        self.args = [
-            prog.args[g] if prog.ops[g] == _OP_INPUT else tuple(new_id[a] for a in prog.args[g])
-            for g in order
-        ]
-        self.out_ids = [new_id[o] for o in circuit.outputs]
-
-
 def _eval_single(ops, args, bits, values, start, stop):
     """Evaluate gates ``start`` to ``stop - 1`` on one input vector,
     writing into ``values``; earlier gates must already be there."""
@@ -176,14 +132,13 @@ def _eval_batch(ops, args, out_ids, inputs):
 class Circuit:
     """Immutable layered circuit; safe to evaluate from any thread.
 
-    ``evaluate`` and ``first_set`` run one input vector through the gates
-    in cone order (see :class:`_ConeOrder`, built on the first such call),
-    ``first_set`` only as far as the outputs it reads.
-    ``evaluate_batch`` sweeps the gate list as given, a numpy vector per
-    gate, and never builds the cone order.
+    ``evaluate`` sweeps every gate once for one input vector;
+    ``first_set`` sweeps the same gate list only as far as the outputs
+    it reads.  ``evaluate_batch`` sweeps it once with a numpy vector per
+    gate.
     """
 
-    __slots__ = ("gates", "outputs", "input_arity", "_program", "_cones")
+    __slots__ = ("gates", "outputs", "input_arity", "_program")
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int], input_arity: int):
         gates = tuple(gates)
@@ -221,18 +176,11 @@ class Circuit:
         self.outputs = outputs
         self.input_arity = input_arity
         self._program = None
-        self._cones = None
 
     def _ensure_program(self) -> _Program:
         if self._program is None:
             self._program = _Program(self)
         return self._program
-
-    def _ensure_cones(self) -> _ConeOrder:
-        if self._cones is None:
-            # reuse the batch program if there is one; keep none just for this
-            self._cones = _ConeOrder(self, self._program or _Program(self))
-        return self._cones
 
     def _check_bits(self, bits: Sequence[int]) -> None:
         if len(bits) != self.input_arity:
@@ -265,21 +213,21 @@ class Circuit:
         """Run one input vector through the circuit; any nonzero bit reads
         as 1.  Returns every output, in order."""
         self._check_bits(bits)
-        cones = self._ensure_cones()
-        n = len(cones.ops)
+        prog = self._ensure_program()
+        n = len(prog.ops)
         values = [0] * n
-        _eval_single(cones.ops, cones.args, bits, values, 0, n)
-        return tuple(values[o] for o in cones.out_ids)
+        _eval_single(prog.ops, prog.args, bits, values, 0, n)
+        return tuple(values[o] for o in prog.out_ids)
 
     def first_set(self, bits: Sequence[int], outputs: Sequence[int]) -> int | None:
         """The first index in ``outputs`` whose output is 1 on ``bits``,
         or None when none is (or ``outputs`` is empty).
 
         Equal to ``next((k for k in outputs if evaluate(bits)[k]), None)``,
-        but the sweep stops at the last gate the outputs read so far need:
-        outputs early in the circuit's output list cost least.  Indices
-        may come in any order and repeat; each must be a valid output
-        index, else ``EncodingError`` names it.
+        but the sweep stops at the gate of the last output read: outputs
+        whose gates come early in the gate list cost least.  Indices may
+        come in any order and repeat; each must be a valid output index,
+        else ``EncodingError`` names it.
         """
         self._check_bits(bits)
         if outputs and (min(outputs) < 0 or max(outputs) >= len(self.outputs)):
@@ -287,12 +235,14 @@ class Circuit:
             raise EncodingError(
                 f"output index {bad} out of range for {len(self.outputs)} outputs"
             )
-        cones = self._ensure_cones()
-        ops, args, out_ids, ends = cones.ops, cones.args, cones.out_ids, cones.ends
+        prog = self._ensure_program()
+        ops, args, out_ids = prog.ops, prog.args, prog.out_ids
         values = [0] * len(ops)
         done = 0
         for k in outputs:
-            stop = ends[k]
+            # gates reference earlier gates only, so the prefix through
+            # output k's gate holds everything it reads
+            stop = out_ids[k] + 1
             if stop > done:
                 _eval_single(ops, args, bits, values, done, stop)
                 done = stop

@@ -167,8 +167,6 @@ class TestFirstSet:
         with pytest.raises(EncodingError, match=rf"output index {bad} out of range"):
             and2().first_set([1, 1], [0, bad])
 
-
-class TestConeOrder:
     def test_deep_not_chain_needs_no_recursion(self):
         depth = 5000
         assert depth > sys.getrecursionlimit()
@@ -179,6 +177,7 @@ class TestConeOrder:
         assert c.first_set([1], [1, 0]) == 0
 
     def test_dead_gates_do_not_matter(self):
+        # gates no output reads, before and between the output gates
         gates = [Gate(INPUT) for _ in range(3)] + [
             Gate(AND, (0, 1)),  # read by nothing
             Gate(OR, (0, 2)),
@@ -194,11 +193,6 @@ class TestConeOrder:
             assert c.first_set(bits, [0, 1]) == next(
                 (k for k in (0, 1) if expected[k]), None
             )
-
-    def test_batch_builds_no_order(self):
-        c = and2()
-        c.evaluate_batch([[1, 0]])
-        assert c._cones is None
 
 
 class TestStructure:
