@@ -1,11 +1,13 @@
 """Playing policies.
 
 The interesting one is :class:`MultiFrameAgent`: it evaluates each
-candidate move by rolling the game forward while answering every
-opponent move with a value-preserving reply, computed purely from the
-(at most two) heaps that changed.  A candidate whose rollouts all end in
-wins without a preservation failure is a safe move; the agent never
-needs the global NIM sum of the board it is searching.
+candidate move by one rollout that answers every opponent move with a
+value-preserving reply, computed purely from the (at most two) heaps
+that changed.  A candidate whose rollout empties the board on the
+agent's move is a zero position, and the agent plays it.  Only that
+reply, which the agent also plays in a game from its two frames, does
+without the global NIM sum: the rollout's simulated perfect opponent,
+``_opp_oracle``, XORs every heap on each ply.
 
 The mirror agents implement the two paired-heap demonstration
 strategies for boards of duplicated components plus one odd heap.
@@ -13,6 +15,7 @@ strategies for boards of duplicated components plus one odd heap.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import prod
@@ -219,7 +222,7 @@ class SingleFrameCircuitAgent(AgentPolicy):
     @classmethod
     def heuristic(cls, n: int, l: int) -> "SingleFrameCircuitAgent":
         """The even-nonempty-heap-count heuristic baseline."""
-        return cls(build_even_nonempty_scorer(n, l), n, l, name="singleframe-heuristic")
+        return cls(_even_nonempty_scorer(n, l), n, l, name="singleframe-heuristic")
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         heaps = history.current.heaps
@@ -243,6 +246,13 @@ class SingleFrameCircuitAgent(AgentPolicy):
             if c:
                 return GameMove(i, 0)
         raise IllegalMoveError("no legal moves from a terminal position")
+
+
+@functools.cache
+def _even_nonempty_scorer(n: int, l: int) -> Circuit:
+    """The heuristic's scorer, built once per board shape: a ``Circuit``
+    is immutable, so every agent of that shape can share it."""
+    return build_even_nonempty_scorer(n, l)
 
 
 def _diff_indices(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -286,14 +296,12 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
 
 @dataclass(frozen=True)
 class RolloutBudget:
-    """Search effort knobs for the multi-frame agent.
+    """How far the multi-frame agent's rollouts may run.
 
-    A candidate is decided exactly, by one perfect-opponent rollout with
-    room for every ply, when the board's state-count bound (product of
+    Each candidate gets one perfect-opponent rollout, the probe.  It has
+    room for every ply when the board's state-count bound (product of
     heap+1) is at most ``exhaustive_cap`` or the candidate holds at most
-    ``ply_cap`` objects.  Any other candidate gets one perfect-opponent
-    rollout (the probe) and, when it wins, ``samples`` seeded
-    random-opponent rollouts, each stopped after ``ply_cap`` plies.
+    ``ply_cap`` objects; otherwise it stops after ``ply_cap`` plies.
 
     A rollout answers every opponent move with the reply that restores the
     candidate's value, and every ply takes at least one object.  It
@@ -306,22 +314,19 @@ class RolloutBudget:
     - from a candidate of value zero a restoring reply always exists, and
       with a ply cap at least the candidate's object count it answers yes.
 
-    So the exact rollout passes a candidate if and only if it is a zero
-    position, and the probe only saves time: every random sample already
-    refutes a candidate of non-zero value, and the probe does so after
-    one playout instead of ``samples``.
+    So a probe that empties the board proves its candidate, and a probe
+    with room for every ply passes a candidate if and only if it is a zero
+    position.  A probe stopped by ``ply_cap`` can only miss a zero
+    candidate, never pass another.
 
-    Raises ``ValueError`` when ``samples < 0``, ``ply_cap < 1`` or
-    ``exhaustive_cap`` is outside ``0..2**16``.
+    Raises ``ValueError`` when ``ply_cap < 1`` or ``exhaustive_cap`` is
+    outside ``0..2**16``.
     """
 
     exhaustive_cap: int = 512
-    samples: int = 8
     ply_cap: int = 512
 
     def __post_init__(self):
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {_shown(self.samples)}")
         if self.ply_cap < 1:
             raise ValueError(f"ply_cap must be >= 1, got {_shown(self.ply_cap)}")
         if not 0 <= self.exhaustive_cap <= _MAX_EXHAUSTIVE_CAP:
@@ -394,12 +399,13 @@ def _fast_rollout(pb, opp, rng, ply_cap) -> bool:
 class MultiFrameAgent(AgentPolicy):
     """Value-preserving rollout agent for NIM.
 
-    For each candidate move it asks: starting from the candidate, do all
-    rollouts end in wins with every reply preserving value?  One rollout
-    with room for every ply answers that exactly; larger candidates on
-    larger boards are sampled (see :class:`RolloutBudget`).  The first
-    candidate (tie-break order) that qualifies is played; if none does,
-    the candidate with the best win fraction is.  Searched decisions are
+    For each candidate move it asks: starting from the candidate, does one
+    rollout against the perfect opponent, every reply preserving value,
+    empty the board on the agent's move?  A yes proves the candidate a
+    zero position (see :class:`RolloutBudget`).  The first candidate
+    (tie-break order) so proven is played.  If none is, the agent plays
+    the first candidate, which empties the first non-empty heap, as the
+    perfect opponent does without a winning move.  Searched decisions are
     cached by the current position.
 
     The agent remembers the children its search proved, which are zero
@@ -419,9 +425,8 @@ class MultiFrameAgent(AgentPolicy):
     required_frames = 2
     variants = frozenset({Variant.NIM})
 
-    def __init__(self, budget: RolloutBudget | None = None, seed: int = 0):
+    def __init__(self, budget: RolloutBudget | None = None):
         self.budget = budget or RolloutBudget()
-        self.seed = seed
         self._decisions: dict[tuple[int, ...], GameMove] = {}
         self._proven: set[tuple[int, ...]] = set()
 
@@ -454,41 +459,19 @@ class MultiFrameAgent(AgentPolicy):
         return GameMove(r, w)
 
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
+        """The first candidate whose probe empties the board, else the
+        first candidate (see :class:`RolloutBudget` for the probe's cap)."""
         exact = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
-        fallback: GameMove | None = None
-        fallback_frac = -1.0
-        for ci, (i, v) in enumerate(
-            (i, v) for i, c in enumerate(heaps) for v in range(c)
-        ):
-            child = heaps[:i] + (v,) + heaps[i + 1 :]
-            ok, frac = self._judge(child, ci, exact)
-            if ok:
-                self._proven.add(child)
-                return GameMove(i, v)
-            if frac > fallback_frac:
-                fallback, fallback_frac = GameMove(i, v), frac
-        assert fallback is not None
-        return fallback
-
-    def _judge(self, child: tuple[int, ...], ci: int, exact: bool) -> tuple[bool, float]:
-        """(whether candidate ``ci``, moving to ``child``, passes, its win
-        fraction).  One perfect-opponent rollout, the probe, comes first.
-        On an ``exact`` board, or when ``child`` holds at most ``ply_cap``
-        objects, it has room for every ply and decides the candidate
-        alone; otherwise it stops at ``ply_cap`` and, when it wins, the
-        seeded random samples follow (see :class:`RolloutBudget`)."""
-        objects = sum(child)
-        cap = objects if exact else min(objects, self.budget.ply_cap)
-        if not _fast_rollout(child, _opp_oracle, None, cap):
-            return False, 0.0
-        if cap == objects:
-            return True, 1.0
-        wins = 1  # the probe's
-        for s in range(self.budget.samples):
-            rng = random.Random(stable_mix(self.seed, len(child), *child, ci, s))
-            wins += _fast_rollout(child, _opp_random, rng, cap)
-        total = 1 + self.budget.samples
-        return wins == total, wins / total
+        total = sum(heaps)
+        for i, c in enumerate(heaps):
+            for v in range(c):
+                child = heaps[:i] + (v,) + heaps[i + 1 :]
+                objects = total - c + v
+                cap = objects if exact else min(objects, self.budget.ply_cap)
+                if _fast_rollout(child, _opp_oracle, None, cap):
+                    self._proven.add(child)
+                    return GameMove(i, v)
+        return GameMove(next(i for i, c in enumerate(heaps) if c), 0)
 
 
 class Mirror71Agent(AgentPolicy):

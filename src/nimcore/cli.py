@@ -44,14 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     play.add_argument("--second", required=True, help="agent spec for the second mover")
     play.add_argument("--seed", type=int, default=0)
     play.add_argument("--max-heap-size", type=int, default=None)
-    play.add_argument("--samples", type=int, default=8, help="random rollouts per sampled candidate")
     play.add_argument(
         "--exhaustive-cap", type=int, default=512,
         help="boards with at most this many states (product of heap+1) are decided exactly",
     )
     play.add_argument(
         "--ply-cap", type=int, default=512,
-        help="sampled rollouts stop after this many plies; "
+        help="rollouts stop after this many plies; "
         "candidates with at most this many objects are decided exactly",
     )
     play.add_argument("--record", default=None, help="write the match record as JSON")
@@ -87,15 +86,9 @@ def _cmd_play(args) -> int:
         max_size = max(255, max(start.heaps))
     rules = parse_rules(args.rules, max_size)
     start = Position(start.heaps, rules.game_id)
-    budget = RolloutBudget(
-        exhaustive_cap=args.exhaustive_cap, samples=args.samples, ply_cap=args.ply_cap
-    )
-    first = make_agent(
-        args.first, rules, heap_count=len(start.heaps), budget=budget, seed=args.seed
-    )
-    second = make_agent(
-        args.second, rules, heap_count=len(start.heaps), budget=budget, seed=args.seed + 1
-    )
+    budget = RolloutBudget(exhaustive_cap=args.exhaustive_cap, ply_cap=args.ply_cap)
+    first = make_agent(args.first, rules, heap_count=len(start.heaps), budget=budget)
+    second = make_agent(args.second, rules, heap_count=len(start.heaps), budget=budget)
     record = play_match(rules, start, first, second, seed=args.seed)
     pos = start
     print(f"start {pos.to_text()}  ({rules.game_id}, seed {args.seed})")

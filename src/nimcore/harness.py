@@ -512,7 +512,6 @@ def make_agent(
     *,
     heap_count: int | None = None,
     budget: RolloutBudget | None = None,
-    seed: int = 0,
 ) -> AgentPolicy:
     """Build an agent from its CLI name.
 
@@ -537,7 +536,7 @@ def make_agent(
     if name == "random":
         return RandomAgent(rules)
     if name == "multiframe":
-        return MultiFrameAgent(budget or RolloutBudget(), seed=seed)
+        return MultiFrameAgent(budget)
     if heap_count is None:
         raise ValueError(f"{name} needs the board's heap count")
     l = nimber.bit_width(rules.max_heap_size)
@@ -598,13 +597,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     matches: dict[tuple[int, int, int], MatchRecord] = {}
     for hc in cfg.heap_counts:
         for ai, agent_spec in enumerate(cfg.agents):
-            agent_seed = stable_mix(cfg.seed, hc, ai)
-            agent = make_agent(
-                agent_spec, cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed
-            )
-            opponent = make_agent(
-                cfg.opponent, cfg.rules, heap_count=hc, budget=cfg.budget, seed=agent_seed + 1
-            )
+            agent = make_agent(agent_spec, cfg.rules, heap_count=hc, budget=cfg.budget)
+            opponent = make_agent(cfg.opponent, cfg.rules, heap_count=hc, budget=cfg.budget)
             for gi in range(cfg.games_per_cell):
                 game_seed = stable_mix(cfg.seed, hc, ai, gi)
                 start = _draw_start(

@@ -418,6 +418,3 @@ def network_from_json(doc: dict) -> ThresholdNetwork:
 def load_network(path) -> ThresholdNetwork:
     return network_from_json(json.loads(Path(path).read_text()))
 
-
-def save_network(net: ThresholdNetwork, path) -> None:
-    Path(path).write_text(json.dumps(network_to_json(net), indent=2) + "\n")

@@ -14,6 +14,7 @@ import itertools
 import random
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,6 @@ from .agents import (
     MultiFrameAgent,
     OracleAgent,
     RandomAgent,
-    RolloutBudget,
     preserving_reply,
     stable_mix,
 )
@@ -550,7 +550,7 @@ def check_strong_mastery_exhaustive(
     """The multi-frame agent beats every opposing line from every winning
     position at this scale."""
     rules = GameRules.nim(max_size)
-    agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=(max_size + 1) ** max_heaps))
+    agent = MultiFrameAgent()
     starts = 0
     for p in _nim_positions(max_heaps, max_size):
         if nimber.nim_sum(p) == 0 or not any(p.heaps):
@@ -569,8 +569,7 @@ def check_scaled_mastery(
     seed: int = 606_060,
 ) -> tuple[bool, str]:
     rules = GameRules.nim(max_size)
-    budget = RolloutBudget(exhaustive_cap=512, samples=2, ply_cap=2 * heap_count * max_size)
-    agent = MultiFrameAgent(budget, seed=seed)
+    agent = MultiFrameAgent()
     opponents = {"random": RandomAgent(rules), "oracle": OracleAgent(rules)}
     rng = random.Random(seed)
     played = 0
@@ -669,11 +668,11 @@ def check_experiment_determinism() -> tuple[bool, str]:
         )
         rows_a = run_experiment(ExperimentConfig(**cfg, out_dir=f"{tmp}/a"))
         rows_b = run_experiment(ExperimentConfig(**cfg, out_dir=f"{tmp}/b"))
-        csv_a = (open(f"{tmp}/a/results.csv", "rb").read(), rows_to_csv(rows_a))
-        csv_b = (open(f"{tmp}/b/results.csv", "rb").read(), rows_to_csv(rows_b))
+        csv_a = (Path(f"{tmp}/a/results.csv").read_bytes(), rows_to_csv(rows_a))
+        csv_b = (Path(f"{tmp}/b/results.csv").read_bytes(), rows_to_csv(rows_b))
         if csv_a != csv_b:
             return False, "identical configs produced different CSV bytes"
-        json_a, json_b = (open(f"{tmp}/{d}/results.json", "rb").read() for d in "ab")
+        json_a, json_b = (Path(f"{tmp}/{d}/results.json").read_bytes() for d in "ab")
         if json_a != json_b:
             return False, "identical configs produced different JSON bytes"
     return True, "tournament output is byte-identical across runs"

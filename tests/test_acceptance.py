@@ -9,7 +9,7 @@ import time
 import pytest
 
 from nimcore.games import GameRules, Position
-from nimcore.harness import ExperimentConfig, RolloutBudget, rows_to_csv, run_experiment
+from nimcore.harness import ExperimentConfig, rows_to_csv, run_experiment
 from nimcore.nimber import nim_sum
 from nimcore.verify import (
     check_compiler_depth_independence,
@@ -108,7 +108,6 @@ def test_acceptance_8_determinism(tmp_path):
         opponent="oracle",
         games_per_cell=4,
         seed=2024,
-        budget=RolloutBudget(samples=2),
     )
     run_experiment(ExperimentConfig(**base, out_dir=str(tmp_path / "a")))
     run_experiment(ExperimentConfig(**base, out_dir=str(tmp_path / "b")))
@@ -139,7 +138,6 @@ def test_acceptance_9_demonstration(tmp_path):
             opponent=opponent,
             games_per_cell=20,
             seed=424_242,
-            budget=RolloutBudget(samples=2),
             out_dir=str(tmp_path / opponent),
         )
         tables[opponent] = run_experiment(cfg)

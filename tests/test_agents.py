@@ -196,7 +196,7 @@ def test_rollout_outcomes_follow_the_start_value(heaps, oracle, seed, ply_cap):
 @pytest.mark.parametrize(
     "field",
     [
-        dict(samples=-1),
+        dict(ply_cap=-(10**5000)),  # past str()'s digit limit, and still named
         dict(ply_cap=0),
         dict(ply_cap=-5),
         dict(exhaustive_cap=-1),
@@ -209,7 +209,7 @@ def test_bad_budget_rejected(field):
 
 
 def test_smallest_budget_accepted():
-    assert RolloutBudget(exhaustive_cap=0, samples=0, ply_cap=1).ply_cap == 1
+    assert RolloutBudget(exhaustive_cap=0, ply_cap=1).ply_cap == 1
 
 
 @pytest.mark.parametrize(
@@ -234,15 +234,30 @@ def test_exact_regime_plays_the_oracle_move(data):
     assume(any(heaps))
     budget = RolloutBudget(
         exhaustive_cap=data.draw(st.sampled_from((0, 1, 64, 2**16))),
-        samples=data.draw(st.integers(0, 3)),
         ply_cap=data.draw(st.integers(1, 50)),
     )
     within_cap = functools.reduce(operator.mul, (c + 1 for c in heaps)) <= budget.exhaustive_cap
     # every child holds at most sum(heaps) - 1 objects
     assume(within_cap or sum(heaps) - 1 <= budget.ply_cap)
-    agent = MultiFrameAgent(budget, data.draw(st.integers(0, 2**32)))
+    agent = MultiFrameAgent(budget)
     # the lowest winning move, else the first non-empty heap emptied
     assert agent.choose(hist(heaps), RNG()) == OracleAgent(NIM).choose(hist(heaps), RNG())
+
+
+def test_plays_the_oracle_move_on_every_small_board():
+    """Differential against the perfect player on every non-terminal board
+    of 1-4 heaps of 0..7: under the default budget every child has room
+    for every ply, so the search finds the lowest winning move, and
+    without one it empties the first non-empty heap."""
+    agent = MultiFrameAgent()
+    oracle = OracleAgent(NIM)
+    boards = 0
+    for n in range(1, 5):
+        for heaps in itertools.product(range(8), repeat=n):
+            if any(heaps):
+                assert agent.choose(hist(heaps), RNG()) == oracle.choose(hist(heaps), RNG()), heaps
+                boards += 1
+    assert boards == 4676
 
 
 class TestMultiFrameAgent:
@@ -251,23 +266,17 @@ class TestMultiFrameAgent:
         move = agent.choose(hist((3, 5, 7)), RNG())
         assert move in {GameMove(0, 2), GameMove(1, 4), GameMove(2, 6)}
 
-    def test_sampled_picks_zeroing_move(self):
-        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=2), seed=4)
-        move = agent.choose(hist((3, 5, 7)), RNG())
-        child = apply_move(Position((3, 5, 7)), move, NIM)
-        assert nim_sum(child) == 0
-
     @pytest.mark.parametrize(
         "heaps, move",
         [
-            # the lowest winning move, 0:1, passes the probe but not every
-            # sample, so the next winning move is played
-            ((2, 2, 3), GameMove(1, 1)),
-            ((2, 6, 7), GameMove(1, 5)),
+            # the probe of the lowest winning move, 0:1, is cut at 4 plies
+            # but empties the board within them, which proves the move
+            ((2, 2, 3), GameMove(0, 1)),
+            ((2, 6, 7), GameMove(0, 1)),
         ],
     )
-    def test_samples_can_refute_a_probed_candidate(self, heaps, move):
-        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=0, samples=3, ply_cap=4), seed=0)
+    def test_plays_a_candidate_its_cut_probe_proves(self, heaps, move):
+        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=0, ply_cap=4))
         assert agent.choose(hist(heaps), RNG()) == move
 
     def test_losing_position_falls_back(self):
@@ -282,12 +291,6 @@ class TestMultiFrameAgent:
     def test_terminal_rejected(self):
         with pytest.raises(IllegalMoveError):
             MultiFrameAgent().choose(hist((0,)), RNG())
-
-    def test_deterministic_across_instances(self):
-        h = hist((9, 11, 6, 2))
-        a = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
-        b = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
-        assert a.choose(h, RNG()) == b.choose(h, RNG())
 
 
 def _spy_on_search(agent):
@@ -304,11 +307,11 @@ def _spied_choose(agent, *frames):
     return agent.choose(hist(*frames), RNG()), bool(searches)
 
 
-def _proving(budget, a, seed=0):
+def _proving(budget, a):
     """An agent that has searched a parent of the zero position ``a``:
     raising heap 0 makes ``a`` the parent's lowest winning move, which the
     search proves unless its rollouts are cut short."""
-    agent = MultiFrameAgent(budget, seed)
+    agent = MultiFrameAgent(budget)
     agent.choose(hist((a[0] + 1,) + a[1:]), RNG())
     return agent
 
@@ -323,17 +326,15 @@ def test_restore_reply_is_the_searched_move(data):
     b = a[:i] + (data.draw(st.integers(0, a[i] - 1)),) + a[i + 1 :]
     budget = RolloutBudget(
         exhaustive_cap=data.draw(st.sampled_from((0, 1, 64, 2**16))),
-        samples=data.draw(st.integers(0, 3)),
         ply_cap=data.draw(st.integers(1, 2 * sum(a) + 2)),
     )
-    seed = data.draw(st.integers(0, 2**32))
-    agent = _proving(budget, a, seed)
+    agent = _proving(budget, a)
     proven = a in agent._proven
     # a zero child under the cap always passes the search; over it only
     # the exact rollout, which has room for every ply, proves it
     assert proven or sum(a) >= budget.ply_cap
     move, searched = _spied_choose(agent, a, b)
-    assert move == MultiFrameAgent(budget, seed)._decide(b)
+    assert move == MultiFrameAgent(budget)._decide(b)
     assert searched == (not proven or sum(a) >= budget.ply_cap)
 
 
@@ -373,7 +374,7 @@ class TestRestoreReply:
     def test_fires_in_a_seeded_game(self):
         from nimcore.harness import play_match
 
-        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1, samples=3), seed=7)
+        agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1))
         searches = _spy_on_search(agent)
         record = play_match(NIM, Position((9, 11, 6, 2)), agent, OracleAgent(NIM), seed=3)
         assert record.winner == "first"
@@ -391,6 +392,12 @@ class TestSingleFrameAgent:
         circuit = b.build([one] * (2 << 3))
         agent = SingleFrameCircuitAgent(circuit, 2, 3)
         assert agent.choose(hist((5, 3)), RNG()) == GameMove(0, 0)
+
+    def test_heuristic_agents_share_the_scorer_not_the_moves(self):
+        a, b = SingleFrameCircuitAgent.heuristic(3, 3), SingleFrameCircuitAgent.heuristic(3, 3)
+        assert a.circuit is b.circuit
+        a.choose(hist((1, 2, 3)), RNG())
+        assert a._decisions and not b._decisions
 
     def test_heuristic_on_single_move(self):
         agent = SingleFrameCircuitAgent.heuristic(1, 3)

@@ -87,7 +87,7 @@ class TestPlay:
         [
             ["--max-heap-size", "0"],
             ["--ply-cap", "0", "--exhaustive-cap", "0"],
-            ["--samples", "-1"],
+            ["--exhaustive-cap", "-1"],
             # once a RecursionError in the multi-frame agent's sweep
             ["--exhaustive-cap", str(2**4000)],
             ["--exhaustive-cap", str(2**16 + 1)],
@@ -158,7 +158,7 @@ class TestTournament:
         [
             (dict(heap_counts=3), "heap_counts"),
             (dict(heap_counts=[3, True]), "heap_counts"),
-            (dict(budget={"samples": [2]}), "samples"),
+            (dict(budget={"exhaustive_cap": [2]}), "exhaustive_cap"),
             (dict(budget={"ply_cap": 2.5}), "ply_cap"),
             (dict(rules=5), "rules"),
             (dict(opponent=7), "opponent"),

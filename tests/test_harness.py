@@ -627,8 +627,9 @@ class TestExperiment:
             (dict(seed=None), "seed"),
             (dict(sede=3), "sede"),
             (dict(budget={"sampels": 0}), "sampels"),
-            (dict(budget={"samples": 2, "oracle_probe": True}), "oracle_probe"),
+            (dict(budget={"ply_cap": 2, "oracle_probe": True}), "oracle_probe"),
             (dict(budget=[8]), "budget"),
+            (dict(budget={"samples": 8}), "samples"),
         ],
     )
     def test_malformed_json_config_names_the_key(self, edit, key):
