@@ -73,7 +73,6 @@ from .nimber import (
     nimber_diff,
     winning_moves,
 )
-from .verify import verify_suite
 
 __version__ = "0.1.0"
 
@@ -128,7 +127,6 @@ __all__ = [
     "run_experiment",
     "threshold_at_least",
     "validate_ac0",
-    "verify_suite",
     "win_loss_oracle",
     "winning_moves",
     "xor_word",

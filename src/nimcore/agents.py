@@ -41,25 +41,8 @@ from .games import (
 )
 from .nimber import winning_moves
 
-_MASK64 = (1 << 64) - 1
 _MAX_EXHAUSTIVE_CAP = 1 << 16  # the accepted range of RolloutBudget.exhaustive_cap is 0..this
 _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
-
-
-def stable_mix(*parts: int) -> int:
-    """Deterministic 64-bit hash of an int sequence (splitmix64 folding).
-
-    Used to derive independent RNG seeds; stable across runs and
-    platforms, unlike built-in hashing.
-    """
-    acc = 0x9E3779B97F4A7C15
-    for p in parts:
-        acc = (acc ^ (p & _MASK64)) & _MASK64
-        acc = (acc + 0x9E3779B97F4A7C15) & _MASK64
-        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _MASK64
-        acc = acc ^ (acc >> 31)
-    return acc
 
 
 @dataclass(frozen=True)

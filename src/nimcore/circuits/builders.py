@@ -3,6 +3,12 @@
 All constructions keep depth independent of the heap count: fan-in grows
 with the position size, never the number of gate levels.  The XOR-heavy
 pieces expand into AND/OR/NOT because the gate basis has no XOR.
+
+The builder functions take no cap or budget: each builds within the fixed
+``DEFAULT_GATE_BUDGET`` and raises ``GateBudgetError`` past it, and
+``threshold_at_least`` also keeps to the fixed ``DEFAULT_T_CAP``.  Only
+``CircuitBuilder`` itself (and so ``models.compile_to_ac0``) takes a
+budget.
 """
 
 from __future__ import annotations
@@ -115,24 +121,21 @@ class CircuitBuilder:
         return Circuit(self._gates, outputs, self._input_count)
 
 
-def threshold_at_least(
-    n: int,
-    t: int,
-    *,
-    t_cap: int = DEFAULT_T_CAP,
-    gate_budget: int = DEFAULT_GATE_BUDGET,
-) -> Circuit:
+def threshold_at_least(n: int, t: int) -> Circuit:
     """Output 1 iff at least ``t`` of ``n`` inputs are 1.
 
     Realized as an OR over every size-``t`` AND, so size is C(n, t) + 1
-    and depth is 2.  ``t`` must stay below the constant cap: the gate
-    count is polynomial only because the threshold is a constant.
+    and depth is 2.  ``t`` must not exceed the fixed cap ``DEFAULT_T_CAP``
+    (else ``ThresholdCapError``): the gate count is polynomial only
+    because the threshold is a constant.  A construction above the fixed
+    ``DEFAULT_GATE_BUDGET`` raises ``GateBudgetError`` before any AND is
+    built.
     """
     if n < 0 or not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
-    if t > t_cap:
-        raise ThresholdCapError(f"threshold {t} is above the constant cap {t_cap}")
-    b = CircuitBuilder(gate_budget)
+    if t > DEFAULT_T_CAP:
+        raise ThresholdCapError(f"threshold {t} is above the constant cap {DEFAULT_T_CAP}")
+    b = CircuitBuilder()
     ins = b.inputs(n)
     if t == 0:
         return b.build([b.const(1)])
@@ -141,11 +144,12 @@ def threshold_at_least(
     return b.build([b.or_(terms)])
 
 
-def xor_word(l: int, *, gate_budget: int = DEFAULT_GATE_BUDGET) -> Circuit:
-    """Bitwise XOR of two ``l``-bit words (2l inputs, l outputs, depth 3)."""
+def xor_word(l: int) -> Circuit:
+    """Bitwise XOR of two ``l``-bit words (2l inputs, l outputs, depth 3),
+    built within the fixed gate budget."""
     if l < 1:
         raise ValueError("word width must be >= 1")
-    b = CircuitBuilder(gate_budget)
+    b = CircuitBuilder()
     a = b.inputs(l)
     c = b.inputs(l)
     return b.build([b.xor2(a[j], c[j]) for j in range(l)])
@@ -160,11 +164,10 @@ def _heap_diff_wires(b: CircuitBuilder, pa, pb, n: int, l: int):
     return dbits, diff
 
 
-def build_diff_mask_circuit(
-    n: int, l: int, *, gate_budget: int = DEFAULT_GATE_BUDGET
-) -> Circuit:
-    """n outputs over two encoded positions; output i is 1 iff heap i changed."""
-    b = CircuitBuilder(gate_budget)
+def build_diff_mask_circuit(n: int, l: int) -> Circuit:
+    """n outputs over two encoded positions; output i is 1 iff heap i
+    changed.  Built within the fixed gate budget."""
+    b = CircuitBuilder()
     pa = b.inputs(n * l)
     pb = b.inputs(n * l)
     _, diff = _heap_diff_wires(b, pa, pb, n, l)
@@ -184,13 +187,7 @@ def _parity_sop(b: CircuitBuilder, wires: Sequence[int], want_odd: bool = True) 
     return b.or_(terms) if len(terms) > 1 else terms[0]
 
 
-def build_nimber_diff_circuit(
-    n: int,
-    l: int,
-    k_max: int = 2,
-    *,
-    gate_budget: int = DEFAULT_GATE_BUDGET,
-) -> Circuit:
+def build_nimber_diff_circuit(n: int, l: int, k_max: int = 2) -> Circuit:
     """Local nimber difference of two positions that differ in <= k_max heaps.
 
     Inputs: two encoded positions (2*n*l bits).  Outputs: the l bits of
@@ -201,11 +198,12 @@ def build_nimber_diff_circuit(
     term fires when the changed-heap mask matches the subset exactly and
     the XOR fold of its per-heap difference bits (a constant-size formula,
     the subset has at most k_max members) is 1.  Depth is therefore a
-    constant; the subset enumeration costs O(n^k_max) gates.
+    constant; the subset enumeration costs O(n^k_max) gates, within the
+    fixed gate budget.
     """
     if n < 1 or l < 1 or k_max < 0:
         raise ValueError("need n >= 1, l >= 1, k_max >= 0")
-    b = CircuitBuilder(gate_budget)
+    b = CircuitBuilder()
     pa = b.inputs(n * l)
     pb = b.inputs(n * l)
     dbits, diff = _heap_diff_wires(b, pa, pb, n, l)
@@ -249,12 +247,7 @@ def build_nimber_diff_circuit(
     return b.build(value_outs + [valid])
 
 
-def build_move_validator_circuit(
-    enc: PositionEncoding,
-    k_max: int = 2,
-    *,
-    gate_budget: int = DEFAULT_GATE_BUDGET,
-) -> Circuit:
+def build_move_validator_circuit(enc: PositionEncoding, k_max: int = 2) -> Circuit:
     """Score every candidate move of the current position by value preservation.
 
     Takes three encoded frames (previous own position P1, position after
@@ -270,17 +263,18 @@ def build_move_validator_circuit(
     modification words are table lookups); per-bit parity-match against
     the detected difference; a final AND per candidate.  The (P1, Q1)
     validity bit is folded into every score so an out-of-contract history
-    endorses nothing.
+    endorses nothing.  The whole construction, the inlined nimber
+    difference included, is built within the fixed gate budget.
     """
     if enc.frames != 3:
         raise EncodingError("move validation needs exactly 3 frames")
     n, l = enc.n, enc.l
-    b = CircuitBuilder(gate_budget)
+    b = CircuitBuilder()
     ins = b.inputs(enc.total_bits)
     fb = enc.frame_bits
     p1, q1, cur = ins[:fb], ins[fb : 2 * fb], ins[2 * fb :]
 
-    sub = build_nimber_diff_circuit(n, l, k_max, gate_budget=gate_budget)
+    sub = build_nimber_diff_circuit(n, l, k_max)
     sub_out = b.inline(sub, p1 + q1)
     ndiff, valid = sub_out[:l], sub_out[l]
     ndiff_not = [b.not_(w) for w in ndiff]
@@ -307,17 +301,16 @@ def build_move_validator_circuit(
     return b.build(outs)
 
 
-def build_even_nonempty_scorer(
-    n: int, l: int, *, gate_budget: int = DEFAULT_GATE_BUDGET
-) -> Circuit:
+def build_even_nonempty_scorer(n: int, l: int) -> Circuit:
     """Single-frame heuristic scorer: prefer moves leaving an even number
     of non-empty heaps.
 
     Takes one encoded frame and emits one bit per candidate slot (heap h
     to value v, heap-major).  Deliberately crude: it is the history-free
-    baseline, correct only on boards of single-object heaps.
+    baseline, correct only on boards of single-object heaps.  Built
+    within the fixed gate budget.
     """
-    b = CircuitBuilder(gate_budget)
+    b = CircuitBuilder()
     ins = b.inputs(n * l)
     nonempty = [b.or_(ins[i * l : (i + 1) * l]) for i in range(n)]
     outs = []

@@ -49,28 +49,6 @@ class CircuitMetrics:
     fan_in_max: int
 
 
-class _Program:
-    """Flattened gate list: integer opcodes, operand tuples (an INPUT's
-    operand is its input slot) and output gate ids."""
-
-    __slots__ = ("ops", "args", "out_ids")
-
-    def __init__(self, circuit: "Circuit"):
-        ops: list[int] = []
-        args: list[tuple[int, ...]] = []
-        slot = 0
-        for g in circuit.gates:
-            ops.append(_OPCODES[g.kind])
-            if g.kind == INPUT:
-                args.append((slot,))
-                slot += 1
-            else:
-                args.append(g.args)
-        self.ops = ops
-        self.args = args
-        self.out_ids = list(circuit.outputs)
-
-
 def _eval_single(ops, args, bits, values, start, stop):
     """Evaluate gates ``start`` to ``stop - 1`` on one input vector,
     writing into ``values``; earlier gates must already be there."""
@@ -138,11 +116,15 @@ class Circuit:
     gate.
     """
 
-    __slots__ = ("gates", "outputs", "input_arity", "_program")
+    __slots__ = ("gates", "outputs", "input_arity", "_ops", "_args")
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int], input_arity: int):
         gates = tuple(gates)
         outputs = tuple(outputs)
+        # the gate list flattened for the evaluators: integer opcodes and
+        # operand tuples, where an INPUT's operand is its input slot
+        ops: list[int] = []
+        args: list[tuple[int, ...]] = []
         n_inputs = 0
         for idx, g in enumerate(gates):
             if g.kind not in _OPCODES:
@@ -163,6 +145,8 @@ class Circuit:
                     raise CircuitFormatError(
                         f"gate g{idx} references g{a}, which is not an earlier gate"
                     )
+            ops.append(_OPCODES[g.kind])
+            args.append((n_inputs - 1,) if g.kind == INPUT else g.args)
         if n_inputs != input_arity:
             raise CircuitFormatError(
                 f"circuit declares {input_arity} inputs but has {n_inputs} INPUT gates"
@@ -175,12 +159,8 @@ class Circuit:
         self.gates = gates
         self.outputs = outputs
         self.input_arity = input_arity
-        self._program = None
-
-    def _ensure_program(self) -> _Program:
-        if self._program is None:
-            self._program = _Program(self)
-        return self._program
+        self._ops = ops
+        self._args = args
 
     def _check_bits(self, bits: Sequence[int]) -> None:
         if len(bits) != self.input_arity:
@@ -213,11 +193,10 @@ class Circuit:
         """Run one input vector through the circuit; any nonzero bit reads
         as 1.  Returns every output, in order."""
         self._check_bits(bits)
-        prog = self._ensure_program()
-        n = len(prog.ops)
+        n = len(self._ops)
         values = [0] * n
-        _eval_single(prog.ops, prog.args, bits, values, 0, n)
-        return tuple(values[o] for o in prog.out_ids)
+        _eval_single(self._ops, self._args, bits, values, 0, n)
+        return tuple(values[o] for o in self.outputs)
 
     def first_set(self, bits: Sequence[int], outputs: Sequence[int]) -> int | None:
         """The first index in ``outputs`` whose output is 1 on ``bits``,
@@ -235,8 +214,7 @@ class Circuit:
             raise EncodingError(
                 f"output index {bad} out of range for {len(self.outputs)} outputs"
             )
-        prog = self._ensure_program()
-        ops, args, out_ids = prog.ops, prog.args, prog.out_ids
+        ops, args, out_ids = self._ops, self._args, self.outputs
         values = [0] * len(ops)
         done = 0
         for k in outputs:
@@ -261,8 +239,7 @@ class Circuit:
                 f"batch must have shape (rows, {self.input_arity}), got {arr.shape}"
             )
         bits = np.not_equal(arr, 0).view(np.uint8)
-        prog = self._ensure_program()
-        return _eval_batch(prog.ops, prog.args, prog.out_ids, bits)
+        return _eval_batch(self._ops, self._args, self.outputs, bits)
 
 
 @dataclass

@@ -70,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--against", required=True, choices=["nimber-diff"])
     vc.add_argument("--n", type=int, required=True, help="heaps per position")
     vc.add_argument("--l", type=int, required=True, help="bits per heap")
-    vc.add_argument("--k", type=int, default=2, help="changed-heap bound")
-    vc.add_argument("--samples", type=int, default=1000)
+    vc.add_argument("--k", type=int, default=2, help="changed-heap bound, 0..n")
+    vc.add_argument("--samples", type=int, default=1000, help="position pairs to draw, >= 1")
     vc.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="run the cross-module invariant suite")
@@ -136,8 +136,12 @@ def _cmd_compile_model(args) -> int:
 
 
 def _cmd_verify_circuit(args) -> int:
-    circuit = load_circuit(args.circuit)
     n, l, k = args.n, args.l, args.k
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not 0 <= k <= n:
+        raise ValueError(f"--k must be in 0..{n} (0..--n), got {k}")
+    circuit = load_circuit(args.circuit)
     enc2 = PositionEncoding(n, l, frames=2)
     if circuit.input_arity != enc2.total_bits or len(circuit.outputs) != l + 1:
         print(

@@ -28,7 +28,6 @@ from .agents import (
     RolloutBudget,
     ScriptAgent,
     SingleFrameCircuitAgent,
-    stable_mix,
 )
 from .circuits.ir import load_circuit
 from .errors import (
@@ -52,6 +51,7 @@ from .games import (
 )
 
 RNG_ALGORITHM = "mersenne-twister (CPython random.Random)"
+_MASK64 = (1 << 64) - 1
 
 _AGENT_FAILURES = (
     IllegalMoveError,
@@ -60,6 +60,22 @@ _AGENT_FAILURES = (
     ContractViolationError,
     InvalidPositionError,
 )
+
+
+def stable_mix(*parts: int) -> int:
+    """Deterministic 64-bit hash of an int sequence (splitmix64 folding).
+
+    Used to derive independent RNG seeds; stable across runs and
+    platforms, unlike built-in hashing.
+    """
+    acc = 0x9E3779B97F4A7C15
+    for p in parts:
+        acc = (acc ^ (p & _MASK64)) & _MASK64
+        acc = (acc + 0x9E3779B97F4A7C15) & _MASK64
+        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _MASK64
+        acc = acc ^ (acc >> 31)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -374,8 +390,11 @@ class ExperimentConfig:
             if hc in seen:
                 raise ValueError(f"heap count {hc} is listed more than once")
             seen.add(hc)
-        for spec in [*self.agents, self.opponent]:
-            _check_agent_spec(spec, self.rules)
+        # build every agent of every cell and drop it: a spec that cannot
+        # play some cell is refused here, not halfway through the sweep
+        for hc in self.heap_counts:
+            for spec in [*self.agents, self.opponent]:
+                make_agent(spec, self.rules, heap_count=hc, budget=self.budget)
         if not 1 <= self.max_heap_size <= self.rules.max_heap_size:
             raise ValueError(
                 f"max_heap_size must be in 1..{self.rules.max_heap_size}, "
@@ -456,14 +475,23 @@ def _check_keys(doc, where: str, schema, required=()) -> None:
 
 
 def parse_rules(text: str, max_heap_size: int = 255) -> GameRules:
-    """Parse a rules spec: ``nim``, ``kayles`` or ``subtraction:1,2``."""
+    """Parse a rules spec: ``nim``, ``kayles`` or ``subtraction:1,2``.
+
+    Raises ``ValueError`` naming the spec when it is unknown or a
+    subtraction removal is not an integer.
+    """
     text = text.strip().lower()
     if text == "nim":
         return GameRules.nim(max_heap_size)
     if text == "kayles":
         return GameRules.kayles(max_heap_size)
     if text.startswith("subtraction:"):
-        removals = [int(x) for x in text.split(":", 1)[1].split(",") if x]
+        try:
+            removals = [int(x) for x in text.split(":", 1)[1].split(",") if x]
+        except ValueError:
+            raise ValueError(
+                f"malformed rules spec {text!r}: removals must be integers"
+            ) from None
         return GameRules.subtraction(removals, max_heap_size)
     raise ValueError(f"unknown rules spec {text!r}")
 
@@ -479,31 +507,6 @@ _AGENT_SPECS: dict[str, tuple[type[AgentPolicy], bool]] = {
     "mirror72": (Mirror72Agent, True),
     "script": (ScriptAgent, True),
 }
-
-
-def _check_agent_spec(spec: str, rules: GameRules) -> AgentPolicy | None:
-    """Raise ``ValueError`` for an unknown agent spec, for one whose
-    policy does not play ``rules.variant`` (see ``AgentPolicy.variants``)
-    and for a malformed ``mirror71:``, ``mirror72:`` or ``script:``
-    argument.  Returns the agent such a spec names, built from its
-    argument alone, and None for every other spec."""
-    name, colon, arg = spec.partition(":")
-    entry = _AGENT_SPECS.get(name)
-    if entry is None or entry[1] != bool(colon):
-        raise ValueError(f"unknown agent spec {spec!r}")
-    if rules.variant not in entry[0].variants:
-        raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
-    try:
-        if name == "mirror71":
-            return Mirror71Agent(int(arg))
-        if name == "mirror72":
-            k, role = arg.split(":")
-            return Mirror72Agent(int(k), role)
-        if name == "script":
-            return ScriptAgent([parse_move(part) for part in arg.split(";") if part])
-    except ValueError as exc:
-        raise ValueError(f"malformed agent spec {spec!r}: {exc}") from None
-    return None
 
 
 def make_agent(
@@ -525,12 +528,30 @@ def make_agent(
     plies must be present but are not played; empty entries are dropped;
     running out of entries forfeits.
 
-    Raises ``ValueError`` as :func:`_check_agent_spec` does.
+    Raises ``ValueError`` for an unknown agent spec, for one whose policy
+    does not play ``rules.variant`` (see ``AgentPolicy.variants``), for a
+    malformed ``mirror71:``, ``mirror72:`` or ``script:`` argument, and
+    for a single-frame spec without ``heap_count``.  A ``singleframe:``
+    file that cannot be read raises ``OSError``; one that does not parse,
+    or whose circuit does not fit ``heap_count`` heaps, raises a
+    ``NimcoreError``.
     """
-    agent = _check_agent_spec(spec, rules)
-    if agent is not None:
-        return agent
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
+    entry = _AGENT_SPECS.get(name)
+    if entry is None or entry[1] != bool(colon):
+        raise ValueError(f"unknown agent spec {spec!r}")
+    if rules.variant not in entry[0].variants:
+        raise ValueError(f"agent {spec!r} does not play {rules.game_id}")
+    try:
+        if name == "mirror71":
+            return Mirror71Agent(int(arg))
+        if name == "mirror72":
+            k, role = arg.split(":")
+            return Mirror72Agent(int(k), role)
+        if name == "script":
+            return ScriptAgent([parse_move(part) for part in arg.split(";") if part])
+    except ValueError as exc:
+        raise ValueError(f"malformed agent spec {spec!r}: {exc}") from None
     if name == "oracle":
         return OracleAgent(rules)
     if name == "random":

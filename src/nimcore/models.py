@@ -313,13 +313,14 @@ class CompilationReport:
 
 
 def certify_compilation(
-    family: Callable[[int], ThresholdNetwork],
-    sweep: Sequence[int],
-    *,
-    threshold_cap: int = DEFAULT_THRESHOLD_CAP,
-    gate_budget: int = DEFAULT_GATE_BUDGET,
+    family: Callable[[int], ThresholdNetwork], sweep: Sequence[int]
 ) -> CompilationReport:
     """Compile a width-parameterized family and report depth/size behavior.
+
+    Each network is compiled by ``compile_to_ac0`` under the fixed
+    ``DEFAULT_THRESHOLD_CAP`` and ``DEFAULT_GATE_BUDGET``; a threshold above
+    the cap or a negative weight is a violation, and a construction past
+    the budget raises ``GateBudgetError``.
 
     Depth must be identical across the sweep; size must stay within
     2 * C * n**e where e is the family's largest threshold numerator and
@@ -340,7 +341,7 @@ def certify_compilation(
             exponent, max(max(th, 1) for layer in net.thresholds for th in layer)
         )
         try:
-            circuit = compile_to_ac0(net, threshold_cap=threshold_cap, gate_budget=gate_budget)
+            circuit = compile_to_ac0(net)
         except (ThresholdCapError, UnsupportedModelError) as exc:
             violations.append(f"n={n}: {exc}")
             continue

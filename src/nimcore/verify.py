@@ -27,7 +27,6 @@ from .agents import (
     OracleAgent,
     RandomAgent,
     preserving_reply,
-    stable_mix,
 )
 from .circuits.builders import (
     build_move_validator_circuit,
@@ -45,6 +44,7 @@ from .harness import (
     play_match,
     rows_to_csv,
     run_experiment,
+    stable_mix,
 )
 from .models import (
     ModelKind,
@@ -787,7 +787,3 @@ def run_checks(names: list[str] | None = None, scale: str = "desk") -> VerifyRep
         results.append(VerifyResult(name, ok, detail))
     return VerifyReport(scale, results)
 
-
-def verify_suite(scale: str = "desk") -> VerifyReport:
-    """Run every cross-module invariant at the requested scale."""
-    return run_checks(None, scale)

@@ -75,7 +75,7 @@ class TestThreshold:
 
     def test_budget_rejected(self):
         with pytest.raises(GateBudgetError):
-            threshold_at_least(40, 4, gate_budget=1000)
+            threshold_at_least(100, 4)  # C(100, 4) + 1 gates, above the fixed budget
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

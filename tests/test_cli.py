@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import nimcore
-from nimcore.circuits.builders import build_nimber_diff_circuit
+from nimcore import harness
+from nimcore.circuits.builders import build_even_nonempty_scorer, build_nimber_diff_circuit
 from nimcore.circuits.ir import Circuit, Gate, save_circuit
 from nimcore.cli import main
 from nimcore.models import ModelKind, ThresholdNetwork, network_to_json
@@ -81,6 +82,15 @@ class TestPlay:
         assert rc == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and repr(spec) in line
+
+    def test_malformed_rules_spec_is_named(self, capsys):
+        rc = main(
+            ["play", "--rules", "subtraction:1,x", "--start", "3",
+             "--first", "oracle", "--second", "oracle"]
+        )
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "'subtraction:1,x'" in line
 
     @pytest.mark.parametrize(
         "flags",
@@ -178,6 +188,39 @@ class TestTournament:
         rc = main(["tournament", "--config", str(path)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_malformed_rules_spec_is_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_CONFIG, "rules": "subtraction:2,q"}))
+        rc = main(["tournament", "--config", str(path)])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "'subtraction:2,q'" in line
+
+    @pytest.mark.parametrize("scorer", [True, False], ids=["3-heap-scorer", "missing-file"])
+    def test_singleframe_config_refused_before_any_game(
+        self, tmp_path, capsys, monkeypatch, scorer
+    ):
+        circuit = tmp_path / "scorer.ac0"
+        if scorer:
+            save_circuit(build_even_nonempty_scorer(3, 3), circuit)
+        games = []
+        play_match = harness.play_match
+
+        def counted(*args, **kwargs):
+            games.append(args)
+            return play_match(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "play_match", counted)
+        doc = {**_CONFIG, "heap_counts": [3, 4], "agents": ["oracle", f"singleframe:{circuit}"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["tournament", "--config", str(path), "--out-dir", str(tmp_path / "res")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+        assert games == []
+        assert not (tmp_path / "res" / "results.csv").exists()
 
 
 class TestCompileModel:
@@ -300,6 +343,28 @@ class TestVerifyCircuit:
         )
         assert rc == 1
         assert "mismatches over 200 sampled pairs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, option",
+        [
+            (["--samples", "0"], "--samples"),
+            (["--samples", "-3"], "--samples"),
+            (["--k", "4"], "--k"),
+            (["--k", "-1"], "--k"),
+        ],
+    )
+    def test_out_of_range_option_is_named(self, tmp_path, capsys, flags, option):
+        path = tmp_path / "nd.ac0"
+        save_circuit(build_nimber_diff_circuit(3, 2, 2), path)
+        rc = main(
+            ["verify-circuit", str(path), "--against", "nimber-diff", "--n", "3", "--l", "2"]
+            + flags
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and option in line
+        assert "PASS" not in captured.out
 
 
 class TestVerifySubcommand:

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nimcore.agents import (
@@ -430,6 +430,10 @@ class TestRules:
         with pytest.raises(ValueError):
             parse_rules("chess")
 
+    def test_malformed_removal_names_the_spec(self):
+        with pytest.raises(ValueError, match="'subtraction:1,x'"):
+            parse_rules("subtraction:1,x")
+
 
 class TestExperiment:
     def cfg(self, tmp_path, **overrides):
@@ -542,6 +546,33 @@ class TestExperiment:
             "start_mode": overrides.get("start_mode", "winning"),
         }
         with pytest.raises(ValueError):
+            ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("role", ["agents", "opponent"])
+    @pytest.mark.parametrize(
+        "scorer, error",
+        [(True, "circuit takes 9 bits, frame encoding has 12"), (False, "No such file")],
+        ids=["3-heap-scorer", "missing-file"],
+    )
+    def test_singleframe_config_refused_when_built(self, tmp_path, role, scorer, error):
+        # once accepted, then a crash after the 3-heap cell with no results
+        circuit = tmp_path / "scorer.ac0"
+        if scorer:
+            save_circuit(build_even_nonempty_scorer(3, 3), circuit)
+        spec = f"singleframe:{circuit}"
+        agents = ["oracle", spec] if role == "agents" else ["oracle"]
+        opponent = spec if role == "opponent" else "oracle"
+        with pytest.raises((NimcoreError, OSError), match=error):
+            self.cfg(tmp_path, heap_counts=[3, 4], agents=agents, opponent=opponent)
+        doc = {
+            "heap_counts": [3, 4],
+            "max_heap_size": 7,
+            "agents": agents,
+            "opponent": opponent,
+            "games_per_cell": 1,
+            "seed": 3,
+        }
+        with pytest.raises((NimcoreError, OSError), match=error):
             ExperimentConfig.from_json(doc)
 
     def test_repeated_heap_count_named(self, tmp_path):
@@ -663,7 +694,23 @@ class TestExperiment:
             assert match["forfeit"] or implied == match["winner"]
 
 
-_FUZZ_AGENTS = ("oracle", "random", "multiframe", "singleframe-heuristic", "mirror71:1")
+_FUZZ_AGENTS = (
+    "oracle",
+    "random",
+    "multiframe",
+    "singleframe-heuristic",
+    "mirror71:1",
+    "singleframe:{scorer}",
+)
+
+
+@pytest.fixture(scope="session")
+def scorer_3x3(tmp_path_factory):
+    """A scorer file for 3 heaps of 3 bits: it fits only configs of 3 heaps
+    whose rules bound heaps at 4..7."""
+    path = tmp_path_factory.mktemp("scorer") / "scorer-3x3.ac0"
+    save_circuit(build_even_nonempty_scorer(3, 3), path)
+    return path
 
 
 @settings(max_examples=60, deadline=5000)
@@ -677,18 +724,38 @@ _FUZZ_AGENTS = ("oracle", "random", "multiframe", "singleframe-heuristic", "mirr
     opponent=st.sampled_from(_FUZZ_AGENTS),
     games_per_cell=st.integers(0, 2),
 )
+# the scorer fits the 3-heap cell only: once accepted, then a crash at 4 heaps
+@example(
+    rules="nim",
+    rules_bound=7,
+    heap_counts=[3, 4],
+    max_heap_size=7,
+    start_mode="winning",
+    agents=["oracle", "singleframe:{scorer}"],
+    opponent="oracle",
+    games_per_cell=1,
+)
 def test_config_fuzz_ends_in_rows_or_named_error(
-    rules, rules_bound, heap_counts, max_heap_size, start_mode, agents, opponent, games_per_cell
+    scorer_3x3,
+    rules,
+    rules_bound,
+    heap_counts,
+    max_heap_size,
+    start_mode,
+    agents,
+    opponent,
+    games_per_cell,
 ):
-    # NIM-only agents are drawn under every rule set: a config that cannot
-    # run must be refused when it is built, never halfway through the sweep
+    # NIM-only agents and a scorer of one board shape are drawn under every
+    # rule set and heap count: a config that cannot run must be refused
+    # when it is built, never halfway through the sweep
     try:
         cfg = ExperimentConfig(
             rules=parse_rules(rules, rules_bound),
             heap_counts=heap_counts,
             max_heap_size=max_heap_size,
-            agents=agents,
-            opponent=opponent,
+            agents=[spec.format(scorer=scorer_3x3) for spec in agents],
+            opponent=opponent.format(scorer=scorer_3x3),
             games_per_cell=games_per_cell,
             seed=5,
             start_mode=start_mode,
