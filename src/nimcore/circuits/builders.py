@@ -99,23 +99,15 @@ class CircuitBuilder:
     def xor2(self, a: int, b: int) -> int:
         return self.or_([self.and_([a, self.not_(b)]), self.and_([self.not_(a), b])])
 
-    def inline(self, circuit: Circuit, wires: Sequence[int]) -> list[int]:
-        """Copy ``circuit`` into this builder, wiring its inputs to ``wires``."""
-        if len(wires) != circuit.input_arity:
-            raise EncodingError(
-                f"subcircuit takes {circuit.input_arity} inputs, got {len(wires)}"
-            )
-        mapping: list[int] = []
-        slot = 0
-        for g in circuit.gates:
-            if g.kind == INPUT:
-                mapping.append(wires[slot])
-                slot += 1
-            elif g.kind in (CONST0, CONST1):
-                mapping.append(self.const(1 if g.kind == CONST1 else 0))
-            else:
-                mapping.append(self._add(g.kind, tuple(mapping[a] for a in g.args)))
-        return [mapping[o] for o in circuit.outputs]
+    def at_least(self, wires: Sequence[int], t: int) -> int:
+        """1 iff at least ``t`` of ``wires`` are 1: an OR over every size-``t``
+        AND, so C(len(wires), t) + 1 gates of depth 2, reserved up front."""
+        if t <= 0:
+            return self.const(1)
+        if t > len(wires):
+            return self.const(0)
+        self.reserve(comb(len(wires), t) + 1)
+        return self.or_([self.and_(combo) for combo in itertools.combinations(wires, t)])
 
     def build(self, outputs: Sequence[int]) -> Circuit:
         return Circuit(self._gates, outputs, self._input_count)
@@ -136,12 +128,7 @@ def threshold_at_least(n: int, t: int) -> Circuit:
     if t > DEFAULT_T_CAP:
         raise ThresholdCapError(f"threshold {t} is above the constant cap {DEFAULT_T_CAP}")
     b = CircuitBuilder()
-    ins = b.inputs(n)
-    if t == 0:
-        return b.build([b.const(1)])
-    b.reserve(comb(n, t) + 1)
-    terms = [b.and_(combo) for combo in itertools.combinations(ins, t)]
-    return b.build([b.or_(terms)])
+    return b.build([b.at_least(b.inputs(n), t)])
 
 
 def xor_word(l: int) -> Circuit:
@@ -206,6 +193,14 @@ def build_nimber_diff_circuit(n: int, l: int, k_max: int = 2) -> Circuit:
     b = CircuitBuilder()
     pa = b.inputs(n * l)
     pb = b.inputs(n * l)
+    return b.build(_nimber_diff_wires(b, pa, pb, n, l, k_max))
+
+
+def _nimber_diff_wires(
+    b: CircuitBuilder, pa: Sequence[int], pb: Sequence[int], n: int, l: int, k_max: int
+) -> list[int]:
+    """The l value wires, then the validity wire, of the nimber difference
+    of frames ``pa`` and ``pb`` (see ``build_nimber_diff_circuit``)."""
     dbits, diff = _heap_diff_wires(b, pa, pb, n, l)
     same = [b.not_(w) for w in diff]
 
@@ -244,7 +239,7 @@ def build_nimber_diff_circuit(n: int, l: int, k_max: int = 2) -> Circuit:
                 b.and_([diff[i] for i in subset] + [b.or_(outside)])
             )
         valid = b.not_(b.or_(over_terms))
-    return b.build(value_outs + [valid])
+    return value_outs + [valid]
 
 
 def build_move_validator_circuit(enc: PositionEncoding, k_max: int = 2) -> Circuit:
@@ -263,8 +258,8 @@ def build_move_validator_circuit(enc: PositionEncoding, k_max: int = 2) -> Circu
     modification words are table lookups); per-bit parity-match against
     the detected difference; a final AND per candidate.  The (P1, Q1)
     validity bit is folded into every score so an out-of-contract history
-    endorses nothing.  The whole construction, the inlined nimber
-    difference included, is built within the fixed gate budget.
+    endorses nothing.  The nimber difference is built in the validator's
+    own builder, and the whole construction within the fixed gate budget.
     """
     if enc.frames != 3:
         raise EncodingError("move validation needs exactly 3 frames")
@@ -274,9 +269,7 @@ def build_move_validator_circuit(enc: PositionEncoding, k_max: int = 2) -> Circu
     fb = enc.frame_bits
     p1, q1, cur = ins[:fb], ins[fb : 2 * fb], ins[2 * fb :]
 
-    sub = build_nimber_diff_circuit(n, l, k_max)
-    sub_out = b.inline(sub, p1 + q1)
-    ndiff, valid = sub_out[:l], sub_out[l]
+    *ndiff, valid = _nimber_diff_wires(b, p1, q1, n, l, k_max)
     ndiff_not = [b.not_(w) for w in ndiff]
 
     outs = []

@@ -534,7 +534,8 @@ def make_agent(
     for a single-frame spec without ``heap_count``.  A ``singleframe:``
     file that cannot be read raises ``OSError``; one that does not parse,
     or whose circuit does not fit ``heap_count`` heaps, raises a
-    ``NimcoreError``.
+    ``NimcoreError`` of the same type that names the spec and the heap
+    count.
     """
     name, colon, arg = spec.partition(":")
     entry = _AGENT_SPECS.get(name)
@@ -563,7 +564,10 @@ def make_agent(
     l = nimber.bit_width(rules.max_heap_size)
     if name == "singleframe-heuristic":
         return SingleFrameCircuitAgent.heuristic(heap_count, l)
-    return SingleFrameCircuitAgent(load_circuit(arg), heap_count, l)
+    try:
+        return SingleFrameCircuitAgent(load_circuit(arg), heap_count, l)
+    except NimcoreError as exc:
+        raise type(exc)(f"agent {spec!r} for {heap_count} heaps: {exc}") from None
 
 
 @dataclass(frozen=True)

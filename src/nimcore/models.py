@@ -21,7 +21,6 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -221,9 +220,9 @@ def _check_compilable(net: ThresholdNetwork, threshold_cap: int) -> None:
 
 
 def _lower_unit(b: CircuitBuilder, sources: list[int], threshold: int) -> int:
-    """One unit: fire iff at least ``threshold`` of the expanded inputs are 1."""
-    if threshold <= 0:
-        return b.const(1)
+    """One unit: fire iff at least ``threshold`` of the expanded inputs are 1.
+
+    Constant sources are folded away: a constant 1 lowers the threshold."""
     live: list[int] = []
     ones = 0
     for w in sources:
@@ -232,14 +231,7 @@ def _lower_unit(b: CircuitBuilder, sources: list[int], threshold: int) -> int:
             live.append(w)
         elif c == 1:
             ones += 1
-    t_eff = threshold - ones
-    if t_eff <= 0:
-        return b.const(1)
-    if t_eff > len(live):
-        return b.const(0)
-    b.reserve(comb(len(live), t_eff) + 1)
-    terms = [b.and_(combo) for combo in itertools.combinations(live, t_eff)]
-    return b.or_(terms)
+    return b.at_least(live, threshold - ones)
 
 
 def compile_to_ac0(

@@ -411,7 +411,7 @@ def check_compiler_differential(
     while built < models:
         net = _random_network(rng)
         try:
-            circuit = compile_to_ac0(net, threshold_cap=4, gate_budget=200_000)
+            circuit = compile_to_ac0(net)
         except GateBudgetError:
             continue  # over-budget draws are resampled, the space is bounded
         steps = net.steps if net.kind is not ModelKind.NN else 1

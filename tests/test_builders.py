@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from nimcore import verify
 from nimcore.circuits.builders import (
     build_diff_mask_circuit,
     build_even_nonempty_scorer,
@@ -13,7 +15,9 @@ from nimcore.circuits.builders import (
     xor_word,
 )
 from nimcore.circuits.encoding import PositionEncoding, decode_value, encode_value
+from nimcore.circuits.ir import serialize
 from nimcore.errors import EncodingError, GateBudgetError, ThresholdCapError
+from nimcore.models import compile_to_ac0
 
 from oracles import popcount_at_least, xor_fold
 
@@ -233,3 +237,22 @@ class TestEvenNonemptyScorer:
                         1 for i, x in enumerate(heaps) if (v if i == h else x) > 0
                     )
                     assert out[enc.candidate_slot(h, v)] == (resulting + 1) % 2
+
+
+def test_serialized_circuits_are_pinned():
+    # gate lists fix first_set costs and the gate counts the benchmark reports,
+    # so a rewrite of a builder or the compiler must emit the same gates in order
+    h = hashlib.sha256()
+    for n in range(9):
+        for t in range(min(n, 4) + 1):
+            h.update(serialize(threshold_at_least(n, t)).encode())
+    for n, l, k in itertools.product(range(1, 6), range(1, 4), range(4)):
+        h.update(serialize(build_nimber_diff_circuit(n, l, k)).encode())
+    for n, l, k in itertools.product(range(1, 5), range(1, 4), range(3)):
+        enc = PositionEncoding(n, l, 3)
+        h.update(serialize(build_move_validator_circuit(enc, k)).encode())
+    rng = random.Random(5)
+    for _ in range(20):
+        circuit = compile_to_ac0(verify._random_network(rng))
+        h.update(serialize(circuit).encode())
+    assert h.hexdigest() == "763a237c5dab3fef0f127d681f3732825307dd95fba9cecb25d29287b0e57c8d"

@@ -257,6 +257,26 @@ class TestCompileModel:
 
 
     @pytest.mark.parametrize(
+        "threshold, flags, message",
+        [
+            (3, ["--threshold-cap", "2"], "layer 1 unit 0 threshold 3 exceeds the cap 2"),
+            (2, ["--gate-budget", "8"], "exceeds the budget of 8"),
+        ],
+        ids=["threshold-cap", "gate-budget"],
+    )
+    def test_compile_settings_refuse(self, tmp_path, capsys, threshold, flags, message):
+        # C(4, 2) + 1 = 7 gates after the 4 inputs do not fit a budget of 8
+        net = ThresholdNetwork(ModelKind.NN, (4, 1), 1, 3, (((1,),) * 4,), ((threshold,),))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(network_to_json(net)))
+        out = tmp_path / "x.ac0"
+        rc = main(["compile-model", str(model), "-o", str(out), *flags])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit, key",
         [
             (dict(q0=[1]), "q0"),

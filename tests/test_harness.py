@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -551,15 +552,20 @@ class TestExperiment:
     @pytest.mark.parametrize("role", ["agents", "opponent"])
     @pytest.mark.parametrize(
         "scorer, error",
-        [(True, "circuit takes 9 bits, frame encoding has 12"), (False, "No such file")],
+        [
+            (True, "agent '{spec}' for 4 heaps: circuit takes 9 bits, frame encoding has 12"),
+            (False, "No such file"),
+        ],
         ids=["3-heap-scorer", "missing-file"],
     )
     def test_singleframe_config_refused_when_built(self, tmp_path, role, scorer, error):
-        # once accepted, then a crash after the 3-heap cell with no results
+        # once accepted, then a crash after the 3-heap cell with no results;
+        # the refusal names the spec and the heap count it failed for
         circuit = tmp_path / "scorer.ac0"
         if scorer:
             save_circuit(build_even_nonempty_scorer(3, 3), circuit)
         spec = f"singleframe:{circuit}"
+        error = re.escape(error.format(spec=spec))
         agents = ["oracle", spec] if role == "agents" else ["oracle"]
         opponent = spec if role == "opponent" else "oracle"
         with pytest.raises((NimcoreError, OSError), match=error):
@@ -854,6 +860,25 @@ def test_verify_rejects_unknown_check_names():
 
     with pytest.raises(ValueError, match="worked-exampel"):
         run_checks(["worked-example", "worked-exampel"], "desk")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "strategy-control",
+        "kayles-row-values",
+        "winning-moves",
+        "nimber-diff-identity",
+        "threshold-popcount",
+        "serialization-roundtrip",
+        "exact-threshold-boundary",
+        "preserving-reply-lemma",
+    ],
+)
+def test_verify_check_green_at_desk_scale(name):
+    # the checks no other test body reaches; the rest run elsewhere in tier-1
+    report = verify.run_checks([name], "desk")
+    assert [(r.name, r.ok) for r in report.results] == [(name, True)], report.summary_lines()
 
 
 def test_determinism_check_compares_json(monkeypatch):
