@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import IllegalMoveError, InvalidPositionError, MemoLimitError
@@ -49,8 +50,10 @@ class GameRules:
         elif self.removal_set is not None:
             raise ValueError(f"{self.variant.value} does not take a removal set")
 
-    @property
+    @cached_property
     def game_id(self) -> str:
+        # computed on the first read and kept in the instance dict, which
+        # the frozen dataclass's fields, equality and hash do not include
         if self.variant is Variant.SUBTRACTION:
             return "subtraction(%s)" % ",".join(map(str, sorted(self.removal_set)))
         return self.variant.value
@@ -167,15 +170,33 @@ def legal_moves(p: Position, rules: GameRules) -> list[GameMove]:
     return list(_iter_moves(p.heaps, rules))
 
 
+def _no_moves(heaps: tuple[int, ...], rules: GameRules) -> bool:
+    """Terminal test in closed form: under NIM and Kayles any non-empty
+    heap has a move, and under a subtraction game a heap has one iff it
+    holds the smallest allowed removal."""
+    if rules.variant is Variant.SUBTRACTION:
+        return max(heaps) < min(rules.removal_set)
+    return not any(heaps)
+
+
 def is_terminal(p: Position, rules: GameRules) -> bool:
     validate_position(p, rules)
-    return next(_iter_moves(p.heaps, rules), None) is None
+    return _no_moves(p.heaps, rules)
 
 
 def apply_move(p: Position, m: GameMove, rules: GameRules) -> Position:
     """Apply ``m`` to ``p``, rejecting illegal moves with a reason."""
     validate_position(p, rules)
-    heaps = p.heaps
+    return Position(_checked_heaps(p.heaps, m, rules), p.game_id)
+
+
+def _checked_heaps(heaps: tuple[int, ...], m: GameMove, rules: GameRules) -> tuple[int, ...]:
+    """The heaps after ``m``, rejecting illegal moves with a reason.
+
+    ``heaps`` must already be valid under ``rules``; the result then is
+    too, since a legal move only shrinks a heap (a Kayles split leaves two
+    smaller rows).
+    """
     if not 0 <= m.heap_index < len(heaps):
         raise IllegalMoveError(f"heap index {m.heap_index} out of range")
     old = heaps[m.heap_index]
@@ -196,7 +217,7 @@ def apply_move(p: Position, m: GameMove, rules: GameRules) -> Position:
             removed = old - m.new_count
             if removed not in rules.removal_set:
                 raise IllegalMoveError(f"removal of {removed} objects is not allowed")
-    return Position(_apply_heaps(heaps, m), p.game_id)
+    return _apply_heaps(heaps, m)
 
 
 def _apply_heaps(heaps: tuple[int, ...], m: GameMove) -> tuple[int, ...]:

@@ -44,7 +44,9 @@ from .games import (
     Position,
     Variant,
     _apply_heaps,
+    _checked_heaps,
     _iter_moves,
+    _no_moves,
     apply_move,
     grundy,
     is_terminal,
@@ -134,11 +136,6 @@ def parse_move(text: str) -> GameMove:
     return GameMove(*(int(p) for p in parts))
 
 
-def _no_moves(heaps: tuple[int, ...], rules: GameRules) -> bool:
-    """Terminal test for heaps already validated against ``rules``."""
-    return next(_iter_moves(heaps, rules), None) is None
-
-
 def play_match(
     rules: GameRules,
     start: Position,
@@ -151,12 +148,14 @@ def play_match(
     An agent raising or returning an illegal move forfeits (the record
     carries the reason); the game never crashes on a buggy policy.
 
-    Only the start is validated here.  Every later position comes out of
-    ``apply_move``, which validated the position before it (a legal move
-    only shrinks heaps), and the next ``apply_move`` validates it again.
-    The history keeps only the frames the agents read: the larger of the
-    two windows, or every position since the start when an agent reads
-    them all (``required_frames == 0``).
+    Only the start is validated here.  Each move's legality is checked on
+    the heap tuple, and every later position is valid by construction: a
+    legal move only shrinks heaps, and a Kayles split leaves two smaller
+    rows.  The oracle and random agents validate the position they are
+    handed, as their ``choose`` contract asks.  The history keeps only
+    the frames the agents read: the larger of the two windows, or every
+    position since the start when an agent reads them all
+    (``required_frames == 0``).
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
@@ -178,7 +177,7 @@ def play_match(
         agent = agents[mover]
         try:
             move = agent.choose(history.last_k(windows[mover]), rng)
-            nxt = apply_move(p, move, rules)
+            nxt = Position(_checked_heaps(p.heaps, move, rules), p.game_id)
         except _AGENT_FAILURES as exc:
             winner = seats[1 - mover]
             forfeit = f"{seats[mover]} ({names[mover]}): {exc}"
@@ -272,7 +271,10 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     ``required_frames`` when that is at least 1.  Only when the agent is
     asked for a move is it handed a ``FrameHistory`` of ``Position``
     objects built from that history, with a fresh ``Random(0)``, seeded
-    on first draw, so the walk is deterministic.
+    on first draw, so the walk is deterministic.  Only the start is
+    validated: the agent's move is checked for legality on the heap
+    tuple, the adversary plays generated moves, and a legal move only
+    shrinks heaps, so every position below the start is valid.
 
     An agent with ``required_frames >= 1`` sees only its window, so the
     subtree below a node depends only on the window the rest of the walk
@@ -317,13 +319,13 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
             p = window.current
             try:
                 move = agent.choose(window, _SeededOnFirstDraw())
-                nxt = apply_move(p, move, rules)
+                nxt = _checked_heaps(heaps, move, rules)
             except _AGENT_FAILURES:
                 return False
             line.append(move)
-            if fails(p, nxt):
+            if fails(p, Position(nxt, game_id)):
                 return False
-            history = (history + (nxt.heaps,))[-frames:]
+            history = (history + (nxt,))[-frames:]
         heaps = history[-1]
         if _no_moves(heaps, rules):
             return True  # the agent took the last object

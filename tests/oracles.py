@@ -108,26 +108,27 @@ class _NodeBudgetExceeded(Exception):
 def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
     """The recursive tree walk that ``harness.exhaustive_adversary``
     replaced, kept as its reference: no transpositions, the full history
-    at every node, every position validated.  Recursion depth grows with
-    the game length, so it is only for short games.
+    at every node, every position validated, and terminality read off the
+    full move list, not the engine's closed-form test.  Recursion depth
+    grows with the game length, so it is only for short games.
     """
     import random
 
     from nimcore.agents import FrameHistory
     from nimcore.errors import IllegalMoveError
-    from nimcore.games import apply_move, is_terminal, legal_moves
+    from nimcore.games import apply_move, legal_moves
     from nimcore.harness import _AGENT_FAILURES, AdversaryReport
 
     if role not in ("first", "second"):
         raise ValueError("role must be 'first' or 'second'")
-    if is_terminal(start, rules):
+    if not legal_moves(start, rules):
         raise IllegalMoveError("adversary sweep needs a non-terminal start")
     nodes = 0
 
     def walk(history, agent_to_move):
         nonlocal nodes
         p = history.current
-        if is_terminal(p, rules):
+        if not legal_moves(p, rules):
             # the previous mover took the last object
             return (not agent_to_move, [])
         if agent_to_move:
@@ -160,14 +161,15 @@ def reference_never_miss(rules, start, agent, role="second"):
     ``verify`` ran it as a rule on the harness walk, kept as its
     reference: every time the agent faces a non-zero NIM sum, its move
     must leave zero.  No transpositions, the full history at every node,
-    every position validated.  An agent that raises or plays an illegal
-    move fails, as in the harness walk.  Only for short games.
+    every position validated, terminality read off the full move list.
+    An agent that raises or plays an illegal move fails, as in the harness
+    walk.  Only for short games.
     """
     import random
 
     from nimcore import nimber
     from nimcore.agents import FrameHistory
-    from nimcore.games import apply_move, is_terminal, legal_moves
+    from nimcore.games import apply_move, legal_moves
     from nimcore.harness import _AGENT_FAILURES, AdversaryReport
 
     nodes = 0
@@ -175,7 +177,7 @@ def reference_never_miss(rules, start, agent, role="second"):
     def walk(history, agent_to_move):
         nonlocal nodes
         p = history.current
-        if is_terminal(p, rules):
+        if not legal_moves(p, rules):
             return (True, [])
         if agent_to_move:
             try:

@@ -5,7 +5,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nimcore import games, verify
@@ -92,6 +92,13 @@ class TestRules:
         assert GameRules.kayles().game_id == "kayles"
         assert GameRules.subtraction({2, 1}).game_id == "subtraction(1,2)"
 
+    def test_game_id_computed_once(self):
+        rules = GameRules.subtraction({2, 1})
+        assert rules.game_id is rules.game_id
+        # the kept id is not a field: equality and hashing ignore it
+        assert rules == GameRules.subtraction({1, 2})
+        assert hash(rules) == hash(GameRules.subtraction({1, 2}))
+
     def test_removals_must_be_positive(self):
         with pytest.raises(ValueError):
             GameRules.subtraction({0, 1})
@@ -135,6 +142,34 @@ class TestLegalMoves:
     def test_wrong_game_id_rejected(self):
         with pytest.raises(InvalidPositionError):
             legal_moves(Position((2,), "kayles"), NIM8)
+
+
+# subtraction sets whose smallest removal is often 2 or more, so that
+# non-empty heaps can be terminal
+RULES = st.one_of(
+    st.sampled_from((NIM8, GameRules.kayles(8))),
+    st.frozensets(st.integers(1, 9), min_size=1, max_size=3).map(
+        lambda removals: GameRules.subtraction(removals, 8)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RULES, HEAPS)
+@example(GameRules.subtraction({2, 5}, 8), (0, 1, 1))
+@example(GameRules.subtraction({3}, 8), (0, 2, 3))
+@example(GameRules.kayles(8), (0, 0, 1))
+def test_closed_form_terminal_test_matches_move_generator(rules, heaps):
+    no_moves = games._no_moves(heaps, rules)
+    assert no_moves == (next(games._iter_moves(heaps, rules), None) is None)
+    assert is_terminal(Position(heaps, rules.game_id), rules) == no_moves
+    # is_terminal still validates before its closed form
+    foreign = "kayles" if rules.variant is Variant.NIM else "nim"
+    with pytest.raises(InvalidPositionError, match="position belongs to"):
+        is_terminal(Position(heaps, foreign), rules)
+    over = heaps[:-1] + (rules.max_heap_size + 1,)
+    with pytest.raises(InvalidPositionError, match="above the rule bound"):
+        is_terminal(Position(over, rules.game_id), rules)
 
 
 class TestApplyMove:

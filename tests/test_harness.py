@@ -23,7 +23,7 @@ from nimcore.agents import (
 from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
 from nimcore.errors import IllegalMoveError, NimcoreError
-from nimcore import verify
+from nimcore import agents, games, harness, verify
 from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal, legal_moves
 from nimcore.harness import (
     RNG_ALGORITHM,
@@ -131,6 +131,88 @@ class TestPlayMatch:
         record = play_match(NIM, Position((3, 5, 7)), OracleAgent(NIM), OracleAgent(NIM), 0)
         first_moves = [d for d in record.diagnostics if d.mover == "first"]
         assert all(d.nim_sum_after == 0 for d in first_moves)
+
+
+class _Plays(AgentPolicy):
+    """Plays one fixed move whenever it is to move."""
+
+    name = "plays"
+
+    def __init__(self, move):
+        self.move = move
+
+    def choose(self, history, rng):
+        return self.move
+
+
+SUB134 = GameRules.subtraction([1, 3, 4], 16)
+KAYLES = GameRules.kayles(16)
+
+
+# each class of illegal move, on heap 1 of (3, 5), which the adversary's
+# first move (on heap 0) leaves as it is
+@pytest.mark.parametrize(
+    "rules, move",
+    [
+        (NIM, GameMove(2, 0)),  # heap index out of range
+        (NIM, GameMove(-1, 0)),  # negative heap index
+        (NIM, GameMove(1, 5)),  # does not decrease
+        (NIM, GameMove(1, 7)),  # grows
+        (SUB134, GameMove(1, 3)),  # removes 2, not in the set
+        (NIM, GameMove(1, 1, 1)),  # a split under NIM
+        (KAYLES, GameMove(1, 2, 0)),  # takes 3 pins
+        (KAYLES, GameMove(1, 1, 1)),  # takes 3 pins, splitting the row
+        (KAYLES, GameMove(1, 1, 3)),  # split row larger than the kept one
+    ],
+    ids=repr,
+)
+def test_illegal_move_keeps_its_message(rules, move):
+    start = Position((3, 5), rules.game_id)
+    with pytest.raises(IllegalMoveError) as raised:
+        apply_move(start, move, rules)
+    record = play_match(rules, start, _Plays(move), OracleAgent(rules), 0)
+    assert record.winner == "second" and record.moves == []
+    assert record.forfeit == f"first (plays): {raised.value}"
+    # the agent forfeits at its first move, after the adversary's first
+    report = exhaustive_adversary(rules, start, _Plays(move), role="second")
+    assert report.complete and not report.agent_always_wins
+    assert report.counterexample == legal_moves(start, rules)[:1]
+    expected = reference_adversary(rules, start, _Plays(move), role="second")
+    assert report.counterexample == expected.counterexample
+
+
+def test_one_validation_per_choose(monkeypatch):
+    # the start is validated once; each later position only by the agent
+    # that moves from it, and no ply builds a move generator
+    counts = {"validated": 0, "chosen": 0, "generators": 0}
+    validate, iter_moves = games.validate_position, games._iter_moves
+
+    def counted_validate(p, rules):
+        counts["validated"] += 1
+        validate(p, rules)
+
+    def counted_moves(heaps, rules):
+        counts["generators"] += 1
+        return iter_moves(heaps, rules)
+
+    monkeypatch.setattr(games, "validate_position", counted_validate)
+    monkeypatch.setattr(agents, "validate_position", counted_validate)
+    monkeypatch.setattr(games, "_iter_moves", counted_moves)
+    monkeypatch.setattr(harness, "_iter_moves", counted_moves)
+    players = (OracleAgent(NIM), RandomAgent(NIM))
+    for agent in players:
+        choose = agent.choose
+
+        def counted_choose(history, rng, choose=choose):
+            counts["chosen"] += 1
+            return choose(history, rng)
+
+        agent.choose = counted_choose
+    record = play_match(NIM, Position((3, 5, 7, 9)), *players, seed=3)
+    assert record.forfeit is None and len(record.moves) >= 8
+    assert counts["chosen"] == len(record.moves)
+    assert counts["validated"] == counts["chosen"] + 1
+    assert counts["generators"] == 0
 
 
 class TestExhaustiveAdversary:
