@@ -47,11 +47,12 @@ _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
 
 @dataclass(frozen=True)
 class FrameHistory:
-    """The most recent positions of a game, oldest first.
+    """The window of a game's newest positions an agent is handed, oldest
+    first; one step, ``harness._agent_move``, cuts it for both drivers.
 
     The frames are all an agent sees: a move is the difference between
-    two consecutive frames, and a history started at the opening position
-    and never truncated has ``len(frames) - 1`` plies.
+    two consecutive frames, and a window of every frame since the opening
+    position has ``len(frames) - 1`` plies.
     """
 
     frames: tuple[Position, ...]
@@ -59,28 +60,12 @@ class FrameHistory:
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
-            raise ValueError("history needs at least one frame")
+            # a ValueError; an agent whose window cuts it empty forfeits
+            raise ContractViolationError("history needs at least one frame")
 
     @property
     def current(self) -> Position:
         return self.frames[-1]
-
-    @classmethod
-    def start(cls, p: Position) -> "FrameHistory":
-        return cls((p,))
-
-    def advance(self, new_pos: Position, keep: int | None = None) -> "FrameHistory":
-        """Extended history; pass ``keep`` to truncate to that many frames."""
-        frames = self.frames + (new_pos,)
-        if keep is not None and len(frames) > keep:
-            frames = frames[-keep:]
-        return FrameHistory(frames)
-
-    def last_k(self, k: int) -> "FrameHistory":
-        """View of the newest ``k`` frames (everything when k < 1)."""
-        if k < 1 or k >= len(self.frames):
-            return self
-        return FrameHistory(self.frames[-k:])
 
 
 class AgentPolicy:

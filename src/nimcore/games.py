@@ -195,8 +195,13 @@ def _checked_heaps(heaps: tuple[int, ...], m: GameMove, rules: GameRules) -> tup
 
     ``heaps`` must already be valid under ``rules``; the result then is
     too, since a legal move only shrinks a heap (a Kayles split leaves two
-    smaller rows).
+    smaller rows).  A move is a ``GameMove`` of three ints, not bools.
     """
+    if not (
+        isinstance(m, GameMove)
+        and type(m.heap_index) is type(m.new_count) is type(m.split_count) is int
+    ):
+        raise IllegalMoveError(f"not a move of three integers: {m!r}")
     if not 0 <= m.heap_index < len(heaps):
         raise IllegalMoveError(f"heap index {m.heap_index} out of range")
     old = heaps[m.heap_index]

@@ -148,13 +148,13 @@ def play_match(
     An agent raising or returning an illegal move forfeits (the record
     carries the reason); the game never crashes on a buggy policy.
 
-    Only the start is validated here.  Each move's legality is checked on
-    the heap tuple, and every later position is valid by construction: a
-    legal move only shrinks heaps, and a Kayles split leaves two smaller
-    rows.  The oracle and random agents validate the position they are
-    handed, as their ``choose`` contract asks.  The history keeps only
-    the frames the agents read: the larger of the two windows, or every
-    position since the start when an agent reads them all
+    Only the start is validated here.  Each ply is one ``_agent_move``,
+    which hands the mover its window and checks its move on the heap
+    tuple; every later position is valid, since a legal move only
+    shrinks heaps (a Kayles split leaves two smaller rows).  The oracle
+    and random agents validate the position they are handed, as their
+    ``choose`` contract asks.  The tuple of frames keeps those the agents
+    read: the larger window, or every frame when an agent reads them all
     (``required_frames == 0``).
     """
     if is_terminal(start, rules):
@@ -164,38 +164,44 @@ def play_match(
     seats = ("first", "second")
     agents = (first, second)
     windows = (first.required_frames, second.required_frames)
-    keep = max(windows) if min(windows) >= 1 else None
+    keep = max(windows) if min(windows) >= 1 else 0
     nim = rules.variant is Variant.NIM
     value = nimber.nim_sum(start) if nim else None
-    history = FrameHistory.start(start)
-    p = start
+    frames = (start,)
     moves: list[GameMove] = []
     diagnostics: list[MoveDiagnostic] = []
     mover = 0
     forfeit = None
     while True:
-        agent = agents[mover]
         try:
-            move = agent.choose(history.last_k(windows[mover]), rng)
-            nxt = Position(_checked_heaps(p.heaps, move, rules), p.game_id)
+            move, heaps = _agent_move(agents[mover], frames, rules, rng)
         except _AGENT_FAILURES as exc:
             winner = seats[1 - mover]
             forfeit = f"{seats[mover]} ({names[mover]}): {exc}"
             break
+        nxt = Position(heaps, start.game_id)
         # the value after this ply is the value before the next one
         after = nimber.nim_sum(nxt) if nim else None
         diagnostics.append(MoveDiagnostic(seats[mover], value, after))
         value = after
         moves.append(move)
-        history = history.advance(nxt, keep)
-        p = nxt
-        if _no_moves(p.heaps, rules):
+        frames = (frames + (nxt,))[-keep:]
+        if _no_moves(heaps, rules):
             winner = seats[mover]
             break
         mover = 1 - mover
     return MatchRecord(
         rules.game_id, start.heaps, names[0], names[1], seed, moves, winner, forfeit, diagnostics
     )
+
+
+def _agent_move(agent: AgentPolicy, frames: tuple[Position, ...], rules: GameRules, rng):
+    """``agent``'s move from the newest of ``frames`` and the heaps it
+    leaves.  The agent is handed its newest ``required_frames`` frames
+    (``[-0:]`` keeps every frame); an illegal move, or one that is not a
+    move, raises ``IllegalMoveError``."""
+    move = agent.choose(FrameHistory(frames[-agent.required_frames :]), rng)
+    return move, _checked_heaps(frames[-1].heaps, move, rules)
 
 
 def replay_match(rules: GameRules, record: MatchRecord) -> str:
@@ -238,7 +244,7 @@ def exhaustive_adversary(
     first losing line as a counterexample.  Exceeding the node budget
     yields an explicit partial result instead of an answer.
     """
-    # the agent loses when it faces a position the adversary emptied
+    # the agent loses when it faces heaps the adversary emptied
     return _adversary_walk(rules, start, agent, role, node_budget, lambda p, after: after is None)
 
 
@@ -261,20 +267,20 @@ class _SeededOnFirstDraw:
 
 def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryReport:
     """Walk every adversary line below ``start`` until the agent breaks the
-    rule ``fails(before, after)``, checked at each position ``before`` the
-    agent faces: ``after`` is the position it moves to, or None when
+    rule ``fails(before, after)``, checked at each heap tuple ``before`` the
+    agent faces: ``after`` is the heap tuple it moves to, or None when
     ``before`` has no moves.  An agent that raises or plays an illegal move
     breaks every rule.  ``agent_always_wins`` reports that no line broke it.
 
     The walk is a depth-first search on an explicit stack over heap
     tuples: its history is a tuple of heap tuples, cut to the newest
-    ``required_frames`` when that is at least 1.  Only when the agent is
-    asked for a move is it handed a ``FrameHistory`` of ``Position``
-    objects built from that history, with a fresh ``Random(0)``, seeded
-    on first draw, so the walk is deterministic.  Only the start is
-    validated: the agent's move is checked for legality on the heap
-    tuple, the adversary plays generated moves, and a legal move only
-    shrinks heaps, so every position below the start is valid.
+    ``required_frames`` when that is at least 1.  It builds ``Position``
+    objects only for the agent's window, which ``_agent_move`` hands over,
+    as in a match, with a fresh ``Random(0)``, seeded on first draw, so
+    the walk is deterministic.  Only the start is validated: the agent's
+    move is checked for legality on the heap tuple, the adversary plays
+    generated moves, and a legal move only shrinks heaps, so every
+    position below the start is valid.
 
     An agent with ``required_frames >= 1`` sees only its window, so the
     subtree below a node depends only on the window the rest of the walk
@@ -310,20 +316,18 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
         if agent_to_move:
             heaps = history[-1]
             if _no_moves(heaps, rules):
-                return not fails(Position(heaps, game_id), None)
+                return not fails(heaps, None)
             if proven is not None:
                 if (history, True) in proven:
                     return True
                 keys.append((history, True))
-            window = FrameHistory(tuple(Position(h, game_id) for h in history))
-            p = window.current
+            window = tuple(Position(h, game_id) for h in history)
             try:
-                move = agent.choose(window, _SeededOnFirstDraw())
-                nxt = _checked_heaps(heaps, move, rules)
+                move, nxt = _agent_move(agent, window, rules, _SeededOnFirstDraw())
             except _AGENT_FAILURES:
                 return False
             line.append(move)
-            if fails(p, Position(nxt, game_id)):
+            if fails(heaps, nxt):
                 return False
             history = (history + (nxt,))[-frames:]
         heaps = history[-1]

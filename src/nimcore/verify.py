@@ -591,9 +591,11 @@ def check_scaled_mastery(
     return True, f"{played} seeded games won without preservation failures"
 
 
-def _missed_a_win(before: Position, after: Position | None) -> bool:
-    """The never-miss rule: the agent faced a non-zero NIM sum and left one."""
-    return after is not None and nimber.nim_sum(before) != 0 and nimber.nim_sum(after) != 0
+def _missed_a_win(before: tuple[int, ...], after: tuple[int, ...] | None) -> bool:
+    """The never-miss rule on heap tuples: the agent faced a non-zero NIM sum and left one."""
+    return after is not None and (
+        nimber.nim_sum(Position(before)) != 0 and nimber.nim_sum(Position(after)) != 0
+    )
 
 
 def check_mirror_strategies_exhaustive(k_values=(1, 2)) -> tuple[bool, str]:

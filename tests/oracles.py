@@ -105,6 +105,17 @@ class _NodeBudgetExceeded(Exception):
     pass
 
 
+def _window(history, k):
+    """The agent's window: the newest ``k`` frames of ``history``, or all
+    of them when ``k`` is 0 or the history is shorter."""
+    from nimcore.agents import FrameHistory
+
+    frames = history.frames
+    if 1 <= k < len(frames):
+        frames = frames[len(frames) - k :]
+    return FrameHistory(frames)
+
+
 def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
     """The recursive tree walk that ``harness.exhaustive_adversary``
     replaced, kept as its reference: no transpositions, the full history
@@ -133,24 +144,24 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
             return (not agent_to_move, [])
         if agent_to_move:
             try:
-                move = agent.choose(history.last_k(agent.required_frames), random.Random(0))
+                move = agent.choose(_window(history, agent.required_frames), random.Random(0))
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
                 return (False, [])
-            ok, line = walk(history.advance(nxt), False)
+            ok, line = walk(FrameHistory(history.frames + (nxt,)), False)
             return (ok, [move] + line)
         for move in legal_moves(p, rules):
             nodes += 1
             if nodes > node_budget:
                 raise _NodeBudgetExceeded
             nxt = apply_move(p, move, rules)
-            ok, line = walk(history.advance(nxt), True)
+            ok, line = walk(FrameHistory(history.frames + (nxt,)), True)
             if not ok:
                 return (False, [move] + line)
         return (True, [])
 
     try:
-        ok, line = walk(FrameHistory.start(start), role == "first")
+        ok, line = walk(FrameHistory((start,)), role == "first")
     except _NodeBudgetExceeded:
         return AdversaryReport(False, None, nodes, complete=False)
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
@@ -181,22 +192,23 @@ def reference_never_miss(rules, start, agent, role="second"):
             return (True, [])
         if agent_to_move:
             try:
-                move = agent.choose(history.last_k(agent.required_frames), random.Random(0))
+                move = agent.choose(_window(history, agent.required_frames), random.Random(0))
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
                 return (False, [])
             if nimber.nim_sum(p) != 0 and nimber.nim_sum(nxt) != 0:
                 return (False, [move])
-            ok, line = walk(history.advance(nxt), False)
+            ok, line = walk(FrameHistory(history.frames + (nxt,)), False)
             return (ok, [move] + line)
         for move in legal_moves(p, rules):
             nodes += 1
-            ok, line = walk(history.advance(apply_move(p, move, rules)), True)
+            nxt = apply_move(p, move, rules)
+            ok, line = walk(FrameHistory(history.frames + (nxt,)), True)
             if not ok:
                 return (False, [move] + line)
         return (True, [])
 
-    ok, line = walk(FrameHistory.start(start), role == "first")
+    ok, line = walk(FrameHistory((start,)), role == "first")
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
 
 

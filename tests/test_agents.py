@@ -57,13 +57,7 @@ class TestFrameHistory:
     def test_truncates(self):
         h = hist((3, 5, 7), (2, 5, 7), (2, 1, 7))
         assert len(h.frames) == 3
-        assert h.last_k(2).frames == h.frames[1:]
         assert h.current.heaps == (2, 1, 7)
-
-    def test_advance_keeps_newest_frames(self):
-        h = hist((3, 5, 7), (2, 5, 7)).advance(Position((2, 1, 7)), keep=2)
-        assert h == hist((2, 5, 7), (2, 1, 7))
-        assert h.advance(Position((2, 1, 3))) == hist((2, 5, 7), (2, 1, 7), (2, 1, 3))
 
     def test_needs_a_frame(self):
         with pytest.raises(ValueError):
@@ -88,7 +82,7 @@ class TestOracleAgent:
     def test_kayles_oracle_uses_grundy(self):
         rules = GameRules.kayles(8)
         agent = OracleAgent(rules)
-        move = agent.choose(FrameHistory.start(Position((3,), "kayles")), RNG())
+        move = agent.choose(FrameHistory((Position((3,), "kayles"),)), RNG())
         from nimcore.games import grundy
 
         assert grundy(apply_move(Position((3,), "kayles"), move, rules), rules) == 0
@@ -119,7 +113,7 @@ def test_nim_choices_match_move_list(data, seed):
         (RandomAgent(rules), lambda rng: reference_random_choice(p, rules, rng)),
     ):
         fast_rng, ref_rng = random.Random(seed), random.Random(seed)
-        fast = _outcome(lambda: agent.choose(FrameHistory.start(p), fast_rng), fast_rng)
+        fast = _outcome(lambda: agent.choose(FrameHistory((p,)), fast_rng), fast_rng)
         expected = _outcome(lambda: reference(ref_rng), ref_rng)
         assert fast == expected, agent.name
 

@@ -150,10 +150,16 @@ KAYLES = GameRules.kayles(16)
 
 
 # each class of illegal move, on heap 1 of (3, 5), which the adversary's
-# first move (on heap 0) leaves as it is
+# first move (on heap 0) leaves as it is, and values that are not a move
+# of three ints (GameMove(0, True) would be written as "0:True")
 @pytest.mark.parametrize(
     "rules, move",
     [
+        (NIM, None),
+        (NIM, (0, 1)),
+        (NIM, GameMove(0, 1.5)),
+        (NIM, GameMove("0", 1)),
+        (NIM, GameMove(0, True)),
         (NIM, GameMove(2, 0)),  # heap index out of range
         (NIM, GameMove(-1, 0)),  # negative heap index
         (NIM, GameMove(1, 5)),  # does not decrease
@@ -179,6 +185,18 @@ def test_illegal_move_keeps_its_message(rules, move):
     assert report.counterexample == legal_moves(start, rules)[:1]
     expected = reference_adversary(rules, start, _Plays(move), role="second")
     assert report.counterexample == expected.counterexample
+
+
+def test_negative_window_forfeits():
+    # required_frames below 0 is outside the contract: the window is cut
+    # empty, and the agent forfeits its first move in both drivers
+    agent = OracleAgent(NIM)
+    agent.required_frames = -1
+    record = play_match(NIM, Position((3, 5)), agent, OracleAgent(NIM), 0)
+    assert record.moves == [] and record.winner == "second"
+    assert record.forfeit == "first (oracle): history needs at least one frame"
+    report = exhaustive_adversary(NIM, Position((3, 5)), agent)
+    assert report.complete and not report.agent_always_wins and report.counterexample == []
 
 
 def test_one_validation_per_choose(monkeypatch):
@@ -213,6 +231,14 @@ def test_one_validation_per_choose(monkeypatch):
     assert counts["chosen"] == len(record.moves)
     assert counts["validated"] == counts["chosen"] + 1
     assert counts["generators"] == 0
+
+
+# games where every move takes one object, for _WindowChecker
+_WINDOW_GAMES = [
+    (GameRules.nim(1), (1,) * 5),
+    (GameRules.kayles(1), (1,) * 5),
+    (GameRules.subtraction([1], 4), (3, 2, 4)),
+]
 
 
 class TestExhaustiveAdversary:
@@ -335,14 +361,7 @@ class TestExhaustiveAdversary:
         assert all(r.complete and r.agent_always_wins for r in reports)
         assert sum(r.nodes for r in reports) == nodes
 
-    @pytest.mark.parametrize(
-        "rules, heaps",
-        [
-            (GameRules.nim(1), (1,) * 5),
-            (GameRules.kayles(1), (1,) * 5),
-            (GameRules.subtraction([1], 4), (3, 2, 4)),
-        ],
-    )
+    @pytest.mark.parametrize("rules, heaps", _WINDOW_GAMES)
     @pytest.mark.parametrize("frames", [0, 1, 2, 3])
     @pytest.mark.parametrize("role", ["first", "second"])
     def test_agent_window(self, rules, heaps, frames, role):
@@ -377,6 +396,17 @@ class _WindowChecker(AgentPolicy):
         frames = self.required_frames
         assert len(totals) == (min(frames, plies + 1) if frames >= 1 else plies + 1)
         return min(legal_moves(history.current, self.rules))
+
+
+# seat pairs that mix 0 with other windows keep every frame for both seats
+@pytest.mark.parametrize("rules, heaps", _WINDOW_GAMES)
+@pytest.mark.parametrize("first_frames, second_frames", itertools.product(range(4), repeat=2))
+def test_agent_window_in_a_match(rules, heaps, first_frames, second_frames):
+    first = _WindowChecker(rules, first_frames, sum(heaps))
+    second = _WindowChecker(rules, second_frames, sum(heaps))
+    record = play_match(rules, Position(heaps, rules.game_id), first, second, 0)
+    assert record.forfeit is None and len(record.moves) == sum(heaps)
+    assert first.calls + second.calls == sum(heaps) and second.calls
 
 
 class _MissAt(Mirror72Agent):
