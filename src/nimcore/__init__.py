@@ -12,13 +12,10 @@ from .circuits import (
     Circuit,
     CircuitMetrics,
     PositionEncoding,
-    build_diff_mask_circuit,
     build_even_nonempty_scorer,
     build_move_validator_circuit,
     build_nimber_diff_circuit,
     threshold_at_least,
-    validate_ac0,
-    xor_word,
 )
 from .agents import (
     AgentPolicy,
@@ -40,12 +37,10 @@ from .games import (
     Variant,
     WinLoss,
     apply_move,
-    disjunctive_sum,
     grundy,
     is_terminal,
     legal_moves,
     mex,
-    win_loss_oracle,
 )
 from .harness import (
     ExperimentConfig,
@@ -54,7 +49,6 @@ from .harness import (
     make_agent,
     parse_rules,
     play_match,
-    replay_match,
     run_experiment,
 )
 from .models import (
@@ -65,10 +59,7 @@ from .models import (
     eval_model,
 )
 from .nimber import (
-    DiffMask,
     bit_width,
-    diff_mask,
-    is_winning,
     nim_sum,
     nimber_diff,
     winning_moves,
@@ -80,7 +71,6 @@ __all__ = [
     "AgentPolicy",
     "Circuit",
     "CircuitMetrics",
-    "DiffMask",
     "ExperimentConfig",
     "FrameHistory",
     "GameMove",
@@ -102,19 +92,15 @@ __all__ = [
     "WinLoss",
     "apply_move",
     "bit_width",
-    "build_diff_mask_circuit",
     "build_even_nonempty_scorer",
     "build_move_validator_circuit",
     "build_nimber_diff_circuit",
     "certify_compilation",
     "compile_to_ac0",
-    "diff_mask",
-    "disjunctive_sum",
     "eval_model",
     "exhaustive_adversary",
     "grundy",
     "is_terminal",
-    "is_winning",
     "legal_moves",
     "make_agent",
     "mex",
@@ -123,11 +109,7 @@ __all__ = [
     "parse_rules",
     "play_match",
     "preserving_reply",
-    "replay_match",
     "run_experiment",
     "threshold_at_least",
-    "validate_ac0",
-    "win_loss_oracle",
     "winning_moves",
-    "xor_word",
 ]

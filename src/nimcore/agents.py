@@ -39,7 +39,7 @@ from .games import (
     legal_moves,
     validate_position,
 )
-from .nimber import winning_moves
+from .nimber import _require_nim, winning_moves
 
 _MAX_EXHAUSTIVE_CAP = 1 << 16  # the accepted range of RolloutBudget.exhaustive_cap is 0..this
 _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
@@ -256,7 +256,10 @@ def _reply_restore(pb: tuple[int, ...], q: tuple[int, ...], d: int):
 
 def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
     """Reply to the opponent move (p_before -> q_after) that restores the
-    value held at p_before, or None when no such reply exists."""
+    value held at p_before, or None when no such reply exists.  Both
+    positions must be NIM positions (else ``InvalidPositionError``)."""
+    _require_nim(p_before)
+    _require_nim(q_after)
     d = _single_diff(p_before, q_after)
     hit = _reply_restore(p_before.heaps, q_after.heaps, d)
     return GameMove(*hit) if hit else None

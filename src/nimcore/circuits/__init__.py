@@ -2,17 +2,14 @@
 
 from .builders import (
     CircuitBuilder,
-    build_diff_mask_circuit,
     build_even_nonempty_scorer,
     build_move_validator_circuit,
     build_nimber_diff_circuit,
     threshold_at_least,
-    xor_word,
 )
 from .encoding import PositionEncoding, decode_value, encode_value
 from .ir import (
     AND,
-    Ac0Report,
     CONST0,
     CONST1,
     Circuit,
@@ -25,12 +22,10 @@ from .ir import (
     parse,
     save_circuit,
     serialize,
-    validate_ac0,
 )
 
 __all__ = [
     "AND",
-    "Ac0Report",
     "CONST0",
     "CONST1",
     "Circuit",
@@ -41,7 +36,6 @@ __all__ = [
     "NOT",
     "OR",
     "PositionEncoding",
-    "build_diff_mask_circuit",
     "build_even_nonempty_scorer",
     "build_move_validator_circuit",
     "build_nimber_diff_circuit",
@@ -52,6 +46,4 @@ __all__ = [
     "save_circuit",
     "serialize",
     "threshold_at_least",
-    "validate_ac0",
-    "xor_word",
 ]

@@ -131,17 +131,6 @@ def threshold_at_least(n: int, t: int) -> Circuit:
     return b.build([b.at_least(b.inputs(n), t)])
 
 
-def xor_word(l: int) -> Circuit:
-    """Bitwise XOR of two ``l``-bit words (2l inputs, l outputs, depth 3),
-    built within the fixed gate budget."""
-    if l < 1:
-        raise ValueError("word width must be >= 1")
-    b = CircuitBuilder()
-    a = b.inputs(l)
-    c = b.inputs(l)
-    return b.build([b.xor2(a[j], c[j]) for j in range(l)])
-
-
 def _heap_diff_wires(b: CircuitBuilder, pa, pb, n: int, l: int):
     """Per-bit difference wires and per-heap changed flags for two frames."""
     dbits = [
@@ -149,16 +138,6 @@ def _heap_diff_wires(b: CircuitBuilder, pa, pb, n: int, l: int):
     ]
     diff = [b.or_(dbits[i]) for i in range(n)]
     return dbits, diff
-
-
-def build_diff_mask_circuit(n: int, l: int) -> Circuit:
-    """n outputs over two encoded positions; output i is 1 iff heap i
-    changed.  Built within the fixed gate budget."""
-    b = CircuitBuilder()
-    pa = b.inputs(n * l)
-    pb = b.inputs(n * l)
-    _, diff = _heap_diff_wires(b, pa, pb, n, l)
-    return b.build(diff)
 
 
 def _parity_sop(b: CircuitBuilder, wires: Sequence[int], want_odd: bool = True) -> int:

@@ -242,24 +242,6 @@ class Circuit:
         return _eval_batch(self._ops, self._args, self.outputs, bits)
 
 
-@dataclass
-class Ac0Report:
-    ok: bool
-    violations: list[str]
-
-
-def validate_ac0(c: Circuit, depth_bound: int, size_bound: int) -> Ac0Report:
-    """Check depth/size bounds, naming the offending gates."""
-    violations: list[str] = []
-    for idx, d in enumerate(c.gate_depths()):
-        if d > depth_bound:
-            violations.append(f"gate g{idx} sits at depth {d}, above bound {depth_bound}")
-    m = c.metrics()
-    if m.size > size_bound:
-        violations.append(f"size {m.size} exceeds bound {size_bound}")
-    return Ac0Report(not violations, violations)
-
-
 _HEADER = re.compile(r"^ac0 v1 inputs=(\d+) outputs=(\d+(?:,\d+)*)$")
 _GATE_LINE = re.compile(r"^g(\d+) ([A-Z01]+)((?: \d+)*)$")
 
@@ -310,7 +292,6 @@ def load_circuit(path) -> Circuit:
 
 __all__ = [
     "AND",
-    "Ac0Report",
     "CONST0",
     "CONST1",
     "Circuit",
@@ -323,5 +304,4 @@ __all__ = [
     "parse",
     "save_circuit",
     "serialize",
-    "validate_ac0",
 ]

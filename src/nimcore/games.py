@@ -364,24 +364,3 @@ def solver_for(rules: GameRules) -> GrundySolver:
 def grundy(p: Position, rules: GameRules) -> int:
     """Grundy number (nimber) of ``p``: the XOR of its heaps' values."""
     return solver_for(rules).grundy(p)
-
-
-def win_loss_oracle(p: Position, rules: GameRules) -> WinLoss:
-    """Brute-force WIN/LOSS value of ``p`` for the player to move."""
-    try:
-        return solver_for(rules).win_loss(p)
-    except MemoLimitError:
-        # Swap the full shared solver for a fresh one with the same cap.
-        # Values depend on the key alone, so no answer changes; only a
-        # single query larger than the cap still raises.
-        solver = _SOLVERS[rules] = GrundySolver(rules, solver_for(rules).memo_cap)
-        return solver.win_loss(p)
-
-
-def disjunctive_sum(p: Position, q: Position) -> Position:
-    """Compound position where a move is made in exactly one component."""
-    if p.game_id != q.game_id:
-        raise InvalidPositionError(
-            f"cannot sum positions from different games ({p.game_id!r} vs {q.game_id!r})"
-        )
-    return Position(p.heaps + q.heaps, p.game_id)

@@ -47,7 +47,6 @@ from .games import (
     _checked_heaps,
     _iter_moves,
     _no_moves,
-    apply_move,
     grundy,
     is_terminal,
 )
@@ -202,18 +201,6 @@ def _agent_move(agent: AgentPolicy, frames: tuple[Position, ...], rules: GameRul
     move, raises ``IllegalMoveError``."""
     move = agent.choose(FrameHistory(frames[-agent.required_frames :]), rng)
     return move, _checked_heaps(frames[-1].heaps, move, rules)
-
-
-def replay_match(rules: GameRules, record: MatchRecord) -> str:
-    """Re-apply the transcript and return the winner seat it implies."""
-    p = Position(record.start, rules.game_id)
-    for m in record.moves:
-        p = apply_move(p, m, rules)
-    if record.forfeit is not None:
-        return record.winner
-    if not is_terminal(p, rules):
-        raise NimcoreError("transcript does not reach a terminal position")
-    return "first" if len(record.moves) % 2 == 1 else "second"
 
 
 @dataclass

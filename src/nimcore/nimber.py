@@ -9,8 +9,6 @@ which is what makes it circuit-friendly (see ``circuits.builders``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContractViolationError, InvalidPositionError
 from .games import GameMove, Position
 
@@ -41,11 +39,6 @@ def nim_sum(p: Position) -> int:
     return s
 
 
-def is_winning(p: Position) -> bool:
-    """True iff the player to move can force a win (NIM sum non-zero)."""
-    return nim_sum(p) != 0
-
-
 def winning_moves(p: Position) -> list[GameMove]:
     """Exactly the moves that leave the opponent a zero NIM sum.
 
@@ -66,46 +59,27 @@ def winning_moves(p: Position) -> list[GameMove]:
     return out
 
 
-@dataclass(frozen=True)
-class DiffMask:
-    """Indices of the heaps where two positions differ, strictly increasing."""
-
-    changed: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "changed", tuple(self.changed))
-        if any(b <= a for a, b in zip(self.changed, self.changed[1:])):
-            raise ValueError("diff mask indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.changed)
-
-
-def diff_mask(p1: Position, p2: Position) -> DiffMask:
-    """Which heaps changed between two equal-length positions."""
-    if len(p1.heaps) != len(p2.heaps):
-        raise InvalidPositionError(
-            f"positions have different lengths ({len(p1.heaps)} vs {len(p2.heaps)})"
-        )
-    return DiffMask(
-        tuple(i for i, (a, b) in enumerate(zip(p1.heaps, p2.heaps)) if a != b)
-    )
-
-
 def nimber_diff(p1: Position, p2: Position, k_max: int = DEFAULT_K_MAX) -> int:
     """XOR of per-heap differences over the changed heaps.
 
     Equals ``nim_sum(p1) ^ nim_sum(p2)`` but only touches the heaps that
     actually differ.  The bounded-difference contract is enforced eagerly:
     more than ``k_max`` changed heaps raises, because callers that rely on
-    the constant-size property must notice they broke it.
+    the constant-size property must notice they broke it.  Both positions
+    must be NIM positions (else ``InvalidPositionError``).
     """
-    mask = diff_mask(p1, p2)
-    if len(mask) > k_max:
+    _require_nim(p1)
+    _require_nim(p2)
+    if len(p1.heaps) != len(p2.heaps):
+        raise InvalidPositionError(
+            f"positions have different lengths ({len(p1.heaps)} vs {len(p2.heaps)})"
+        )
+    changed = [i for i, (a, b) in enumerate(zip(p1.heaps, p2.heaps)) if a != b]
+    if len(changed) > k_max:
         raise ContractViolationError(
-            f"positions differ in {len(mask)} heaps, above the k_max={k_max} contract"
+            f"positions differ in {len(changed)} heaps, above the k_max={k_max} contract"
         )
     acc = 0
-    for i in mask.changed:
+    for i in changed:
         acc ^= p1.heaps[i] ^ p2.heaps[i]
     return acc

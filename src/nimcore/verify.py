@@ -40,6 +40,7 @@ from .games import GameRules, Position, apply_move, legal_moves
 from .harness import (
     ExperimentConfig,
     _adversary_walk,
+    _preservation_failures,
     exhaustive_adversary,
     play_match,
     rows_to_csv,
@@ -584,9 +585,8 @@ def check_scaled_mastery(
             )
             if record.winner != "first":
                 return False, f"lost to {label} from {heaps} (game {g})"
-            for d in record.diagnostics:
-                if d.mover == "first" and d.nim_sum_before != 0 and d.nim_sum_after != 0:
-                    return False, f"non-preserving move vs {label} from {heaps}"
+            if _preservation_failures(record):
+                return False, f"non-preserving move vs {label} from {heaps}"
             played += 1
     return True, f"{played} seeded games won without preservation failures"
 

@@ -47,10 +47,11 @@ def hist(*heaps_seq):
     return FrameHistory(tuple(Position(h) for h in heaps_seq))
 
 
-def test_public_names_resolve():
-    assert len(set(nimcore.__all__)) == len(nimcore.__all__)
-    for name in nimcore.__all__:
-        assert hasattr(nimcore, name), name
+@pytest.mark.parametrize("module", [nimcore, nimcore.circuits], ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 class TestFrameHistory:

@@ -7,12 +7,12 @@ import pytest
 
 from nimcore import verify
 from nimcore.circuits.builders import (
-    build_diff_mask_circuit,
+    CircuitBuilder,
+    _heap_diff_wires,
     build_even_nonempty_scorer,
     build_move_validator_circuit,
     build_nimber_diff_circuit,
     threshold_at_least,
-    xor_word,
 )
 from nimcore.circuits.encoding import PositionEncoding, decode_value, encode_value
 from nimcore.circuits.ir import serialize
@@ -85,35 +85,51 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_at_least(3, 4)
 
+    def test_depth_two_at_every_width(self):
+        for n in (1, 2, 5, 8, 12):
+            for t in range(1, min(n, 3) + 1):
+                assert threshold_at_least(n, t).metrics().depth == 2
 
-class TestXorWord:
+
+def xor_words(l):
+    """Bitwise XOR of two l-bit words, one ``CircuitBuilder.xor2`` per bit."""
+    b = CircuitBuilder()
+    a, c = b.inputs(l), b.inputs(l)
+    return b.build([b.xor2(x, y) for x, y in zip(a, c)])
+
+
+class TestXor2:
     def test_example(self):
-        c = xor_word(4)
+        c = xor_words(4)
         assert c.evaluate([0, 1, 0, 1, 0, 0, 1, 1]) == (0, 1, 1, 0)
 
     def test_self_cancels_and_zero_identity(self):
-        c = xor_word(3)
+        c = xor_words(3)
         for x in range(8):
             bits = encode_value(x, 3)
             assert c.evaluate(bits + bits) == (0, 0, 0)
             assert c.evaluate(bits + [0, 0, 0]) == tuple(bits)
 
     def test_depth_constant_in_width(self):
-        depths = {xor_word(l).metrics().depth for l in (1, 2, 4, 8, 16)}
+        depths = {xor_words(l).metrics().depth for l in (1, 2, 4, 8, 16)}
         assert len(depths) == 1
 
     def test_exhaustive_small(self):
-        c = xor_word(3)
+        c = xor_words(3)
         for a in range(8):
             for b in range(8):
                 got = c.evaluate(encode_value(a, 3) + encode_value(b, 3))
                 assert decode_value(got) == a ^ b
 
 
-class TestDiffMaskCircuit:
-    def test_example(self):
-        enc = PositionEncoding(3, 3, frames=2)
-        c = build_diff_mask_circuit(3, 3)
+class TestHeapDiffWires:
+    def test_changed_flags(self):
+        n, l = 3, 3
+        enc = PositionEncoding(n, l, frames=2)
+        b = CircuitBuilder()
+        pa, pb = b.inputs(n * l), b.inputs(n * l)
+        _, diff = _heap_diff_wires(b, pa, pb, n, l)
+        c = b.build(diff)
         assert c.evaluate(enc.encode([(3, 5, 7), (3, 5, 2)])) == (0, 0, 1)
         assert c.evaluate(enc.encode([(3, 5, 7), (3, 5, 7)])) == (0, 0, 0)
         assert c.evaluate(enc.encode([(1, 1, 1), (0, 0, 0)])) == (1, 1, 1)

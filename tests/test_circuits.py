@@ -15,7 +15,6 @@ from nimcore.circuits.ir import (
     OR,
     parse,
     serialize,
-    validate_ac0,
 )
 from nimcore.errors import CircuitFormatError, EncodingError
 
@@ -213,31 +212,12 @@ class TestStructure:
         m = c.metrics()
         assert (m.depth, m.size, m.fan_in_max) == (1, 1, 8)
 
-
-class TestValidateAc0:
-    def test_not_chain_violation_names_gate(self):
+    def test_not_gates_add_depth(self):
         gates = [Gate(INPUT)]
         for i in range(10):
             gates.append(Gate(NOT, (i,)))
         c = Circuit(gates, [10], 1)
-        report = validate_ac0(c, depth_bound=3, size_bound=100)
-        assert not report.ok
-        assert any("g4" in v and "depth 4" in v for v in report.violations)
-
-    def test_size_bound_zero(self):
-        report = validate_ac0(and2(), depth_bound=5, size_bound=0)
-        assert not report.ok
-        assert any("size" in v for v in report.violations)
-
-    def test_ok_report(self):
-        report = validate_ac0(and2(), depth_bound=1, size_bound=1)
-        assert report.ok and report.violations == []
-
-    def test_threshold_circuit_within_depth_two(self):
-        from nimcore.circuits.builders import threshold_at_least
-
-        report = validate_ac0(threshold_at_least(8, 2), depth_bound=2, size_bound=100)
-        assert report.ok
+        assert c.gate_depths() == list(range(11))
 
 
 class TestSerialization:

@@ -8,7 +8,11 @@ import pytest
 
 import nimcore
 from nimcore import harness
-from nimcore.circuits.builders import build_even_nonempty_scorer, build_nimber_diff_circuit
+from nimcore.circuits.builders import (
+    build_even_nonempty_scorer,
+    build_nimber_diff_circuit,
+    threshold_at_least,
+)
 from nimcore.circuits.ir import Circuit, Gate, save_circuit
 from nimcore.cli import main
 from nimcore.models import ModelKind, ThresholdNetwork, network_to_json
@@ -334,11 +338,9 @@ class TestVerifyCircuit:
         assert "FAIL" in capsys.readouterr().out
 
     def test_wrong_semantics_fails(self, tmp_path, capsys):
-        # a diff-mask circuit has the wrong output count for the oracle
-        from nimcore.circuits.builders import build_diff_mask_circuit
-
-        path = tmp_path / "mask.ac0"
-        save_circuit(build_diff_mask_circuit(4, 3), path)
+        # 24 inputs fit n=4, l=3, but one output is not the oracle's four
+        path = tmp_path / "threshold.ac0"
+        save_circuit(threshold_at_least(24, 1), path)
         rc = main(
             ["verify-circuit", str(path), "--against", "nimber-diff", "--n", "4", "--l", "3"]
         )

@@ -22,12 +22,10 @@ from nimcore.games import (
     Variant,
     WinLoss,
     apply_move,
-    disjunctive_sum,
     grundy,
     is_terminal,
     legal_moves,
     mex,
-    win_loss_oracle,
 )
 
 from oracles import (
@@ -264,30 +262,31 @@ class TestGrundy:
         with pytest.raises(MemoLimitError):
             solver.win_loss(Position((3, 5, 7)))
 
-    def test_full_shared_memo_is_replaced(self, monkeypatch):
-        # a full shared solver gives way to a fresh one of the same cap, so
-        # every query that fits under the cap alone is answered
+    def test_one_shared_solver_per_rule_set(self):
+        kayles = GameRules.kayles(6)
+        assert games.solver_for(kayles) is games.solver_for(GameRules.kayles(6))
+        assert games.solver_for(kayles) is not games.solver_for(NIM8)
+
+    def test_full_shared_solver_raises_and_stays(self, monkeypatch):
+        # the shared table answers what fits under its cap and raises on
+        # the rest; it is never swapped or evicted
         rules = GameRules.kayles(6)
-        _, brute_grundy, brute_win = VARIANTS["kayles"]
-        monkeypatch.setitem(games._SOLVERS, rules, GrundySolver(rules, memo_cap=40))
-        answered = 0
-        for rows in itertools.product(range(7), repeat=2):
-            p = Position(rows, rules.game_id)
-            outcome = WinLoss.WIN if brute_win(rows) else WinLoss.LOSS
-            for shared, method, want in (
-                (grundy, GrundySolver.grundy, brute_grundy(rows)),
-                (win_loss_oracle, GrundySolver.win_loss, outcome),
-            ):
-                try:
-                    method(GrundySolver(rules, memo_cap=40), p)
-                except MemoLimitError:
-                    with pytest.raises(MemoLimitError):
-                        shared(p, rules)
-                else:
-                    assert shared(p, rules) == want
-                    answered += 1
-        assert games._SOLVERS[rules].memo_cap == 40
-        assert 0 < answered < 2 * 49
+        solver = GrundySolver(rules, memo_cap=3)
+        monkeypatch.setitem(games._SOLVERS, rules, solver)
+        with pytest.raises(MemoLimitError):
+            grundy(Position((5,), rules.game_id), rules)
+        assert grundy(Position((2, 1), rules.game_id), rules) == brute_kayles_grundy((2, 1))
+        assert games._SOLVERS[rules] is solver
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_sum_of_positions_is_xor(self, name):
+        rules, brute_grundy, _ = VARIANTS[name]
+        p, q = (1, 2), (3,)
+        value = grundy(Position(p + q, rules.game_id), rules)
+        assert value == brute_grundy(p + q)
+        assert value == grundy(Position(p, rules.game_id), rules) ^ grundy(
+            Position(q, rules.game_id), rules
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,32 +334,18 @@ def test_grundy_definition_check_catches_added_heap_values(monkeypatch):
 
 class TestWinLossOracle:
     def test_terminal_is_loss(self):
-        assert win_loss_oracle(Position((0, 0)), NIM8) is WinLoss.LOSS
+        assert GrundySolver(NIM8).win_loss(Position((0, 0))) is WinLoss.LOSS
 
     def test_single_object_wins(self):
-        assert win_loss_oracle(Position((1,)), NIM8) is WinLoss.WIN
+        assert GrundySolver(NIM8).win_loss(Position((1,))) is WinLoss.WIN
 
     def test_one_two_three_loses(self):
-        assert win_loss_oracle(Position((1, 2, 3)), NIM8) is WinLoss.LOSS
+        assert GrundySolver(NIM8).win_loss(Position((1, 2, 3))) is WinLoss.LOSS
 
     def test_matches_brute_force(self):
         for heaps in itertools.product(range(5), repeat=3):
             expected = WinLoss.WIN if brute_nim_win(heaps) else WinLoss.LOSS
-            assert win_loss_oracle(Position(heaps), NIM8) is expected
-
-
-class TestDisjunctiveSum:
-    def test_concatenates(self):
-        assert disjunctive_sum(Position((1, 2)), Position((3,))).heaps == (1, 2, 3)
-
-    def test_grundy_is_xor(self):
-        p, q = Position((1, 2)), Position((3,))
-        s = disjunctive_sum(p, q)
-        assert grundy(s, NIM8) == grundy(p, NIM8) ^ grundy(q, NIM8) == 0
-
-    def test_mixed_variants_rejected(self):
-        with pytest.raises(InvalidPositionError):
-            disjunctive_sum(Position((1,)), Position((1,), "kayles"))
+            assert GrundySolver(NIM8).win_loss(Position(heaps)) is expected
 
 
 def test_thread_safety_bit_identical():

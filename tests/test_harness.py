@@ -40,7 +40,6 @@ from nimcore.harness import (
     parse_move,
     parse_rules,
     play_match,
-    replay_match,
     rows_to_csv,
     run_experiment,
 )
@@ -120,12 +119,16 @@ class TestPlayMatch:
         assert record.winner == "second"
         assert record.forfeit and "broken" in record.forfeit
 
-    def test_replay_reproduces_winner(self):
+    def test_transcript_replays_to_winner(self):
         for seed in range(5):
             record = play_match(
                 NIM, Position((4, 2, 6)), RandomAgent(NIM), RandomAgent(NIM), seed
             )
-            assert replay_match(NIM, record) == record.winner
+            p = Position(record.start)
+            for m in record.moves:
+                p = apply_move(p, m, NIM)
+            assert record.forfeit is None and is_terminal(p, NIM)
+            assert record.winner == ("first" if len(record.moves) % 2 == 1 else "second")
 
     def test_diagnostics_track_nim_sums(self):
         record = play_match(NIM, Position((3, 5, 7)), OracleAgent(NIM), OracleAgent(NIM), 0)
@@ -799,17 +802,15 @@ class TestExperiment:
         assert cfg.rules.game_id == "nim" and cfg.heap_counts == [3, 5, 7]
 
     def test_replay_all_matches(self, tmp_path):
-        cfg = self.cfg(tmp_path, agents=["multiframe"], games_per_cell=4)
+        cfg = self.cfg(tmp_path, agents=["multiframe", "random"], games_per_cell=4)
         run_experiment(cfg)
         doc = json.loads((tmp_path / "out" / "results.json").read_text())
         for match in doc["matches"]:
             p = Position(tuple(match["start"]))
-            from nimcore.games import apply_move
-
             for text in match["moves"]:
                 p = apply_move(p, parse_move(text), cfg.rules)
             implied = "first" if len(match["moves"]) % 2 == 1 else "second"
-            assert match["forfeit"] or implied == match["winner"]
+            assert match["forfeit"] or (is_terminal(p, cfg.rules) and implied == match["winner"])
 
 
 _FUZZ_AGENTS = (

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nimcore.agents import preserving_reply
 from nimcore.errors import ContractViolationError, InvalidPositionError
-from nimcore.games import GameMove, GameRules, Position, WinLoss, apply_move, win_loss_oracle
+from nimcore.games import GameMove, GameRules, GrundySolver, Position, WinLoss, apply_move
 from nimcore.nimber import (
     bit_width,
-    diff_mask,
-    is_winning,
     nim_sum,
     nimber_diff,
     winning_moves,
@@ -41,13 +40,6 @@ class TestNimSum:
         assert nim_sum(Position(tuple(heaps))) == xor_fold(heaps)
 
 
-class TestIsWinning:
-    def test_examples(self):
-        assert is_winning(Position((3, 5, 7)))
-        assert not is_winning(Position((1, 2, 3)))
-        assert not is_winning(Position((0,)))
-
-
 class TestWinningMoves:
     def test_three_five_seven(self):
         assert winning_moves(Position((3, 5, 7))) == [
@@ -62,29 +54,20 @@ class TestWinningMoves:
     def test_single_heap_takes_all(self):
         assert winning_moves(Position((5,))) == [GameMove(0, 0)]
 
+    def test_nonempty_exactly_when_winning(self):
+        solver = GrundySolver(NIM8)
+        for heaps in itertools.product(range(6), repeat=3):
+            p = Position(heaps)
+            assert bool(winning_moves(p)) == (solver.win_loss(p) is WinLoss.WIN)
+
     def test_every_winning_move_wins(self):
+        solver = GrundySolver(NIM8)
         for heaps in itertools.product(range(7), repeat=3):
             p = Position(heaps)
             for m in winning_moves(p):
                 child = apply_move(p, m, NIM8)
                 assert nim_sum(child) == 0
-                assert win_loss_oracle(child, NIM8) is WinLoss.LOSS
-
-
-class TestDiffMask:
-    def test_single_change(self):
-        assert diff_mask(Position((3, 5, 7)), Position((3, 5, 2))).changed == (2,)
-
-    def test_identical(self):
-        p = Position((4, 4))
-        assert diff_mask(p, p).changed == ()
-
-    def test_all_changed(self):
-        assert diff_mask(Position((1, 1)), Position((0, 0))).changed == (0, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidPositionError):
-            diff_mask(Position((1,)), Position((1, 2)))
+                assert solver.win_loss(child) is WinLoss.LOSS
 
 
 class TestNimberDiff:
@@ -98,9 +81,22 @@ class TestNimberDiff:
     def test_two_heap_example(self):
         assert nimber_diff(Position((3, 5, 7)), Position((2, 5, 6)), 2) == 0
 
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidPositionError):
+            nimber_diff(Position((1,)), Position((1, 2)))
+
     def test_contract_enforced(self):
         with pytest.raises(ContractViolationError):
             nimber_diff(Position((1, 2, 3)), Position((0, 0, 0)), 2)
+
+    def test_all_changed(self):
+        assert nimber_diff(Position((1, 2)), Position((0, 0)), 2) == 3
+
+    def test_k_max_zero_allows_only_identical(self):
+        p = Position((3, 5, 7))
+        assert nimber_diff(p, p, 0) == 0
+        with pytest.raises(ContractViolationError):
+            nimber_diff(p, Position((3, 5, 2)), 0)
 
     @settings(max_examples=200)
     @given(
@@ -119,6 +115,26 @@ class TestNimberDiff:
             other[i] = data.draw(st.integers(0, 255))
         p1, p2 = Position(tuple(heaps)), Position(tuple(other))
         assert nimber_diff(p1, p2, k) == nim_sum(p1) ^ nim_sum(p2)
+
+
+@pytest.mark.parametrize(
+    "primitive,p1,p2",
+    [
+        (nimber_diff, Position((4,), "kayles"), Position((1,), "kayles")),
+        (nimber_diff, Position((3, 5)), Position((3, 4), "kayles")),
+        (preserving_reply, Position((2, 7), "kayles"), Position((1, 7), "kayles")),
+        (preserving_reply, Position((2, 7)), Position((1, 7), "kayles")),
+    ],
+    ids=[
+        "nimber_diff-kayles",
+        "nimber_diff-mixed-games",
+        "preserving_reply-kayles",
+        "preserving_reply-mixed-games",
+    ],
+)
+def test_nim_only_primitives_refuse_other_games(primitive, p1, p2):
+    with pytest.raises(InvalidPositionError, match="NIM positions"):
+        primitive(p1, p2)
 
 
 class TestBitWidth:
