@@ -163,11 +163,12 @@ class SingleFrameCircuitAgent(AgentPolicy):
     The circuit sees one encoded position and emits one score bit per
     candidate slot.  The agent plays the first legal candidate, in
     tie-break order (lowest heap, lowest new count), that scores 1, and
-    the first legal move when none does.  ``Circuit.first_set`` sweeps
-    the scorer's gate list only up to the first slot that scores 1.  The
-    move depends on the current frame alone, so it is remembered per heap
-    tuple.  This is the history-free baseline; no optimality is claimed
-    for it.
+    the first legal move when none does.  Slots are heap-major, so that
+    candidate is the smallest legal slot scoring 1: what
+    ``Circuit.first_set`` returns, running the scorer's generated code
+    only up to that slot's gate.  The move depends on the current frame
+    alone, so it is remembered per heap tuple.  This is the history-free
+    baseline; no optimality is claimed for it.
     """
 
     variants = frozenset({Variant.NIM})  # one score slot per NIM move

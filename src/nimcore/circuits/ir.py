@@ -8,6 +8,7 @@ serialize to identical bytes).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,60 +50,154 @@ class CircuitMetrics:
     fan_in_max: int
 
 
-def _eval_single(ops, args, bits, values, start, stop):
-    """Evaluate gates ``start`` to ``stop - 1`` on one input vector,
-    writing into ``values``; earlier gates must already be there."""
-    for g in range(start, stop):
-        op = ops[g]
-        a = args[g]
-        if op == _OP_AND:
-            v = 1
-            for idx in a:
-                if not values[idx]:
-                    v = 0
-                    break
-        elif op == _OP_OR:
-            v = 0
-            for idx in a:
-                if values[idx]:
-                    v = 1
-                    break
+# The single-row evaluators are generated Python, one assignment per gate.
+# The code is compiled in units of at most _UNIT_STATEMENTS statements and
+# _UNIT_OPERANDS operands, and a gate wider than _PART operands takes several
+# statements: what the compiler holds at once grows with one unit.  Values
+# read across units pass through a list.
+_UNIT_STATEMENTS = 256
+_UNIT_OPERANDS = 4096
+_PART = 256
+_LEAF_OPS = (_OP_INPUT, _OP_CONST0, _OP_CONST1)
+
+
+def _leaf(op, a):
+    """The expression of an INPUT or constant gate, which every unit that
+    reads it recomputes rather than loads."""
+    if op == _OP_INPUT:
+        return "1 if b[%d] else 0" % a[0]
+    return "1" if op == _OP_CONST1 else "0"
+
+
+def _statements(ops, args, stop, checks):
+    """Yield ``(g, line, gates read, k)`` for gates ``g`` below ``stop``.
+
+    AND and OR are flat ``and``/``or`` chains over 0/1 locals, so they
+    short-circuit and nest no expressions.  Gate ``g``'s own statements
+    have ``k`` None; after them come the output checks ``checks[g]``, with
+    ``k`` the output index a check returns.
+    """
+    for g in range(stop):
+        op, a = ops[g], args[g]
+        if op == _OP_AND or op == _OP_OR:
+            join = " and " if op == _OP_AND else " or "
+            names = ["v%d" % x for x in a]
+            yield g, "v%d = %s" % (g, join.join(names[:_PART])), a[:_PART], None
+            for i in range(_PART, len(a), _PART - 1):
+                part = names[i : i + _PART - 1]
+                line = "v%d = v%d%s%s" % (g, g, join, join.join(part))
+                yield g, line, (g,) + a[i : i + _PART - 1], None
         elif op == _OP_NOT:
-            v = 1 - values[a[0]]
-        elif op == _OP_INPUT:
-            v = 1 if bits[a[0]] else 0
-        elif op == _OP_CONST1:
-            v = 1
+            yield g, "v%d = 1 - v%d" % (g, a[0]), a, None
         else:
-            v = 0
-        values[g] = v
+            yield g, "v%d = %s" % (g, _leaf(op, a)), (), None
+        for k, o in checks.get(g, ()):
+            yield g, "if v%d and %d in w: return %d" % (o, k, k), (o,), k
+
+
+def _generate(ops, args, stop, checks, results):
+    """Compile gates below ``stop`` and the output checks into unit
+    functions ``u(b, V, w)``, to run in order on one list ``V``.
+
+    Each unit is compiled as soon as it is full.  It loads from ``V`` what
+    earlier units computed, and stores there what later units and the
+    caller (``results``) read.  Returns the units, ``len(V)``, the slots of
+    ``results`` and the unit of each check.
+    """
+    # the gate at which each gate is last read: by a gate, by the checks
+    # after a gate, or by a wide gate's own later statements; results are
+    # read after the last gate
+    last_read = [-1] * stop
+    for g in range(stop):
+        if ops[g] not in _LEAF_OPS:
+            for x in args[g]:
+                last_read[x] = g
+            if len(args[g]) > _PART:
+                last_read[g] = g
+        for _, o in checks.get(g, ()):
+            last_read[o] = g
+    for o in results:
+        last_read[o] = stop
+    slot: dict[int, int] = {}
+    units = []
+    check_unit = {}
+
+    def compile_unit(lines, loaded, written, until):
+        # ``until``: the gate the next unit starts at
+        src = ["def u(b, V, w):"]
+        for g in loaded:
+            if ops[g] in _LEAF_OPS:  # recomputed rather than stored
+                src.append(" v%d = %s" % (g, _leaf(ops[g], args[g])))
+            else:
+                src.append(" v%d = V[%d]" % (g, slot[g]))
+        src.extend(" " + line for line in lines)
+        for g in written:
+            if last_read[g] == stop or (last_read[g] >= until and ops[g] not in _LEAF_OPS):
+                src.append(" V[%d] = v%d" % (slot.setdefault(g, len(slot)), g))
+        namespace: dict = {}
+        exec(compile("\n".join(src), "<circuit>", "exec"), namespace)
+        units.append(namespace["u"])
+
+    lines, loaded, written, operands = [], {}, {}, 0
+    for g, line, reads, k in _statements(ops, args, stop, checks):
+        if lines and (
+            len(lines) == _UNIT_STATEMENTS or operands + len(reads) > _UNIT_OPERANDS
+        ):
+            compile_unit(lines, loaded, written, g)
+            lines, loaded, written, operands = [], {}, {}, 0
+        for r in reads:
+            if r not in written:
+                loaded[r] = None
+        if k is None:
+            written[g] = None
+        else:
+            check_unit[k] = len(units)
+        lines.append(line)
+        operands += len(reads)
+    compile_unit(lines, loaded, written, stop)
+    return units, len(slot), [slot[g] for g in results], check_unit
 
 
 def _eval_batch(ops, args, out_ids, inputs):
     """Evaluate many 0/1 rows at once, columnar: each gate's value is a
-    vector over all rows.  Returns a (rows, outputs) uint8 array."""
+    vector over all rows.  Returns a (rows, outputs) uint8 array.
+
+    A gate's vector is dropped after its last reader, so the sweep holds
+    the gates still to be read rather than every gate.
+    """
     rows = inputs.shape[0]
     ones = np.ones(rows, dtype=np.uint8)
     zeros = np.zeros(rows, dtype=np.uint8)
-    vals: list[np.ndarray] = [zeros] * len(ops)
+    last_read = [-1] * len(ops)
+    for g, op in enumerate(ops):
+        if op not in _LEAF_OPS:
+            for idx in args[g]:
+                last_read[idx] = g
+    for o in out_ids:
+        last_read[o] = len(ops)
+    vals: list[np.ndarray | None] = [None] * len(ops)
     for g, op in enumerate(ops):
         a = args[g]
-        if op == _OP_AND:
-            v = vals[a[0]]
-            for idx in a[1:]:
-                v = v & vals[idx]
-        elif op == _OP_OR:
-            v = vals[a[0]]
-            for idx in a[1:]:
-                v = v | vals[idx]
-        elif op == _OP_NOT:
-            v = vals[a[0]] ^ 1
-        elif op == _OP_INPUT:
+        if op == _OP_INPUT:
             v = inputs[:, a[0]]
+        elif op == _OP_CONST0:
+            v = zeros
         elif op == _OP_CONST1:
             v = ones
         else:
-            v = zeros
+            if op == _OP_AND:
+                v = vals[a[0]]
+                for idx in a[1:]:
+                    v = v & vals[idx]
+            elif op == _OP_OR:
+                v = vals[a[0]]
+                for idx in a[1:]:
+                    v = v | vals[idx]
+            else:
+                v = vals[a[0]] ^ 1
+            for idx in a:
+                if last_read[idx] == g:
+                    vals[idx] = None
         vals[g] = v
     return np.stack([vals[o] for o in out_ids], axis=1)
 
@@ -110,17 +205,29 @@ def _eval_batch(ops, args, out_ids, inputs):
 class Circuit:
     """Immutable layered circuit; safe to evaluate from any thread.
 
-    ``evaluate`` sweeps every gate once for one input vector;
-    ``first_set`` sweeps the same gate list only as far as the outputs
-    it reads.  ``evaluate_batch`` sweeps it once with a numpy vector per
+    ``evaluate`` and ``first_set`` run Python code generated from the gate
+    list on their first call and kept with the circuit: one assignment per
+    gate, ending at the last output gate.  Two threads that both make the
+    first call compile the same code, and either copy serves.
+    ``evaluate_batch`` sweeps the gate list once with a numpy vector per
     gate.
     """
 
-    __slots__ = ("gates", "outputs", "input_arity", "_ops", "_args")
+    __slots__ = (
+        "gates",
+        "outputs",
+        "input_arity",
+        "_ops",
+        "_args",
+        "_evaluator",
+        "_first_setter",
+    )
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int], input_arity: int):
         gates = tuple(gates)
         outputs = tuple(outputs)
+        if type(input_arity) is not int:
+            raise CircuitFormatError(f"input arity {input_arity!r} is not an int")
         # the gate list flattened for the evaluators: integer opcodes and
         # operand tuples, where an INPUT's operand is its input slot
         ops: list[int] = []
@@ -141,12 +248,15 @@ class Circuit:
                 if len(g.args) < 1:
                     raise CircuitFormatError(f"{g.kind} gate g{idx} needs at least one operand")
             for a in g.args:
+                # exactly int: the evaluators are generated from these numbers
+                if type(a) is not int:
+                    raise CircuitFormatError(f"gate g{idx} has operand {a!r}, not an int")
                 if not 0 <= a < idx:
                     raise CircuitFormatError(
                         f"gate g{idx} references g{a}, which is not an earlier gate"
                     )
             ops.append(_OPCODES[g.kind])
-            args.append((n_inputs - 1,) if g.kind == INPUT else g.args)
+            args.append((n_inputs - 1,) if g.kind == INPUT else tuple(g.args))
         if n_inputs != input_arity:
             raise CircuitFormatError(
                 f"circuit declares {input_arity} inputs but has {n_inputs} INPUT gates"
@@ -154,6 +264,8 @@ class Circuit:
         if not outputs:
             raise CircuitFormatError("circuit needs at least one output")
         for o in outputs:
+            if type(o) is not int:
+                raise CircuitFormatError(f"output gate {o!r} is not an int")
             if not 0 <= o < len(gates):
                 raise CircuitFormatError(f"output references unknown gate g{o}")
         self.gates = gates
@@ -161,6 +273,8 @@ class Circuit:
         self.input_arity = input_arity
         self._ops = ops
         self._args = args
+        self._evaluator = None
+        self._first_setter = None
 
     def _check_bits(self, bits: Sequence[int]) -> None:
         if len(bits) != self.input_arity:
@@ -193,40 +307,67 @@ class Circuit:
         """Run one input vector through the circuit; any nonzero bit reads
         as 1.  Returns every output, in order."""
         self._check_bits(bits)
-        n = len(self._ops)
-        values = [0] * n
-        _eval_single(self._ops, self._args, bits, values, 0, n)
-        return tuple(values[o] for o in self.outputs)
+        units, size, read = self._evaluator or self._compile_evaluator()
+        values = [0] * size
+        for u in units:
+            u(bits, values, None)
+        return read(values)
+
+    def _compile_evaluator(self):
+        units, size, slots, _ = _generate(
+            self._ops, self._args, max(self.outputs) + 1, {}, self.outputs
+        )
+        if len(slots) == 1:
+            (slot,) = slots
+
+            def read(values):
+                return (values[slot],)
+
+        else:
+            read = operator.itemgetter(*slots)
+        self._evaluator = units, size, read
+        return self._evaluator
 
     def first_set(self, bits: Sequence[int], outputs: Sequence[int]) -> int | None:
-        """The first index in ``outputs`` whose output is 1 on ``bits``,
+        """The smallest index in ``outputs`` whose output is 1 on ``bits``,
         or None when none is (or ``outputs`` is empty).
 
-        Equal to ``next((k for k in outputs if evaluate(bits)[k]), None)``,
-        but the sweep stops at the gate of the last output read: outputs
-        whose gates come early in the gate list cost least.  Indices may
-        come in any order and repeat; each must be a valid output index,
-        else ``EncodingError`` names it.
+        Equal to ``min((k for k in outputs if evaluate(bits)[k]), default=None)``.
+        Output ``k`` is tested right after the last gate of outputs ``0..k``,
+        so the run stops at the first hit, and on a miss soon after the
+        largest index asked for: outputs whose gates come early in the gate
+        list cost least.  Each index must be a valid output index, else
+        ``EncodingError`` names it.
         """
         self._check_bits(bits)
-        if outputs and (min(outputs) < 0 or max(outputs) >= len(self.outputs)):
+        if not outputs:
+            return None
+        wanted = set(outputs)
+        top = max(wanted)
+        if min(wanted) < 0 or top >= len(self.outputs):
             bad = next(k for k in outputs if not 0 <= k < len(self.outputs))
             raise EncodingError(
                 f"output index {bad} out of range for {len(self.outputs)} outputs"
             )
-        ops, args, out_ids = self._ops, self._args, self.outputs
-        values = [0] * len(ops)
-        done = 0
-        for k in outputs:
-            # gates reference earlier gates only, so the prefix through
-            # output k's gate holds everything it reads
-            stop = out_ids[k] + 1
-            if stop > done:
-                _eval_single(ops, args, bits, values, done, stop)
-                done = stop
-            if values[out_ids[k]]:
+        units, size, check_unit = self._first_setter or self._compile_first_setter()
+        values = [0] * size
+        for u in units[: check_unit[top] + 1]:
+            k = u(bits, values, wanted)
+            if k is not None:
                 return k
         return None
+
+    def _compile_first_setter(self):
+        # output k is tested after the last gate of outputs 0..k, so the
+        # tests run in index order whatever order the output gates take
+        checks: dict[int, list[tuple[int, int]]] = {}
+        last = 0
+        for k, o in enumerate(self.outputs):
+            last = max(last, o)
+            checks.setdefault(last, []).append((k, o))
+        units, size, _, check_unit = _generate(self._ops, self._args, last + 1, checks, ())
+        self._first_setter = units, size, check_unit
+        return self._first_setter
 
     def evaluate_batch(self, rows) -> np.ndarray:
         """Run many input vectors; returns a (rows, outputs) uint8 array.

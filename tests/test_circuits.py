@@ -1,11 +1,15 @@
+import functools
 import random
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nimcore.circuits.builders import threshold_at_least
 from nimcore.circuits.ir import (
     AND,
     Circuit,
@@ -80,6 +84,44 @@ def circuits_with_rows(draw):
     return Circuit(gates, outputs, n_inputs), rows
 
 
+def wide_random_circuit(rng, n_gates):
+    """Several generated units' worth of gates, each reading gates drawn
+    from anywhere earlier, so values cross unit boundaries."""
+    n_inputs = rng.randint(4, 24)
+    gates = [Gate(INPUT) for _ in range(n_inputs)] + [Gate("CONST0"), Gate("CONST1")]
+    while len(gates) < n_gates:
+        kind = rng.choice((AND, OR, NOT))
+        if kind == NOT:
+            args = (rng.randrange(len(gates)),)
+        else:
+            # favour recent gates, as layered builders do, but reach back
+            args = tuple(
+                rng.randrange(len(gates)) if rng.random() < 0.3
+                else rng.randrange(max(0, len(gates) - 40), len(gates))
+                for _ in range(rng.randint(1, 6))
+            )
+        gates.append(Gate(kind, args))
+    outputs = [rng.randrange(len(gates)) for _ in range(rng.randint(1, 12))]
+    # the last gate is an output, so no unit is cut off as dead code
+    outputs.insert(rng.randrange(len(outputs) + 1), len(gates) - 1)
+    return Circuit(gates, outputs, n_inputs)
+
+
+def assert_matches_reference(c, rows, picks):
+    for bits in rows:
+        expected = reference_eval(c, bits)
+        assert c.evaluate(bits) == expected
+        assert c.first_set(bits, picks) == min(
+            (k for k in picks if expected[k]), default=None
+        )
+
+
+@functools.cache
+def at_least_24_4():
+    # one OR of fan-in C(24, 4) = 10,626 over four-input ANDs
+    return threshold_at_least(24, 4)
+
+
 class TestEvaluate:
     def test_and_gate(self):
         c = and2()
@@ -147,7 +189,7 @@ class TestFirstSet:
         picks = data.draw(st.lists(st.integers(0, len(c.outputs) - 1), max_size=8))
         for bits in rows:
             expected = reference_eval(c, bits)
-            want = next((k for k in picks if expected[k]), None)
+            want = min((k for k in picks if expected[k]), default=None)
             assert c.first_set(bits, picks) == want
 
     def test_empty_outputs(self):
@@ -194,6 +236,115 @@ class TestFirstSet:
             )
 
 
+class TestGeneratedCode:
+    """``evaluate`` and ``first_set`` against ``reference_eval`` where the
+    generated code is split: across units, and within one wide gate."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(600, 1500), st.data())
+    def test_circuits_spanning_units(self, seed, n_gates, data):
+        rng = random.Random(seed)
+        c = wide_random_circuit(rng, n_gates)
+        rows = [[rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(8)]
+        picks = data.draw(st.lists(st.integers(0, len(c.outputs) - 1), max_size=12))
+        assert_matches_reference(c, rows, picks)
+        assert len(c._evaluator[0]) > 2  # the premise: several units
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from((AND, OR)), st.integers(3001, 9000), st.integers(0, 2**32))
+    def test_one_gate_wider_than_3000(self, kind, fan_in, seed):
+        # every operand a distinct input, shuffled: a row with one entry
+        # flipped against the rest decides the gate on that one operand
+        rng = random.Random(seed)
+        order = list(range(fan_in))
+        rng.shuffle(order)
+        gates = [Gate(INPUT) for _ in range(fan_in)]
+        gates += [Gate(kind, tuple(order)), Gate(NOT, (fan_in,))]
+        c = Circuit(gates, [fan_in + 1, fan_in, 0], fan_in)
+        rest = 1 if kind == AND else 0
+        rows = [[rest] * fan_in, [1 - rest] * fan_in]
+        rows.append([rng.randint(0, 1) for _ in range(fan_in)])
+        for i in rng.sample(range(fan_in), 3) + [order[0], order[-1]]:
+            row = [rest] * fan_in
+            row[i] = 1 - rest
+            rows.append(row)
+        assert_matches_reference(c, rows, [0, 1, 2])
+        assert_matches_reference(c, rows, [1])
+
+    @pytest.mark.parametrize("kind", [AND, OR])
+    def test_wide_gate_reads_every_operand(self, kind):
+        # wide enough to be split into statements and across units
+        n = 4500
+        order = list(range(n))
+        random.Random(2).shuffle(order)
+        c = Circuit([Gate(INPUT) for _ in range(n)] + [Gate(kind, tuple(order))], [n], n)
+        rest = 1 if kind == AND else 0
+        row = [rest] * n
+        assert c.evaluate(row) == (rest,)
+        for i in range(n):
+            row[i] = 1 - rest
+            assert c.evaluate(row) == (1 - rest,), f"operand of input {i} not read"
+            row[i] = rest
+
+    def test_dead_wide_gate(self):
+        # split across units, and read by no output
+        gates = [Gate(INPUT) for _ in range(8)]
+        gates += [Gate(AND, tuple(i % 8 for i in range(9000))), Gate(NOT, (0,))]
+        c = Circuit(gates, [9], 8)
+        assert c.evaluate([0] * 8) == (1,)
+        assert c.first_set([1] * 8, [0]) is None
+
+    def test_compile_memory_is_bounded(self):
+        # one gate of fan-in 20,000 compiled in one piece peaks near 26 MB
+        # of Python allocations; split into units it stays near 6 MB
+        wide = Gate(OR, tuple(i % 10 for i in range(20_000)))
+        c = Circuit([Gate(INPUT) for _ in range(10)] + [wide], [10], 10)
+        tracemalloc.start()
+        try:
+            assert c.evaluate([0] * 9 + [1]) == (1,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(0, 23), max_size=6))
+    def test_threshold_at_least_24_4(self, ones):
+        c = at_least_24_4()
+        assert max(len(g.args) for g in c.gates) == 10_626
+        bits = [1 if i in ones else 0 for i in range(24)]
+        assert_matches_reference(c, [bits], [0])
+        assert c.evaluate(bits) == (int(len(set(ones)) >= 4),)
+
+    def test_first_calls_from_four_threads(self):
+        c = wide_random_circuit(random.Random(5), 2000)
+        rng = random.Random(6)
+        rows = [[rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(6)]
+        picks = list(range(len(c.outputs)))
+        expected = [reference_eval(c, bits) for bits in rows]
+        want = [min((k for k in picks if e[k]), default=None) for e in expected]
+        start = threading.Barrier(4)
+        results = []
+
+        def run():
+            start.wait(timeout=30)
+            got = [(c.evaluate(bits), c.first_set(bits, picks)) for bits in rows]
+            results.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [list(zip(expected, want))] * 4
+
+
 class TestStructure:
     def test_forward_reference_rejected(self):
         with pytest.raises(CircuitFormatError):
@@ -202,6 +353,21 @@ class TestStructure:
     def test_not_needs_one_operand(self):
         with pytest.raises(CircuitFormatError):
             Circuit([Gate(INPUT), Gate(NOT, ())], [1], 1)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "0", True, None])
+    def test_operand_must_be_an_int(self, bad):
+        with pytest.raises(CircuitFormatError, match=r"gate g2 has operand"):
+            Circuit([Gate(INPUT), Gate(INPUT), Gate(AND, (0, bad))], [2], 2)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_output_must_be_an_int(self, bad):
+        with pytest.raises(CircuitFormatError, match=r"output gate .* is not an int"):
+            Circuit([Gate(INPUT), Gate(NOT, (0,))], [bad], 1)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_input_arity_must_be_an_int(self, bad):
+        with pytest.raises(CircuitFormatError, match=r"input arity .* is not an int"):
+            Circuit([Gate(INPUT), Gate(NOT, (0,))], [1], bad)
 
     def test_input_count_must_match(self):
         with pytest.raises(CircuitFormatError):
