@@ -88,6 +88,9 @@ class Position:
         if not self.heaps:
             raise InvalidPositionError("a position needs at least one heap")
         for i, h in enumerate(self.heaps):
+            # exactly int: a bool, a float or None is not a heap count
+            if type(h) is not int:
+                raise InvalidPositionError(f"heap {i} is {h!r}, not an int")
             if h < 0:
                 raise InvalidPositionError(f"heap {i} has negative count {h}")
 
@@ -252,8 +255,12 @@ class GrundySolver:
     an empty heap has no moves, so neither changes a value; the terminal
     key is ``()``.  Both read the non-empty pieces each move on a heap
     leaves off a per-solver table filled from the same move rules as
-    :func:`legal_moves`.  The walk builds a key's successors once, in its
-    stack entry, and stops at a key's first successor known to be a LOSS.
+    :func:`legal_moves`.  The walk builds a key's successors once, checking
+    each against the memo as it is built: the first one already known to
+    be a LOSS settles the key as a WIN, before the rest are built and
+    without a stack entry.  Otherwise the key's stack entry keeps the
+    successors, and the key is settled at the first of them found to be a
+    LOSS, or as a LOSS once all are WINs.
 
     Tables are capacity-bounded; hitting the cap raises instead of
     silently evicting so results stay reproducible.
@@ -278,18 +285,27 @@ class GrundySolver:
             )
         return pieces
 
-    def _successors(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def _successors(self, key: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+        """The successor keys of ``key``, or None at the first one already
+        known to be a LOSS, before the rest are built."""
         # Moves on equal heaps lead to the same keys, so each distinct heap
         # size is expanded once.  Keys from different sizes never coincide:
         # every piece a move leaves is smaller than the heap it came from.
+        known = self._outcome.get
+        loss = WinLoss.LOSS  # a local: reading an enum member is slow
         out = []
+        append = out.append
         previous = 0
         for i, c in enumerate(key):
             if c == previous:
                 continue
             previous = c
             rest = key[:i] + key[i + 1 :]
-            out += [tuple(sorted(rest + piece)) for piece in self._heap_pieces(c)]
+            for piece in self._heap_pieces(c):
+                succ = tuple(sorted(rest + piece))
+                if known(succ) is loss:
+                    return None
+                append(succ)
         return out
 
     def _reserve(self, table: dict) -> None:
@@ -325,7 +341,10 @@ class GrundySolver:
 
         A position is a WIN for the player to move iff some successor is
         a LOSS; terminal positions are LOSSes (the previous mover took
-        the last object).
+        the last object).  The walk runs on one explicit stack, so deep
+        games raise no ``RecursionError``, and it stops building a key's
+        successors at the first one already known to be a LOSS.  It reads
+        no Grundy value: it checks the sum rule, it does not use it.
         """
         validate_position(p, self.rules)
         key = tuple(sorted(h for h in p.heaps if h))
@@ -333,22 +352,35 @@ class GrundySolver:
         if key in memo:
             return memo[key]
         # Each entry is [key, successors, cursor]; the cursor stays on an
-        # unsolved successor until it is solved, and the entry is settled
-        # at the first successor that is a LOSS.
-        stack = [[key, self._successors(key), 0]]
-        while stack:
-            entry = stack[-1]
-            k, succ, i = entry
-            while i < len(succ) and memo.get(succ[i]) is WinLoss.WIN:
-                i += 1
-            if i < len(succ) and succ[i] not in memo:
-                entry[2] = i
-                stack.append([succ[i], self._successors(succ[i]), 0])
-                continue
-            stack.pop()
-            self._reserve(memo)
-            memo[k] = WinLoss.WIN if i < len(succ) else WinLoss.LOSS
-        return memo[key]
+        # unsolved successor until it is solved.  A key is settled as a WIN
+        # without an entry when building its successors meets a known LOSS,
+        # and an entry is settled at its first successor that is a LOSS.
+        win, loss = WinLoss.WIN, WinLoss.LOSS
+        stack = []
+        k = key
+        while True:
+            succ = self._successors(k)
+            if succ is None:
+                self._reserve(memo)
+                memo[k] = win
+            else:
+                stack.append([k, succ, 0])
+            while stack:
+                entry = stack[-1]
+                k, succ, i = entry
+                # each successor's entry is read once: another thread may
+                # store it between two reads
+                while i < len(succ) and (outcome := memo.get(succ[i])) is win:
+                    i += 1
+                if i < len(succ) and outcome is None:
+                    entry[2] = i
+                    k = succ[i]
+                    break
+                stack.pop()
+                self._reserve(memo)
+                memo[k] = win if i < len(succ) else loss
+            else:
+                return memo[key]
 
 
 _SOLVERS: dict[GameRules, GrundySolver] = {}

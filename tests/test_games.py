@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import sys
@@ -69,6 +70,21 @@ class TestPosition:
     def test_rejects_empty(self):
         with pytest.raises(InvalidPositionError):
             Position(())
+
+    # a heap count is exactly an int: not a float, a string, None or a bool
+    @pytest.mark.parametrize(
+        "heaps, message",
+        [
+            ((1.5, 2), "heap 0 is 1.5, not an int"),
+            ((3, "a"), "heap 1 is 'a', not an int"),
+            ((None,), "heap 0 is None, not an int"),
+            ((True, 2), "heap 0 is True, not an int"),
+        ],
+        ids=["float", "str", "none", "bool"],
+    )
+    def test_rejects_heap_that_is_not_an_int(self, heaps, message):
+        with pytest.raises(InvalidPositionError, match=message):
+            Position(heaps)
 
     def test_text_round_trip(self):
         p = Position.from_text("3,5,7")
@@ -319,6 +335,31 @@ def test_successor_keys_follow_legal_moves(name, heaps):
     assert sorted(solver._successors(key)) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(VARIANTS)),
+    positions=st.lists(HEAPS, min_size=1, max_size=8),
+    memo_cap=st.one_of(st.just(games.DEFAULT_MEMO_CAP), st.integers(1, 40)),
+)
+# walks that fill the memo partway and then meet a known LOSS
+@example(name="nim", positions=[(3, 5, 7)], memo_cap=20)
+@example(name="kayles", positions=[(4, 4, 1)], memo_cap=10)
+def test_every_memo_entry_is_a_fact(name, positions, memo_cap):
+    """Every win/loss entry a shared solver keeps, including those of a
+    walk cut short by a full memo, matches brute force, and the memo never
+    grows past its cap.  A key settled at a successor known to be a LOSS
+    has the rest of its successors never built, so only the brute-force
+    value can vouch for it."""
+    rules, _, brute_win = VARIANTS[name]
+    solver = GrundySolver(rules, memo_cap)
+    for heaps in positions:
+        with contextlib.suppress(MemoLimitError):
+            solver.win_loss(Position(heaps, rules.game_id))
+    assert len(solver._outcome) <= memo_cap
+    for key, outcome in solver._outcome.items():
+        assert outcome is (WinLoss.WIN if brute_win(key) else WinLoss.LOSS), key
+
+
 def test_grundy_definition_check_catches_added_heap_values(monkeypatch):
     assert verify.check_grundy_definition()[0]
     solve = GrundySolver.grundy
@@ -333,6 +374,13 @@ def test_grundy_definition_check_catches_added_heap_values(monkeypatch):
 
 
 class TestWinLossOracle:
+    def test_deep_walk_needs_no_recursion(self):
+        # 200,000 plies of taking one object: one stack entry per key
+        rules = GameRules.subtraction({1}, 200_000)
+        solver = GrundySolver(rules)
+        assert solver.win_loss(Position((200_000,), rules.game_id)) is WinLoss.LOSS
+        assert len(solver._outcome) == 200_001
+
     def test_terminal_is_loss(self):
         assert GrundySolver(NIM8).win_loss(Position((0, 0))) is WinLoss.LOSS
 
@@ -358,6 +406,25 @@ def test_thread_safety_bit_identical():
     with ThreadPoolExecutor(max_workers=4) as pool:
         list(pool.map(solver.grundy, shuffled))
     assert [solver.grundy(p) for p in positions] == sequential
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_win_loss_threads_match_fresh_solvers(name):
+    """Four threads walking one shared solver over a shuffled grid return
+    what a fresh solver returns for each position."""
+    rules = VARIANTS[name][0]
+    positions = [Position(h, rules.game_id) for h in itertools.product(range(7), repeat=3)]
+    random.Random(5).shuffle(positions)
+    want = [GrundySolver(rules).win_loss(p) for p in positions]
+    solver = GrundySolver(rules)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(solver.win_loss, positions, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_heap_table_race():
