@@ -54,7 +54,6 @@ from .harness import (
 from .models import (
     ModelKind,
     ThresholdNetwork,
-    certify_compilation,
     compile_to_ac0,
     eval_model,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "build_even_nonempty_scorer",
     "build_move_validator_circuit",
     "build_nimber_diff_circuit",
-    "certify_compilation",
     "compile_to_ac0",
     "eval_model",
     "exhaustive_adversary",

@@ -288,8 +288,6 @@ class Circuit:
         for idx, g in enumerate(self.gates):
             if g.kind in LOGIC_KINDS:
                 depths[idx] = 1 + max((depths[a] for a in g.args), default=0)
-            elif g.args:
-                depths[idx] = max(depths[a] for a in g.args)
         return depths
 
     def metrics(self) -> CircuitMetrics:

@@ -39,13 +39,15 @@ class GameRules:
     removal_set: frozenset[int] | None = None
 
     def __post_init__(self):
-        if self.max_heap_size < 1:
-            raise ValueError("max_heap_size must be positive")
+        # exactly int, as for heap counts: a bool, a float or a string is no size
+        if type(self.max_heap_size) is not int or self.max_heap_size < 1:
+            raise ValueError(f"max_heap_size {self.max_heap_size!r} is not a positive int")
         if self.variant is Variant.SUBTRACTION:
             if not self.removal_set:
                 raise ValueError("a subtraction game needs a non-empty removal set")
-            if any(r < 1 for r in self.removal_set):
-                raise ValueError("every allowed removal must be >= 1")
+            for r in self.removal_set:
+                if type(r) is not int or r < 1:
+                    raise ValueError(f"removal {r!r} is not an int >= 1")
             object.__setattr__(self, "removal_set", frozenset(self.removal_set))
         elif self.removal_set is not None:
             raise ValueError(f"{self.variant.value} does not take a removal set")

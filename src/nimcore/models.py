@@ -22,7 +22,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
 from ._jsondoc import expect
 from .circuits.builders import DEFAULT_GATE_BUDGET, CircuitBuilder
@@ -281,83 +280,6 @@ def compile_to_ac0(
             history[l].append(out)
         outputs = acts
     return b.build(outputs)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    n: int
-    depth: int
-    size: int
-
-
-@dataclass
-class CompilationReport:
-    points: list[SweepPoint]
-    depth_constant: bool
-    size_exponent: int
-    size_coefficient: float
-    size_within_bound: bool
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return self.depth_constant and self.size_within_bound and not self.violations
-
-
-def certify_compilation(
-    family: Callable[[int], ThresholdNetwork], sweep: Sequence[int]
-) -> CompilationReport:
-    """Compile a width-parameterized family and report depth/size behavior.
-
-    Each network is compiled by ``compile_to_ac0`` under the fixed
-    ``DEFAULT_THRESHOLD_CAP`` and ``DEFAULT_GATE_BUDGET``; a threshold above
-    the cap or a negative weight is a violation, and a construction past
-    the budget raises ``GateBudgetError``.
-
-    Depth must be identical across the sweep; size must stay within
-    2 * C * n**e where e is the family's largest threshold numerator and
-    C is fitted at the smallest sweep point.  The factor 2 absorbs
-    lower-order terms of the gate-count polynomial (C(n, e) has negative
-    ones, so a fit at small n undershoots), while wrong-degree growth
-    still diverges past any constant.  Problems are reported, not raised.
-    """
-    if not sweep:
-        raise ValueError("sweep must be non-empty")
-    sweep = sorted(sweep)
-    points: list[SweepPoint] = []
-    violations: list[str] = []
-    exponent = 1
-    for n in sweep:
-        net = family(n)
-        exponent = max(
-            exponent, max(max(th, 1) for layer in net.thresholds for th in layer)
-        )
-        try:
-            circuit = compile_to_ac0(net)
-        except (ThresholdCapError, UnsupportedModelError) as exc:
-            violations.append(f"n={n}: {exc}")
-            continue
-        m = circuit.metrics()
-        points.append(SweepPoint(n, m.depth, m.size))
-
-    depth_constant = len(points) == len(sweep) and len({p.depth for p in points}) <= 1
-    if not depth_constant and len({p.depth for p in points}) > 1:
-        violations.append(
-            "depth varies across the sweep: "
-            + ", ".join(f"n={p.n}: {p.depth}" for p in points)
-        )
-    coeff = 0.0
-    size_ok = bool(points)
-    if points:
-        base = points[0]
-        coeff = base.size / (base.n ** exponent)
-        for p in points[1:]:
-            if p.size > 2 * coeff * (p.n ** exponent) + 1e-9:
-                size_ok = False
-                violations.append(
-                    f"n={p.n}: size {p.size} exceeds 2 * {coeff:.3f} * n^{exponent}"
-                )
-    return CompilationReport(points, depth_constant, exponent, coeff, size_ok, violations)
 
 
 def network_to_json(net: ThresholdNetwork) -> dict:

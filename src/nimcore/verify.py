@@ -35,7 +35,12 @@ from .circuits.builders import (
 )
 from .circuits.encoding import PositionEncoding, decode_value
 from .circuits.ir import Circuit, Gate, parse, serialize
-from .errors import ContractViolationError, GateBudgetError
+from .errors import (
+    ContractViolationError,
+    GateBudgetError,
+    ThresholdCapError,
+    UnsupportedModelError,
+)
 from .games import GameRules, Position, apply_move, legal_moves
 from .harness import (
     ExperimentConfig,
@@ -50,7 +55,6 @@ from .harness import (
 from .models import (
     ModelKind,
     ThresholdNetwork,
-    certify_compilation,
     compile_to_ac0,
     eval_model,
 )
@@ -240,6 +244,37 @@ def _nimber_diff_mismatches(
     return wrong, endorsed
 
 
+def _depth_and_size_sweep(
+    build: Callable[[int], Circuit], widths: tuple[int, ...], exponent: int, slack: int
+) -> tuple[bool, str]:
+    """Constant depth and polynomial size across a family of circuits.
+
+    ``build(n)`` makes the circuit of width n.  Its depth must be the same
+    at every width, and its size at most ``slack * C * n**exponent``, where
+    C = size / n**exponent at the smallest width.  A build refused for a
+    threshold above the cap or a negative weight is a failure, not an error.
+    """
+    widths = tuple(sorted(widths))
+    metrics = []
+    for n in widths:
+        try:
+            metrics.append(build(n).metrics())
+        except (ThresholdCapError, UnsupportedModelError) as exc:
+            return False, f"n={n}: {exc}"
+    depths = {n: m.depth for n, m in zip(widths, metrics)}
+    if len(set(depths.values())) != 1:
+        return False, f"depth varies with n: {depths}"
+    base_n, base_size = widths[0], metrics[0].size
+    for n, m in zip(widths, metrics):
+        # size / n^e > slack * base_size / base_n^e, in integers
+        if m.size * base_n**exponent > slack * base_size * n**exponent:
+            coeff = base_size / base_n**exponent
+            return False, (
+                f"size {m.size} at n={n} exceeds {slack} * {coeff:.3f} * n^{exponent}"
+            )
+    return True, f"depth {metrics[0].depth} for n in {widths}"
+
+
 def check_nimber_diff_circuit(
     samples_per_config: int = 2_500,
     configs: tuple[tuple[int, int, int], ...] = ((2, 3, 2), (4, 4, 2), (6, 6, 1), (8, 8, 2)),
@@ -260,19 +295,12 @@ def check_nimber_diff_circuit(
         if endorsed:
             return False, f"validity bit endorses an over-changed pair at n={n}"
         total += samples_per_config
-    depths = []
-    sizes = []
-    for n in depth_sweep:
-        m = build_nimber_diff_circuit(n, 4, 2).metrics()
-        depths.append(m.depth)
-        sizes.append(m.size)
-    if len(set(depths)) != 1:
-        return False, f"depth varies with n: {dict(zip(depth_sweep, depths))}"
-    coeff = sizes[0] / depth_sweep[0] ** 2
-    for n, size in zip(depth_sweep, sizes):
-        if size > coeff * n * n + 1e-9:
-            return False, f"size {size} at n={n} exceeds {coeff:.2f} * n^2"
-    return True, f"{total} samples agree; depth {depths[0]} for n in {depth_sweep}"
+    ok, detail = _depth_and_size_sweep(
+        lambda n: build_nimber_diff_circuit(n, 4, 2), depth_sweep, exponent=2, slack=1
+    )
+    if not ok:
+        return False, detail
+    return True, f"{total} samples agree; {detail}"
 
 
 def check_threshold_popcount(max_n: int = 12, max_t: int = 3) -> tuple[bool, str]:
@@ -450,10 +478,18 @@ def _threshold2_family(n: int) -> ThresholdNetwork:
 
 
 def check_compiler_depth_independence(sweep=(4, 8, 16, 32)) -> tuple[bool, str]:
+    """Compiled families keep one depth, and their size stays within twice
+    the fit at n^e, e the family's largest threshold numerator.  The factor
+    2 absorbs the lower-order terms of C(n, e): a fit at small n undershoots."""
     for family, label in ((_or_family, "or"), (_threshold2_family, "threshold-2")):
-        report = certify_compilation(family, sweep)
-        if not report.ok:
-            return False, f"{label} family: {report.violations}"
+        exponent = max(
+            max(th, 1) for n in sweep for layer in family(n).thresholds for th in layer
+        )
+        ok, detail = _depth_and_size_sweep(
+            lambda n: compile_to_ac0(family(n)), sweep, exponent, slack=2
+        )
+        if not ok:
+            return False, f"{label} family: {detail}"
     return True, "compiled depth is width-independent across sweeps"
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nimcore
-from nimcore import harness
+from nimcore import cli, harness
 from nimcore.circuits.builders import (
     build_even_nonempty_scorer,
     build_nimber_diff_circuit,
@@ -16,6 +16,7 @@ from nimcore.circuits.builders import (
 from nimcore.circuits.ir import Circuit, Gate, save_circuit
 from nimcore.cli import main
 from nimcore.models import ModelKind, ThresholdNetwork, network_to_json
+from nimcore.verify import VerifyReport, VerifyResult
 
 
 class TestPlay:
@@ -74,6 +75,15 @@ class TestPlay:
         out = capsys.readouterr().out
         assert "forfeit:" not in out
         assert "winner: second" in out
+
+    def test_script_that_runs_out_forfeits(self, capsys):
+        rc = main(["play", "--start", "3,5,7", "--first", "script:0:2", "--second", "oracle"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [
+            "forfeit: first (script): scripted move list exhausted",
+            "winner: second (oracle)",
+        ]
 
     def test_bad_agent_spec(self, capsys):
         rc = main(["play", "--start", "1", "--first", "nope", "--second", "oracle"])
@@ -397,6 +407,15 @@ class TestVerifySubcommand:
         report = run_checks(["worked-example"], "desk")
         assert report.ok
         assert any("PASS worked-example" in line for line in report.summary_lines())
+
+    def test_failing_report_exits_1(self, monkeypatch, capsys):
+        report = VerifyReport("desk", [VerifyResult("worked-example", False, "broken")])
+        monkeypatch.setattr(cli, "run_checks", lambda names, scale: report)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL worked-example: broken",
+            "FAIL verify (desk): 0/1 checks green",
+        ]
 
 
 def test_python_dash_m_runs_the_cli():

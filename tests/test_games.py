@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -116,6 +117,29 @@ class TestRules:
     def test_removals_must_be_positive(self):
         with pytest.raises(ValueError):
             GameRules.subtraction({0, 1})
+
+    # exactly int, as for heap counts: a float removal would fail later in
+    # grundy with a bare KeyError, and True would play as removal 1
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GameRules.subtraction({1.5}, 8), "removal 1.5 is not an int >= 1"),
+            (lambda: GameRules.subtraction({True}, 8), "removal True is not an int >= 1"),
+            (lambda: GameRules.subtraction({"2"}, 8), "removal '2' is not an int >= 1"),
+            (lambda: GameRules.nim(2.5), "max_heap_size 2.5 is not a positive int"),
+            (lambda: GameRules.nim("8"), "max_heap_size '8' is not a positive int"),
+            (lambda: GameRules.kayles(True), "max_heap_size True is not a positive int"),
+            (lambda: GameRules.nim(0), "max_heap_size 0 is not a positive int"),
+        ],
+    )
+    def test_sizes_and_removals_must_be_ints(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("variant", [Variant.NIM, Variant.KAYLES])
+    def test_only_subtraction_takes_removals(self, variant):
+        with pytest.raises(ValueError, match=f"^{variant.value} does not take a removal set$"):
+            GameRules(variant, 8, frozenset({1}))
 
 
 class TestLegalMoves:

@@ -1,9 +1,13 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
+from nimcore import verify
+from nimcore.circuits.builders import threshold_at_least
+from nimcore.circuits.ir import Circuit, Gate
 from nimcore.errors import (
     EncodingError,
     GateBudgetError,
@@ -13,13 +17,12 @@ from nimcore.errors import (
 from nimcore.models import (
     ModelKind,
     ThresholdNetwork,
-    certify_compilation,
     compile_to_ac0,
     eval_model,
     network_from_json,
     network_to_json,
 )
-from nimcore.verify import _model_inputs, _flat_bits, _random_network
+from nimcore.verify import _depth_and_size_sweep, _flat_bits, _model_inputs, _random_network
 
 
 def nn(widths, weights, thresholds, q0=1, p_bound=4):
@@ -89,6 +92,58 @@ class TestValidation:
         with pytest.raises(ValueError):
             nn((2, 1), (((1,),),), ((1,),))  # weight matrix wrong shape
 
+    # one edit of a valid two-input, one-unit network per refused field
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(widths=(2,)), "widths needs an input width"),
+            (dict(widths=(2, 0)), "widths needs an input width"),
+            (dict(q0=0), "q0 and the numerator bound must be >= 1"),
+            (dict(p_bound=0), "q0 and the numerator bound must be >= 1"),
+            (dict(steps=0), "steps and window must be >= 1"),
+            (dict(window=0), "steps and window must be >= 1"),
+            (dict(weights=()), "need one weight matrix and threshold vector per layer"),
+            (dict(thresholds=()), "need one weight matrix and threshold vector per layer"),
+            (dict(weights=(((1,),),)), "layer 1 weight matrix must be 2x1"),
+            (dict(thresholds=((1, 1),)), "layer 1 needs 1 thresholds"),
+            (dict(thresholds=((5,),)), "numerator 5 exceeds the bound 4"),
+            (dict(recurrent=(((1,),),)), "feed-forward networks take no recurrent weights"),
+            (dict(steps=2), "feed-forward networks run a single step"),
+            (dict(kind=ModelKind.RNN), "rnn networks need recurrent weights"),
+            (dict(kind=ModelKind.LTST, recurrent=()), "need one recurrent block per layer"),
+            (
+                dict(kind=ModelKind.RNN, recurrent=(((1, 1),),)),
+                "layer 1 recurrence must be 1x1",
+            ),
+            (
+                dict(kind=ModelKind.LTST, recurrent=(((1,),),), window=2),
+                "layer 1 lag weights must be 1x2",
+            ),
+            (
+                dict(kind=ModelKind.RNN, recurrent=(((5,),),)),
+                "numerator 5 exceeds the bound 4",
+            ),
+            (
+                dict(kind=ModelKind.RNN, recurrent=(((1,),),), window=2),
+                "the RNN recurrence looks back exactly one step",
+            ),
+        ],
+    )
+    def test_refused_field_is_named(self, edit, message):
+        fields = dict(
+            kind=ModelKind.NN, widths=(2, 1), q0=1, p_bound=4,
+            weights=(((1,), (1,)),), thresholds=((1,),),
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ThresholdNetwork(**{**fields, **edit})
+
+    def test_wrong_frame_count(self):
+        net = ThresholdNetwork(
+            ModelKind.RNN, (1, 1), 1, 1, ((((1,),)),), ((1,),), recurrent=(((1,),),), steps=2
+        )
+        with pytest.raises(EncodingError, match="expected 2 input frames, got 1"):
+            eval_model(net, ((1,),))
+
 
 class TestCompile:
     def test_and_or_neurons(self):
@@ -104,6 +159,13 @@ class TestCompile:
     def test_negative_weight_rejected(self):
         net = nn((1, 1), (((-1,),),), ((0,),))
         with pytest.raises(UnsupportedModelError):
+            compile_to_ac0(net)
+
+    def test_negative_recurrent_weight_rejected(self):
+        net = ThresholdNetwork(
+            ModelKind.RNN, (1, 1), 1, 1, ((((1,),)),), ((1,),), recurrent=(((-1,),),), steps=2
+        )
+        with pytest.raises(UnsupportedModelError, match="negative recurrent weight -1 in layer 1"):
             compile_to_ac0(net)
 
     def test_threshold_cap_names_unit(self):
@@ -145,23 +207,53 @@ class TestCompile:
             assert circuit.metrics().depth <= 2 * net.L * steps
 
 
-class TestCertify:
+class TestDepthAndSizeSweep:
     def test_or_family_linear(self):
-        def family(n):
-            return nn((n, 1), (((1,),) * n,), ((1,),))
+        sizes = []
 
-        report = certify_compilation(family, (4, 8, 16))
-        assert report.ok
-        assert {p.depth for p in report.points} == {2}
-        assert [p.size for p in report.points] == [5, 9, 17]
+        def build(n):
+            circuit = compile_to_ac0(nn((n, 1), (((1,),) * n,), ((1,),)))
+            sizes.append(circuit.metrics().size)
+            return circuit
+
+        ok, detail = _depth_and_size_sweep(build, (4, 8, 16), exponent=1, slack=2)
+        assert ok
+        assert detail == "depth 2 for n in (4, 8, 16)"
+        assert sizes == [5, 9, 17]
 
     def test_cap_violation_reported_not_raised(self):
         def family(n):
             return nn((n, 1), (((1,),) * n,), ((6,),), p_bound=6)
 
-        report = certify_compilation(family, (4, 8))
-        assert not report.ok
-        assert any("threshold" in v for v in report.violations)
+        ok, detail = _depth_and_size_sweep(
+            lambda n: compile_to_ac0(family(n)), (4, 8), exponent=6, slack=2
+        )
+        assert not ok
+        assert detail.startswith("n=4: ") and "threshold" in detail
+
+    def test_growing_depth_fails(self):
+        def chain(n):  # n NOT gates in a row: depth n
+            return Circuit([Gate("INPUT")] + [Gate("NOT", (i,)) for i in range(n)], (n,), 1)
+
+        assert _depth_and_size_sweep(chain, (2, 4), exponent=1, slack=2) == (
+            False,
+            "depth varies with n: {2: 2, 4: 4}",
+        )
+
+    def test_size_past_the_exponent_fails(self):
+        # sizes 7, 29, 121 grow as n^2, a linear fit at n=4 is 1.75 * n
+        ok, detail = _depth_and_size_sweep(
+            lambda n: threshold_at_least(n, 2), (4, 8, 16), exponent=1, slack=2
+        )
+        assert not ok
+        assert detail == "size 29 at n=8 exceeds 2 * 1.750 * n^1"
+
+    def test_both_checks_use_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(
+            verify, "_depth_and_size_sweep", lambda *args, **kwargs: (False, "n=4: refused")
+        )
+        assert verify.check_nimber_diff_circuit(samples_per_config=1) == (False, "n=4: refused")
+        assert verify.check_compiler_depth_independence() == (False, "or family: n=4: refused")
 
 
 class TestJsonFormat:
