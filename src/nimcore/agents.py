@@ -34,38 +34,47 @@ from .games import (
     GameRules,
     Position,
     Variant,
+    _validate,
     apply_move,
     grundy,
     legal_moves,
-    validate_position,
 )
-from .nimber import _require_nim, winning_moves
+from .nimber import _require_nim, _xor_fold, winning_moves
 
 _MAX_EXHAUSTIVE_CAP = 1 << 16  # the accepted range of RolloutBudget.exhaustive_cap is 0..this
 _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
 
 
-@dataclass(frozen=True)
+_Frames = tuple[tuple[int, ...], ...]  # heap tuples, oldest first
+
+
 class FrameHistory:
-    """The window of a game's newest positions an agent is handed, oldest
-    first; one step, ``harness._agent_move``, cuts it for both drivers.
+    """The window of a game's newest positions an agent is handed: their
+    heap tuples, oldest first, and the id of the game they belong to.  One
+    step, ``harness._agent_move``, cuts it for both drivers from the heap
+    tuples they hold.
 
     The frames are all an agent sees: a move is the difference between
     two consecutive frames, and a window of every frame since the opening
-    position has ``len(frames) - 1`` plies.
+    position has ``len(frames) - 1`` plies.  The window checks only that
+    it has a frame.  The drivers hand over heaps that a validated start
+    and legal moves produced, so agents read them as tuples; ``current``
+    builds, and so checks, the newest frame's ``Position`` on each read.
     """
 
-    frames: tuple[Position, ...]
+    __slots__ = ("frames", "game_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
+    def __init__(self, frames, game_id: str = "nim"):
+        frames = tuple(frames)
+        if not frames:
             # a ValueError; an agent whose window cuts it empty forfeits
             raise ContractViolationError("history needs at least one frame")
+        self.frames: _Frames = frames
+        self.game_id = game_id
 
     @property
     def current(self) -> Position:
-        return self.frames[-1]
+        return Position(self.frames[-1], self.game_id)
 
 
 class AgentPolicy:
@@ -73,9 +82,6 @@ class AgentPolicy:
 
     ``required_frames`` tells the match driver how many of the newest
     positions to hand over (0 means every position since the start).
-    ``choose`` must return a move legal in the newest frame; stochastic
-    policies draw from the supplied generator so matches replay exactly
-    from a seed.
 
     With ``required_frames >= 1``, ``choose`` must be a deterministic
     function of the window it is handed and the generator: the exhaustive
@@ -91,6 +97,11 @@ class AgentPolicy:
     variants: frozenset[Variant] = frozenset(Variant)
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
+        """A move legal in the window's newest frame, ``history.frames[-1]``,
+        a heap tuple of the game ``history.game_id``.  Stochastic policies
+        draw from ``rng`` so matches replay exactly from a seed.  A policy
+        that needs a ``Position`` reads ``history.current``, which builds
+        one."""
         raise NotImplementedError
 
 
@@ -103,12 +114,13 @@ class OracleAgent(AgentPolicy):
         self.name = "oracle"
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        p = history.current
         if self.rules.variant is Variant.NIM:
             # the rollout oracle's rule: the lowest winning move, else the
             # lowest legal move, read off the heaps without a move list
-            validate_position(p, self.rules)
-            return GameMove(*_opp_oracle(p.heaps, rng))
+            heaps = history.frames[-1]
+            _validate(heaps, history.game_id, self.rules)
+            return GameMove(*_opp_oracle(heaps, rng))
+        p = history.current
         moves = legal_moves(p, self.rules)
         if not moves:
             raise IllegalMoveError("no legal moves from a terminal position")
@@ -123,13 +135,13 @@ class RandomAgent(AgentPolicy):
         self.rules = rules
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        p = history.current
         if self.rules.variant is Variant.NIM:
             # NIM has sum(heaps) moves; one draw picks the same move and
             # leaves the generator in the same state as indexing the list
-            validate_position(p, self.rules)
-            return GameMove(*_opp_random(p.heaps, rng))
-        moves = legal_moves(p, self.rules)
+            heaps = history.frames[-1]
+            _validate(heaps, history.game_id, self.rules)
+            return GameMove(*_opp_random(heaps, rng))
+        moves = legal_moves(history.current, self.rules)
         if not moves:
             raise IllegalMoveError("no legal moves from a terminal position")
         return moves[rng.randrange(len(moves))]
@@ -194,7 +206,7 @@ class SingleFrameCircuitAgent(AgentPolicy):
         return cls(_even_nonempty_scorer(n, l), n, l, name="singleframe-heuristic")
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        heaps = history.current.heaps
+        heaps = history.frames[-1]
         move = self._decisions.get(heaps)
         if move is None:
             move = self._decide(heaps)
@@ -403,23 +415,24 @@ class MultiFrameAgent(AgentPolicy):
         self._proven: set[tuple[int, ...]] = set()
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        heaps = history.current.heaps
+        frames = history.frames
+        heaps = frames[-1]
         if not any(heaps):
             raise IllegalMoveError("no legal moves from a terminal position")
         cached = self._decisions.get(heaps)
         if cached is None:
-            cached = self._restore(history.frames, heaps)
+            cached = self._restore(frames, heaps)
         if cached is None:
             cached = self._decide(heaps)
             self._decisions[heaps] = cached
         return cached
 
-    def _restore(self, frames: tuple[Position, ...], heaps: tuple[int, ...]) -> GameMove | None:
+    def _restore(self, frames: _Frames, heaps: tuple[int, ...]) -> GameMove | None:
         """The two-frame reply to the opponent's move into ``heaps``, or
         None when the window does not qualify and the search must decide."""
         if len(frames) < 2:
             return None
-        pb = frames[-2].heaps
+        pb = frames[-2]
         if pb not in self._proven or len(pb) != len(heaps) or sum(pb) >= self.budget.ply_cap:
             return None
         d = _diff_indices(pb, heaps)
@@ -464,7 +477,7 @@ class Mirror71Agent(AgentPolicy):
         self.name = f"mirror71:{k}"
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        heaps = history.current.heaps
+        heaps = history.frames[-1]
         if len(heaps) != 2 * self.k + 1:
             raise StrategyDomainError(
                 f"expected {2 * self.k + 1} heaps, got {len(heaps)}"
@@ -520,7 +533,8 @@ class Mirror72Agent(AgentPolicy):
             raise StrategyDomainError("position is outside the duplication family")
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
-        heaps = history.current.heaps
+        frames = history.frames
+        heaps = frames[-1]
         self._validate(heaps)
         k = self.k
         odd = 2 * k
@@ -536,16 +550,13 @@ class Mirror72Agent(AgentPolicy):
             raise StrategyDomainError("no duplication move available")
 
         # second player: grab any win the opponent leaves, else play the plan
-        s = 0
-        for h in heaps:
-            s ^= h
-        if s:
+        if _xor_fold(heaps):
             return min(winning_moves(Position(heaps)))
         if heaps[0] == 2:
             return GameMove(0, 1)
         last = None
-        if len(history.frames) >= 2:
-            changed = _diff_indices(history.frames[-2].heaps, heaps)
+        if len(frames) >= 2:
+            changed = _diff_indices(frames[-2], heaps)
             if len(changed) == 1:
                 last = changed[0]
         if last is not None and last not in (0, k, odd):

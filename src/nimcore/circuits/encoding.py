@@ -41,8 +41,13 @@ class PositionEncoding:
     frames: int = 3
 
     def __post_init__(self):
-        if self.n < 1 or self.l < 1 or self.frames < 1:
-            raise EncodingError("encoding needs n >= 1, l >= 1, frames >= 1")
+        for name in ("n", "l", "frames"):
+            value = getattr(self, name)
+            # exactly int: a bool, a float or a string is no size
+            if type(value) is not int or value < 1:
+                raise EncodingError(
+                    f"encoding needs n >= 1, l >= 1, frames >= 1; {name} is {value!r}"
+                )
 
     @property
     def frame_bits(self) -> int:

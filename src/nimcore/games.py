@@ -89,12 +89,7 @@ class Position:
         object.__setattr__(self, "heaps", tuple(self.heaps))
         if not self.heaps:
             raise InvalidPositionError("a position needs at least one heap")
-        for i, h in enumerate(self.heaps):
-            # exactly int: a bool, a float or None is not a heap count
-            if type(h) is not int:
-                raise InvalidPositionError(f"heap {i} is {h!r}, not an int")
-            if h < 0:
-                raise InvalidPositionError(f"heap {i} has negative count {h}")
+        _check_counts(self.heaps)
 
     @property
     def total(self) -> int:
@@ -110,6 +105,15 @@ class Position:
 
     def to_text(self) -> str:
         return ",".join(map(str, self.heaps))
+
+
+def _check_counts(heaps: tuple[int, ...]) -> None:
+    for i, h in enumerate(heaps):
+        # exactly int: a bool, a float or None is not a heap count
+        if type(h) is not int:
+            raise InvalidPositionError(f"heap {i} is {h!r}, not an int")
+        if h < 0:
+            raise InvalidPositionError(f"heap {i} has negative count {h}")
 
 
 @dataclass(frozen=True, order=True)
@@ -135,14 +139,24 @@ class WinLoss(enum.Enum):
 
 
 def validate_position(p: Position, rules: GameRules) -> None:
-    if p.game_id != rules.game_id:
+    _validate(p.heaps, p.game_id, rules)
+
+
+def _validate(heaps: tuple[int, ...], game_id: str, rules: GameRules) -> None:
+    """The check of :func:`validate_position` on a heap tuple of
+    ``game_id``.  A tuple that no ``Position`` checked may hold a heap that
+    is no count, so it also refuses those, with ``Position``'s errors."""
+    if game_id != rules.game_id:
         raise InvalidPositionError(
-            f"position belongs to {p.game_id!r}, rules are {rules.game_id!r}"
+            f"position belongs to {game_id!r}, rules are {rules.game_id!r}"
         )
-    for i, h in enumerate(p.heaps):
-        if h > rules.max_heap_size:
+    bound = rules.max_heap_size
+    for h in heaps:
+        if type(h) is not int or not 0 <= h <= bound:
+            _check_counts(heaps)
+            i = next(i for i, c in enumerate(heaps) if c > bound)
             raise InvalidPositionError(
-                f"heap {i} has {h} objects, above the rule bound {rules.max_heap_size}"
+                f"heap {i} has {heaps[i]} objects, above the rule bound {bound}"
             )
 
 

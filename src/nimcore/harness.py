@@ -28,6 +28,7 @@ from .agents import (
     RolloutBudget,
     ScriptAgent,
     SingleFrameCircuitAgent,
+    _Frames,
 )
 from .circuits.ir import load_circuit
 from .errors import (
@@ -147,14 +148,16 @@ def play_match(
     An agent raising or returning an illegal move forfeits (the record
     carries the reason); the game never crashes on a buggy policy.
 
-    Only the start is validated here.  Each ply is one ``_agent_move``,
-    which hands the mover its window and checks its move on the heap
-    tuple; every later position is valid, since a legal move only
-    shrinks heaps (a Kayles split leaves two smaller rows).  The oracle
-    and random agents validate the position they are handed, as their
-    ``choose`` contract asks.  The tuple of frames keeps those the agents
+    Only the start is validated, and it is the only ``Position`` the
+    match reads.  Each ply is one ``_agent_move``, which hands the mover
+    its window of heap tuples and checks its move on the newest one;
+    every later position is valid, since a legal move only shrinks heaps
+    (a Kayles split leaves two smaller rows).  The oracle and random
+    agents validate the heaps they are handed, as their ``choose``
+    contract asks.  The tuple of frames holds the heap tuples the agents
     read: the larger window, or every frame when an agent reads them all
-    (``required_frames == 0``).
+    (``required_frames == 0``).  Under NIM each ply's diagnostic value is
+    the XOR fold of the heaps it leaves.
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
@@ -166,7 +169,7 @@ def play_match(
     keep = max(windows) if min(windows) >= 1 else 0
     nim = rules.variant is Variant.NIM
     value = nimber.nim_sum(start) if nim else None
-    frames = (start,)
+    frames: _Frames = (start.heaps,)
     moves: list[GameMove] = []
     diagnostics: list[MoveDiagnostic] = []
     mover = 0
@@ -178,13 +181,12 @@ def play_match(
             winner = seats[1 - mover]
             forfeit = f"{seats[mover]} ({names[mover]}): {exc}"
             break
-        nxt = Position(heaps, start.game_id)
         # the value after this ply is the value before the next one
-        after = nimber.nim_sum(nxt) if nim else None
+        after = nimber._xor_fold(heaps) if nim else None
         diagnostics.append(MoveDiagnostic(seats[mover], value, after))
         value = after
         moves.append(move)
-        frames = (frames + (nxt,))[-keep:]
+        frames = (frames + (heaps,))[-keep:]
         if _no_moves(heaps, rules):
             winner = seats[mover]
             break
@@ -194,13 +196,15 @@ def play_match(
     )
 
 
-def _agent_move(agent: AgentPolicy, frames: tuple[Position, ...], rules: GameRules, rng):
-    """``agent``'s move from the newest of ``frames`` and the heaps it
-    leaves.  The agent is handed its newest ``required_frames`` frames
-    (``[-0:]`` keeps every frame); an illegal move, or one that is not a
-    move, raises ``IllegalMoveError``."""
-    move = agent.choose(FrameHistory(frames[-agent.required_frames :]), rng)
-    return move, _checked_heaps(frames[-1].heaps, move, rules)
+def _agent_move(agent: AgentPolicy, frames: _Frames, rules: GameRules, rng):
+    """``agent``'s move from the newest of ``frames``, heap tuples of a
+    game under ``rules``, and the heaps it leaves.  The agent is handed
+    its newest ``required_frames`` frames (``[-0:]`` keeps every frame)
+    as a ``FrameHistory`` of ``rules.game_id``; an empty window raises
+    ``ContractViolationError``, and an illegal move, or one that is not a
+    move, ``IllegalMoveError``."""
+    move = agent.choose(FrameHistory(frames[-agent.required_frames :], rules.game_id), rng)
+    return move, _checked_heaps(frames[-1], move, rules)
 
 
 @dataclass
@@ -235,9 +239,6 @@ def exhaustive_adversary(
     return _adversary_walk(rules, start, agent, role, node_budget, lambda p, after: after is None)
 
 
-_Frames = tuple[tuple[int, ...], ...]  # heap tuples, oldest first
-
-
 class _SeededOnFirstDraw:
     """Stands in for ``random.Random(0)``: the generator is created and
     seeded on the first attribute read, and that read and every later one
@@ -261,13 +262,13 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
 
     The walk is a depth-first search on an explicit stack over heap
     tuples: its history is a tuple of heap tuples, cut to the newest
-    ``required_frames`` when that is at least 1.  It builds ``Position``
-    objects only for the agent's window, which ``_agent_move`` hands over,
-    as in a match, with a fresh ``Random(0)``, seeded on first draw, so
-    the walk is deterministic.  Only the start is validated: the agent's
-    move is checked for legality on the heap tuple, the adversary plays
-    generated moves, and a legal move only shrinks heaps, so every
-    position below the start is valid.
+    ``required_frames`` when that is at least 1.  It builds no
+    ``Position``: ``_agent_move`` cuts the agent's window from that
+    history, as in a match, and hands it over with a fresh ``Random(0)``,
+    seeded on first draw, so the walk is deterministic.  Only the start
+    is validated: the agent's move is checked for legality on the heap
+    tuple, the adversary plays generated moves, and a legal move only
+    shrinks heaps, so every position below the start is valid.
 
     An agent with ``required_frames >= 1`` sees only its window, so the
     subtree below a node depends only on the window the rest of the walk
@@ -287,7 +288,6 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     frames = agent.required_frames
     adversary_window = max(frames - 1, 1)
     proven: set[tuple[_Frames, bool]] | None = set() if frames >= 1 else None
-    game_id = start.game_id
     line: list[GameMove] = []
     # one entry per adversary node on the path: its history, its remaining
     # moves, the table keys it proves clean once exhausted, and len(line);
@@ -308,9 +308,8 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
                 if (history, True) in proven:
                     return True
                 keys.append((history, True))
-            window = tuple(Position(h, game_id) for h in history)
             try:
-                move, nxt = _agent_move(agent, window, rules, _SeededOnFirstDraw())
+                move, nxt = _agent_move(agent, history, rules, _SeededOnFirstDraw())
             except _AGENT_FAILURES:
                 return False
             line.append(move)

@@ -18,9 +18,10 @@ DEFAULT_K_MAX = 2
 
 def bit_width(max_heap_size: int) -> int:
     """Bits needed to encode every count in 0..max_heap_size (at least 1)."""
-    if max_heap_size < 0:
-        raise ValueError("max_heap_size must be non-negative")
-    return max(1, int(max_heap_size).bit_length())
+    # exactly int, as for heap counts: a bool, a float or a string is no size
+    if type(max_heap_size) is not int or max_heap_size < 0:
+        raise ValueError(f"max_heap_size {max_heap_size!r} is not a non-negative int")
+    return max(1, max_heap_size.bit_length())
 
 
 def _require_nim(p: Position) -> None:
@@ -33,8 +34,13 @@ def _require_nim(p: Position) -> None:
 def nim_sum(p: Position) -> int:
     """Bitwise XOR fold of the heap sizes."""
     _require_nim(p)
+    return _xor_fold(p.heaps)
+
+
+def _xor_fold(heaps: tuple[int, ...]) -> int:
+    """The NIM sum of a heap tuple, which the caller knows to be NIM heaps."""
     s = 0
-    for h in p.heaps:
+    for h in heaps:
         s ^= h
     return s
 
@@ -46,9 +52,7 @@ def winning_moves(p: Position) -> list[GameMove]:
     when it is an actual decrease; the list is empty iff ``p`` is losing.
     """
     _require_nim(p)
-    s = 0
-    for h in p.heaps:
-        s ^= h
+    s = _xor_fold(p.heaps)
     if s == 0:
         return []
     out = []

@@ -106,14 +106,14 @@ class _NodeBudgetExceeded(Exception):
 
 
 def _window(history, k):
-    """The agent's window: the newest ``k`` frames of ``history``, or all
-    of them when ``k`` is 0 or the history is shorter."""
+    """The agent's window: the heap tuples of the newest ``k`` positions of
+    ``history``, or of all of them when ``k`` is 0 or the history is
+    shorter."""
     from nimcore.agents import FrameHistory
 
-    frames = history.frames
-    if 1 <= k < len(frames):
-        frames = frames[len(frames) - k :]
-    return FrameHistory(frames)
+    if 1 <= k < len(history):
+        history = history[len(history) - k :]
+    return FrameHistory(tuple(p.heaps for p in history), history[-1].game_id)
 
 
 def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
@@ -125,7 +125,6 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
     """
     import random
 
-    from nimcore.agents import FrameHistory
     from nimcore.errors import IllegalMoveError
     from nimcore.games import apply_move, legal_moves
     from nimcore.harness import _AGENT_FAILURES, AdversaryReport
@@ -138,7 +137,7 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
 
     def walk(history, agent_to_move):
         nonlocal nodes
-        p = history.current
+        p = history[-1]
         if not legal_moves(p, rules):
             # the previous mover took the last object
             return (not agent_to_move, [])
@@ -148,20 +147,20 @@ def reference_adversary(rules, start, agent, role="first", node_budget=500_000):
                 nxt = apply_move(p, move, rules)
             except _AGENT_FAILURES:
                 return (False, [])
-            ok, line = walk(FrameHistory(history.frames + (nxt,)), False)
+            ok, line = walk(history + (nxt,), False)
             return (ok, [move] + line)
         for move in legal_moves(p, rules):
             nodes += 1
             if nodes > node_budget:
                 raise _NodeBudgetExceeded
             nxt = apply_move(p, move, rules)
-            ok, line = walk(FrameHistory(history.frames + (nxt,)), True)
+            ok, line = walk(history + (nxt,), True)
             if not ok:
                 return (False, [move] + line)
         return (True, [])
 
     try:
-        ok, line = walk(FrameHistory((start,)), role == "first")
+        ok, line = walk((start,), role == "first")
     except _NodeBudgetExceeded:
         return AdversaryReport(False, None, nodes, complete=False)
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
@@ -179,7 +178,6 @@ def reference_never_miss(rules, start, agent, role="second"):
     import random
 
     from nimcore import nimber
-    from nimcore.agents import FrameHistory
     from nimcore.games import apply_move, legal_moves
     from nimcore.harness import _AGENT_FAILURES, AdversaryReport
 
@@ -187,7 +185,7 @@ def reference_never_miss(rules, start, agent, role="second"):
 
     def walk(history, agent_to_move):
         nonlocal nodes
-        p = history.current
+        p = history[-1]
         if not legal_moves(p, rules):
             return (True, [])
         if agent_to_move:
@@ -198,17 +196,17 @@ def reference_never_miss(rules, start, agent, role="second"):
                 return (False, [])
             if nimber.nim_sum(p) != 0 and nimber.nim_sum(nxt) != 0:
                 return (False, [move])
-            ok, line = walk(FrameHistory(history.frames + (nxt,)), False)
+            ok, line = walk(history + (nxt,), False)
             return (ok, [move] + line)
         for move in legal_moves(p, rules):
             nodes += 1
             nxt = apply_move(p, move, rules)
-            ok, line = walk(FrameHistory(history.frames + (nxt,)), True)
+            ok, line = walk(history + (nxt,), True)
             if not ok:
                 return (False, [move] + line)
         return (True, [])
 
-    ok, line = walk(FrameHistory((start,)), role == "first")
+    ok, line = walk((start,), role == "first")
     return AdversaryReport(ok, None if ok else line, nodes, complete=True)
 
 

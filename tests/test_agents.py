@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +45,7 @@ RNG = lambda: random.Random(0)
 
 
 def hist(*heaps_seq):
-    return FrameHistory(tuple(Position(h) for h in heaps_seq))
+    return FrameHistory(heaps_seq)
 
 
 @pytest.mark.parametrize("module", [nimcore, nimcore.circuits], ids=lambda m: m.__name__)
@@ -63,6 +64,13 @@ class TestFrameHistory:
     def test_needs_a_frame(self):
         with pytest.raises(ValueError):
             FrameHistory(())
+
+    def test_current_is_built_from_the_newest_frame(self):
+        h = FrameHistory([(3,), (1,)], "kayles")
+        assert h.frames == ((3,), (1,)) and h.game_id == "kayles"
+        assert h.current == Position((1,), "kayles")
+        with pytest.raises(InvalidPositionError, match="negative count"):
+            FrameHistory(((2, -1),)).current
 
 
 class TestOracleAgent:
@@ -83,7 +91,7 @@ class TestOracleAgent:
     def test_kayles_oracle_uses_grundy(self):
         rules = GameRules.kayles(8)
         agent = OracleAgent(rules)
-        move = agent.choose(FrameHistory((Position((3,), "kayles"),)), RNG())
+        move = agent.choose(FrameHistory(((3,),), "kayles"), RNG())
         from nimcore.games import grundy
 
         assert grundy(apply_move(Position((3,), "kayles"), move, rules), rules) == 0
@@ -109,14 +117,34 @@ def test_nim_choices_match_move_list(data, seed):
     game_id = data.draw(st.sampled_from(("nim", "nim", "kayles")))
     rules = GameRules.nim(bound)
     p = Position(tuple(heaps), game_id)
+    window = FrameHistory((p.heaps,), p.game_id)
     for agent, reference in (
         (OracleAgent(rules), lambda rng: reference_oracle_choice(p, rules)),
         (RandomAgent(rules), lambda rng: reference_random_choice(p, rules, rng)),
     ):
         fast_rng, ref_rng = random.Random(seed), random.Random(seed)
-        fast = _outcome(lambda: agent.choose(FrameHistory((p,)), fast_rng), fast_rng)
+        fast = _outcome(lambda: agent.choose(window, fast_rng), fast_rng)
         expected = _outcome(lambda: reference(ref_rng), ref_rng)
         assert fast == expected, agent.name
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        ((-1, 2), "heap 0 has negative count -1"),
+        ((2, 1.5), "heap 1 is 1.5, not an int"),
+        ((True, 2), "heap 0 is True, not an int"),
+        ((3, 17, -1), "heap 2 has negative count -1"),
+    ],
+)
+@pytest.mark.parametrize("rules", [GameRules.nim(16), GameRules.kayles(16)], ids=["nim", "kayles"])
+@pytest.mark.parametrize("policy", [OracleAgent, RandomAgent])
+def test_a_hand_built_window_is_validated(policy, rules, frame, message):
+    # a window's heap tuples need not come from a Position: a heap that is
+    # no count is refused with the error a Position would raise
+    window = FrameHistory([frame], rules.game_id)
+    with pytest.raises(InvalidPositionError, match=f"^{re.escape(message)}$"):
+        policy(rules).choose(window, RNG())
 
 
 class TestPreservingReply:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ class TestEncoding:
         assert enc.candidate_slot(2, 3) == 11
         with pytest.raises(EncodingError):
             enc.candidate_slot(3, 0)
+
+    @pytest.mark.parametrize(
+        "args, name, value",
+        [
+            ((2.5, 3), "n", 2.5),
+            ((2, True), "l", True),
+            ((2, 3, 1.0), "frames", 1.0),
+            (("3", 3), "n", "3"),
+            ((2, None), "l", None),
+            ((0, 3), "n", 0),
+            ((2, 3, -1), "frames", -1),
+        ],
+    )
+    def test_sizes_must_be_ints(self, args, name, value):
+        with pytest.raises(EncodingError, match=rf"; {name} is {re.escape(repr(value))}$"):
+            PositionEncoding(*args)
 
 
 class TestThreshold:

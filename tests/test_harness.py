@@ -22,7 +22,7 @@ from nimcore.agents import (
 )
 from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
-from nimcore.errors import IllegalMoveError, NimcoreError
+from nimcore.errors import IllegalMoveError, InvalidPositionError, NimcoreError
 from nimcore import agents, games, harness, verify
 from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal, legal_moves
 from nimcore.harness import (
@@ -87,8 +87,7 @@ class FlawAfter(OracleAgent):
         self.flaw = flaw
 
     def choose(self, history, rng):
-        window = tuple(f.heaps for f in history.frames)
-        if window[: len(self.flaw)] == self.flaw:
+        if history.frames[: len(self.flaw)] == self.flaw:
             return min(legal_moves(history.current, self.rules))
         return super().choose(history, rng)
 
@@ -206,18 +205,18 @@ def test_one_validation_per_choose(monkeypatch):
     # the start is validated once; each later position only by the agent
     # that moves from it, and no ply builds a move generator
     counts = {"validated": 0, "chosen": 0, "generators": 0}
-    validate, iter_moves = games.validate_position, games._iter_moves
+    validate, iter_moves = games._validate, games._iter_moves
 
-    def counted_validate(p, rules):
+    def counted_validate(heaps, game_id, rules):
         counts["validated"] += 1
-        validate(p, rules)
+        validate(heaps, game_id, rules)
 
     def counted_moves(heaps, rules):
         counts["generators"] += 1
         return iter_moves(heaps, rules)
 
-    monkeypatch.setattr(games, "validate_position", counted_validate)
-    monkeypatch.setattr(agents, "validate_position", counted_validate)
+    monkeypatch.setattr(games, "_validate", counted_validate)
+    monkeypatch.setattr(agents, "_validate", counted_validate)
     monkeypatch.setattr(games, "_iter_moves", counted_moves)
     monkeypatch.setattr(harness, "_iter_moves", counted_moves)
     players = (OracleAgent(NIM), RandomAgent(NIM))
@@ -234,6 +233,60 @@ def test_one_validation_per_choose(monkeypatch):
     assert counts["chosen"] == len(record.moves)
     assert counts["validated"] == counts["chosen"] + 1
     assert counts["generators"] == 0
+
+
+def _count_positions(monkeypatch) -> dict:
+    """Count the ``Position`` objects built from now on."""
+    counts = {"positions": 0}
+    post_init = Position.__post_init__
+
+    def counted(self):
+        counts["positions"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Position, "__post_init__", counted)
+    return counts
+
+
+def test_a_match_builds_only_its_start(monkeypatch):
+    # the agents are handed heap tuples: no ply builds a Position
+    counts = _count_positions(monkeypatch)
+    record = play_match(NIM, Position((3, 5, 7, 9)), MultiFrameAgent(), OracleAgent(NIM), 3)
+    assert record.forfeit is None and len(record.moves) >= 4
+    assert [d.nim_sum_before for d in record.diagnostics[1:]] == [
+        d.nim_sum_after for d in record.diagnostics[:-1]
+    ]
+    assert counts["positions"] == 1
+
+
+def test_the_adversary_walk_builds_only_its_start(monkeypatch):
+    counts = _count_positions(monkeypatch)
+    report = exhaustive_adversary(NIM, Position((3, 5, 7)), MultiFrameAgent())
+    assert report.complete and report.agent_always_wins and report.nodes > 100
+    assert counts["positions"] == 1
+
+
+# (agent's rules, start of a nim(31) match, the InvalidPositionError it forfeits with)
+_MISMATCHES = [
+    (GameRules.kayles(16), (3, 5, 7), "position belongs to 'nim', rules are 'kayles'"),
+    (GameRules.nim(7), (3, 9, 7), "heap 1 has 9 objects, above the rule bound 7"),
+]
+
+
+@pytest.mark.parametrize("rules, heaps, message", _MISMATCHES)
+@pytest.mark.parametrize("policy", [OracleAgent, RandomAgent])
+def test_agent_for_other_rules_forfeits(policy, rules, heaps, message):
+    # the window carries the match's game id, which the agent checks, with
+    # the heap bound, against the rules it was built for
+    nim31, start = GameRules.nim(31), Position(heaps)
+    record = play_match(nim31, start, policy(rules), OracleAgent(nim31), 0)
+    assert record.moves == [] and record.winner == "second"
+    assert record.forfeit == f"first ({policy(rules).name}): {message}"
+    with pytest.raises(InvalidPositionError, match=re.escape(message)):
+        policy(rules).choose(FrameHistory((heaps,), nim31.game_id), random.Random(0))
+    report = exhaustive_adversary(nim31, start, policy(rules))
+    assert report.complete and not report.agent_always_wins
+    assert report.counterexample == []
 
 
 # games where every move takes one object, for _WindowChecker
@@ -390,10 +443,12 @@ class _WindowChecker(AgentPolicy):
     def choose(self, history, rng):
         self.calls += 1
         assert isinstance(history, FrameHistory)
+        assert history.game_id == self.rules.game_id
         assert all(
-            isinstance(f, Position) and f.game_id == self.rules.game_id for f in history.frames
+            type(f) is tuple and all(type(h) is int for h in f) for f in history.frames
         )
-        totals = [f.total for f in history.frames]
+        assert history.current == Position(history.frames[-1], self.rules.game_id)
+        totals = [sum(f) for f in history.frames]
         assert all(a - b == 1 for a, b in zip(totals, totals[1:]))
         plies = self.total - totals[-1]
         frames = self.required_frames

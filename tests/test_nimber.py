@@ -145,3 +145,8 @@ class TestBitWidth:
     def test_every_count_fits(self):
         for m in range(1, 300):
             assert m < (1 << bit_width(m))
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, False, "3", None, -1])
+    def test_refuses_what_is_not_an_int(self, m):
+        with pytest.raises(ValueError, match=f"max_heap_size {m!r} is not a non-negative int"):
+            bit_width(m)
