@@ -27,6 +27,7 @@ from .errors import (
     ContractViolationError,
     EncodingError,
     IllegalMoveError,
+    InvalidPositionError,
     StrategyDomainError,
 )
 from .games import (
@@ -34,12 +35,13 @@ from .games import (
     GameRules,
     Position,
     Variant,
+    _check_counts,
     _validate,
     apply_move,
     grundy,
     legal_moves,
 )
-from .nimber import _require_nim, _xor_fold, winning_moves
+from .nimber import NIM_ID, _require_nim, _xor_fold, winning_moves
 
 _MAX_EXHAUSTIVE_CAP = 1 << 16  # the accepted range of RolloutBudget.exhaustive_cap is 0..this
 _SHOWN_DIGITS = 20  # longer out-of-range values are shown by their digit count
@@ -56,25 +58,42 @@ class FrameHistory:
 
     The frames are all an agent sees: a move is the difference between
     two consecutive frames, and a window of every frame since the opening
-    position has ``len(frames) - 1`` plies.  The window checks only that
-    it has a frame.  The drivers hand over heaps that a validated start
-    and legal moves produced, so agents read them as tuples; ``current``
-    builds, and so checks, the newest frame's ``Position`` on each read.
+    position has ``len(frames) - 1`` plies.  The constructor keeps each
+    frame as a tuple and checks that the window has a frame and that every
+    heap is a count, with ``Position``'s errors; the heap bound and the
+    game id are left to the agent.  The drivers cut their windows from
+    heaps that a validated start and legal moves produced, through
+    ``_window``, which checks only that a frame is left.  Agents read the
+    frames as tuples; ``current`` builds the newest frame's ``Position``
+    on each read.
     """
 
     __slots__ = ("frames", "game_id")
 
     def __init__(self, frames, game_id: str = "nim"):
-        frames = tuple(frames)
+        frames = tuple(map(tuple, frames))
         if not frames:
             # a ValueError; an agent whose window cuts it empty forfeits
             raise ContractViolationError("history needs at least one frame")
+        for heaps in frames:
+            _check_counts(heaps)
         self.frames: _Frames = frames
         self.game_id = game_id
 
     @property
     def current(self) -> Position:
         return Position(self.frames[-1], self.game_id)
+
+
+def _window(frames: _Frames, game_id: str) -> FrameHistory:
+    """The window of ``frames``, heap tuples already known to be counts,
+    built without checking them again."""
+    if not frames:
+        raise ContractViolationError("history needs at least one frame")
+    window = object.__new__(FrameHistory)
+    window.frames = frames
+    window.game_id = game_id
+    return window
 
 
 class AgentPolicy:
@@ -206,6 +225,8 @@ class SingleFrameCircuitAgent(AgentPolicy):
         return cls(_even_nonempty_scorer(n, l), n, l, name="singleframe-heuristic")
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
+        if history.game_id != NIM_ID:
+            raise _foreign_window(history)
         heaps = history.frames[-1]
         move = self._decisions.get(heaps)
         if move is None:
@@ -234,6 +255,13 @@ def _even_nonempty_scorer(n: int, l: int) -> Circuit:
     """The heuristic's scorer, built once per board shape: a ``Circuit``
     is immutable, so every agent of that shape can share it."""
     return build_even_nonempty_scorer(n, l)
+
+
+def _foreign_window(history: FrameHistory) -> InvalidPositionError:
+    """The error a NIM-only agent raises on a window of another game."""
+    return InvalidPositionError(
+        f"position belongs to {history.game_id!r}, the agent plays {NIM_ID!r}"
+    )
 
 
 def _diff_indices(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -415,6 +443,8 @@ class MultiFrameAgent(AgentPolicy):
         self._proven: set[tuple[int, ...]] = set()
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
+        if history.game_id != NIM_ID:
+            raise _foreign_window(history)
         frames = history.frames
         heaps = frames[-1]
         if not any(heaps):
@@ -477,6 +507,8 @@ class Mirror71Agent(AgentPolicy):
         self.name = f"mirror71:{k}"
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
+        if history.game_id != NIM_ID:
+            raise _foreign_window(history)
         heaps = history.frames[-1]
         if len(heaps) != 2 * self.k + 1:
             raise StrategyDomainError(
@@ -533,6 +565,8 @@ class Mirror72Agent(AgentPolicy):
             raise StrategyDomainError("position is outside the duplication family")
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
+        if history.game_id != NIM_ID:
+            raise _foreign_window(history)
         frames = history.frames
         heaps = frames[-1]
         self._validate(heaps)

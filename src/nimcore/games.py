@@ -271,18 +271,24 @@ class GrundySolver:
     an empty heap has no moves, so neither changes a value; the terminal
     key is ``()``.  Both read the non-empty pieces each move on a heap
     leaves off a per-solver table filled from the same move rules as
-    :func:`legal_moves`.  The walk builds a key's successors once, checking
-    each against the memo as it is built: the first one already known to
-    be a LOSS settles the key as a WIN, before the rest are built and
-    without a stack entry.  Otherwise the key's stack entry keeps the
-    successors, and the key is settled at the first of them found to be a
-    LOSS, or as a LOSS once all are WINs.
+    :func:`legal_moves`.  The walk builds a key's successors once, each by
+    splicing a piece into the key where its heap was, and sorting only a
+    piece that starts below the heap before it.  It checks each successor
+    against the memo as it is built: the first one already known to be a
+    LOSS settles the key as a WIN, before the rest are built and without a
+    stack entry.  Otherwise the key's stack entry keeps the successors not
+    yet in the memo, since one known to be a WIN cannot settle the key, and
+    the key is settled at the first of them found to be a LOSS, or as a
+    LOSS once all are WINs.
 
-    Tables are capacity-bounded; hitting the cap raises instead of
-    silently evicting so results stay reproducible.
+    Tables are capacity-bounded by ``memo_cap``, an int >= 1; hitting the
+    cap raises instead of silently evicting so results stay reproducible.
     """
 
     def __init__(self, rules: GameRules, memo_cap: int = DEFAULT_MEMO_CAP):
+        # exactly int, as for GameRules.max_heap_size
+        if type(memo_cap) is not int or memo_cap < 1:
+            raise ValueError(f"memo_cap {memo_cap!r} is not a positive int")
         self.rules = rules
         self.memo_cap = memo_cap
         self._grundy: dict[int, int] = {}  # heap size -> value
@@ -293,20 +299,32 @@ class GrundySolver:
         """The sorted non-empty pieces each move on a heap of ``c`` leaves."""
         pieces = self._pieces.get(c)
         if pieces is None:
+            # a move's split row is never the larger piece, so each piece
+            # reads sorted straight off the move
             pieces = self._pieces[c] = sorted(
                 {
-                    tuple(sorted(h for h in (m.new_count, m.split_count) if h))
+                    (m.split_count, m.new_count)
+                    if m.split_count
+                    else ((m.new_count,) if m.new_count else ())
                     for m in _iter_moves((c,), self.rules)
                 }
             )
         return pieces
 
     def _successors(self, key: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-        """The successor keys of ``key``, or None at the first one already
-        known to be a LOSS, before the rest are built."""
+        """The successor keys of ``key`` not yet in the memo, or None at the
+        first one already known to be a LOSS, before the rest are built.
+
+        A successor already known to be a WIN is left out: it can never
+        settle ``key`` as a WIN.  Each successor's memo entry is read once.
+        """
         # Moves on equal heaps lead to the same keys, so each distinct heap
-        # size is expanded once.  Keys from different sizes never coincide:
-        # every piece a move leaves is smaller than the heap it came from.
+        # size is expanded once, at its first index.  Keys from different
+        # sizes never coincide: every piece a move leaves is smaller than
+        # the heap it came from.  So a piece spliced in where the heap was
+        # stays below the heaps above it, and the key stays sorted whenever
+        # the piece is empty or starts no lower than the heap below it; only
+        # the other pieces are sorted in.
         known = self._outcome.get
         loss = WinLoss.LOSS  # a local: reading an enum member is slow
         out = []
@@ -315,13 +333,18 @@ class GrundySolver:
         for i, c in enumerate(key):
             if c == previous:
                 continue
-            previous = c
-            rest = key[:i] + key[i + 1 :]
+            below, previous = previous, c
+            head, tail = key[:i], key[i + 1 :]
             for piece in self._heap_pieces(c):
-                succ = tuple(sorted(rest + piece))
-                if known(succ) is loss:
+                if not piece or piece[0] >= below:
+                    succ = head + piece + tail
+                else:
+                    succ = tuple(sorted(head + tail + piece))
+                outcome = known(succ)
+                if outcome is None:
+                    append(succ)
+                elif outcome is loss:
                     return None
-                append(succ)
         return out
 
     def _reserve(self, table: dict) -> None:

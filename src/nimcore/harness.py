@@ -19,7 +19,6 @@ from . import nimber
 from ._jsondoc import expect
 from .agents import (
     AgentPolicy,
-    FrameHistory,
     Mirror71Agent,
     Mirror72Agent,
     MultiFrameAgent,
@@ -29,6 +28,7 @@ from .agents import (
     ScriptAgent,
     SingleFrameCircuitAgent,
     _Frames,
+    _window,
 )
 from .circuits.ir import load_circuit
 from .errors import (
@@ -203,7 +203,7 @@ def _agent_move(agent: AgentPolicy, frames: _Frames, rules: GameRules, rng):
     as a ``FrameHistory`` of ``rules.game_id``; an empty window raises
     ``ContractViolationError``, and an illegal move, or one that is not a
     move, ``IllegalMoveError``."""
-    move = agent.choose(FrameHistory(frames[-agent.required_frames :], rules.game_id), rng)
+    move = agent.choose(_window(frames[-agent.required_frames :], rules.game_id), rng)
     return move, _checked_heaps(frames[-1], move, rules)
 
 

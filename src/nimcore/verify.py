@@ -96,7 +96,9 @@ def check_grundy_definition(max_kayles_pins: int = 12) -> tuple[bool, str]:
     so terminal positions are 0.  The grids are closed under moves (Kayles
     up to the order of rows), so by induction this proves every value on
     them: NIM max 6 and subtraction {1,3,4} max 8 with 1-3 heaps, and every
-    multiset of Kayles rows with at most ``max_kayles_pins`` pins."""
+    multiset of Kayles rows with at most ``max_kayles_pins`` pins.  On the
+    same grids the win/loss walk, which reads no Grundy value, must find a
+    WIN exactly where the value is non-zero."""
     n = max_kayles_pins
     grids = [
         (rules, [h for hc in (1, 2, 3) for h in itertools.product(range(size + 1), repeat=hc)])
@@ -111,9 +113,13 @@ def check_grundy_definition(max_kayles_pins: int = 12) -> tuple[bool, str]:
         for heaps in grid:
             p = Position(heaps, rules.game_id)
             children = {solver.grundy(apply_move(p, m, rules)) for m in legal_moves(p, rules)}
-            if solver.grundy(p) != min(set(range(len(children) + 1)) - children):
+            value = solver.grundy(p)
+            if value != min(set(range(len(children) + 1)) - children):
                 return False, f"{rules.game_id} grundy{heaps} is not the mex of its successors"
-    return True, f"{sum(len(g) for _, g in grids)} positions equal the mex of their successors"
+            if (solver.win_loss(p) is games.WinLoss.WIN) != (value != 0):
+                return False, f"{rules.game_id} win_loss{heaps} disagrees with grundy {value}"
+    count = sum(len(g) for _, g in grids)
+    return True, f"{count} positions equal the mex of their successors, and win/loss agrees"
 
 
 def check_strategy_control(max_heaps: int = 4, max_size: int = 8) -> tuple[bool, str]:

@@ -74,6 +74,40 @@ def make_brute_win(successors):
     return win
 
 
+def sorting_successors(successors):
+    """A drop-in for ``GrundySolver._successors`` that sorts every key.
+
+    The pieces each move on a heap leaves come from the move enumeration
+    ``successors`` run on that heap alone.  Each distinct heap of the key
+    is expanded once, in key order, and each piece, in sorted order, is
+    added to the other heaps and the whole sorted.  Every successor is
+    kept, a known WIN too, and the first one already known to be a LOSS
+    gives None, so a walk driven by it opens the keys the solver's walk
+    opens, in the same order."""
+    from nimcore.games import WinLoss
+
+    pieces = {}
+
+    def rule(solver, key):
+        out = []
+        previous = 0
+        for i, c in enumerate(key):
+            if c == previous:
+                continue
+            previous = c
+            if c not in pieces:
+                pieces[c] = sorted({tuple(h for h in s if h) for s in successors((c,))})
+            rest = key[:i] + key[i + 1 :]
+            for piece in pieces[c]:
+                succ = tuple(sorted(rest + piece))
+                if solver._outcome.get(succ) is WinLoss.LOSS:
+                    return None
+                out.append(succ)
+        return out
+
+    return rule
+
+
 brute_nim_grundy = make_brute_grundy(nim_successors)
 brute_nim_win = make_brute_win(nim_successors)
 brute_kayles_grundy = make_brute_grundy(kayles_successors)

@@ -21,6 +21,7 @@ from nimcore.agents import (
     _fast_rollout,
     _opp_oracle,
     _opp_random,
+    _window,
     preserving_reply,
 )
 from nimcore.circuits.ir import AND, INPUT, NOT, OR, Circuit, Gate
@@ -69,8 +70,32 @@ class TestFrameHistory:
         h = FrameHistory([(3,), (1,)], "kayles")
         assert h.frames == ((3,), (1,)) and h.game_id == "kayles"
         assert h.current == Position((1,), "kayles")
+        assert FrameHistory([[3, 5]]).frames == ((3, 5),)
         with pytest.raises(InvalidPositionError, match="negative count"):
             FrameHistory(((2, -1),)).current
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [((-1, 2), "heap 0 has negative count -1"), ((1.5, 2), "heap 0 is 1.5, not an int")],
+    )
+    def test_every_frame_is_checked(self, frame, message):
+        # an older frame too, and before any agent reads the window
+        match = f"^{re.escape(message)}$"
+        for frames in ([frame], [frame, (0, 2)]):
+            with pytest.raises(InvalidPositionError, match=match):
+                MultiFrameAgent().choose(FrameHistory(frames), RNG())
+
+    @pytest.mark.parametrize(
+        "agent",
+        [MultiFrameAgent(), SingleFrameCircuitAgent.heuristic(2, 2), Mirror71Agent(1), Mirror72Agent(1)],
+        ids=lambda agent: agent.name,
+    )
+    def test_a_nim_only_agent_refuses_another_game(self, agent):
+        window = FrameHistory([(3, 2)], "kayles")
+        with pytest.raises(
+            InvalidPositionError, match="^position belongs to 'kayles', the agent plays 'nim'$"
+        ):
+            agent.choose(window, RNG())
 
 
 class TestOracleAgent:
@@ -140,11 +165,14 @@ def test_nim_choices_match_move_list(data, seed):
 @pytest.mark.parametrize("rules", [GameRules.nim(16), GameRules.kayles(16)], ids=["nim", "kayles"])
 @pytest.mark.parametrize("policy", [OracleAgent, RandomAgent])
 def test_a_hand_built_window_is_validated(policy, rules, frame, message):
-    # a window's heap tuples need not come from a Position: a heap that is
-    # no count is refused with the error a Position would raise
-    window = FrameHistory([frame], rules.game_id)
-    with pytest.raises(InvalidPositionError, match=f"^{re.escape(message)}$"):
-        policy(rules).choose(window, RNG())
+    # a heap that is no count is refused with the error a Position would
+    # raise: by the public constructor, and by the agent on a window the
+    # drivers' unchecked path built
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(InvalidPositionError, match=match):
+        FrameHistory([frame], rules.game_id)
+    with pytest.raises(InvalidPositionError, match=match):
+        policy(rules).choose(_window((frame,), rules.game_id), RNG())
 
 
 class TestPreservingReply:

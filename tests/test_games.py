@@ -39,6 +39,7 @@ from oracles import (
     make_brute_grundy,
     make_brute_win,
     nim_successors,
+    sorting_successors,
     subtraction_successors,
     xor_fold,
 )
@@ -302,6 +303,13 @@ class TestGrundy:
         with pytest.raises(MemoLimitError):
             solver.win_loss(Position((3, 5, 7)))
 
+    @pytest.mark.parametrize("memo_cap", [0, -1, True, False, 2.5, "10", None])
+    def test_memo_cap_must_be_a_positive_int(self, memo_cap):
+        # exactly int, as GameRules checks max_heap_size
+        message = f"memo_cap {memo_cap!r} is not a positive int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrundySolver(NIM8, memo_cap)
+
     def test_one_shared_solver_per_rule_set(self):
         kayles = GameRules.kayles(6)
         assert games.solver_for(kayles) is games.solver_for(GameRules.kayles(6))
@@ -347,16 +355,62 @@ def test_solver_matches_brute_force(name, positions):
 
 
 @settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(sorted(VARIANTS)), heaps=HEAPS)
-def test_successor_keys_follow_legal_moves(name, heaps):
-    """legal_moves and apply_move agree with the solver's own successors."""
+@given(
+    name=st.sampled_from(sorted(VARIANTS)),
+    heaps=HEAPS,
+    walked=st.lists(HEAPS, max_size=3),
+)
+# taking 2 pins from the row of 8 can leave rows of 1 and 5, and the 1
+# belongs before the row of 3: that key is sorted in, not spliced
+@example(name="kayles", heaps=(3, 8), walked=[])
+def test_successor_keys_follow_legal_moves(name, heaps, walked):
+    """legal_moves and apply_move agree with the solver's own successors:
+    after the walks of ``walked`` have filled its memo, the solver returns
+    the legal-move keys not yet in it, or None when one is a known LOSS."""
     rules = VARIANTS[name][0]
+    solver = GrundySolver(rules)
+    for q in walked:
+        solver.win_loss(Position(q, rules.game_id))
+    memo = dict(solver._outcome)
     p = Position(heaps, rules.game_id)
     after = (apply_move(p, m, rules).heaps for m in legal_moves(p, rules))
     want = sorted({tuple(sorted(h for h in q if h)) for q in after})
-    solver = GrundySolver(rules)
-    key = tuple(sorted(h for h in heaps if h))
-    assert sorted(solver._successors(key)) == want
+    got = solver._successors(tuple(sorted(h for h in heaps if h)))
+    if any(memo.get(k) is WinLoss.LOSS for k in want):
+        assert got is None
+    else:
+        assert sorted(got) == [k for k in want if k not in memo]
+
+
+@pytest.mark.parametrize(
+    "rules, successors",
+    [
+        (GameRules.nim(9), nim_successors),
+        (GameRules.kayles(9), kayles_successors),
+        (GameRules.subtraction({1, 3, 4}, 9), subtraction_successors({1, 3, 4})),
+    ],
+    ids=["nim", "kayles", "subtraction"],
+)
+def test_spliced_walk_matches_the_sorting_walk(monkeypatch, rules, successors):
+    """A fresh solver's memo after each walk of a grid, and a shared
+    solver's after all of them, hold the keys, the values and the
+    insertion order that walks sorting every key leave."""
+    grid = [*itertools.product(range(10), repeat=2), *itertools.product(range(5), repeat=4)]
+    random.Random(5).shuffle(grid)
+    grid.insert(0, (3, 9))  # Kayles sorts in the piece (1, 6) of the row of 9
+
+    def memos():
+        shared, out = GrundySolver(rules), []
+        for heaps in grid:
+            p, fresh = Position(heaps, rules.game_id), GrundySolver(rules)
+            fresh.win_loss(p)
+            shared.win_loss(p)
+            out.append(list(fresh._outcome.items()))
+        return out + [list(shared._outcome.items())]
+
+    spliced = memos()
+    monkeypatch.setattr(GrundySolver, "_successors", sorting_successors(successors))
+    assert memos() == spliced
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,6 +449,21 @@ def test_grundy_definition_check_catches_added_heap_values(monkeypatch):
     ok, detail = verify.check_grundy_definition()
     assert not ok
     assert detail == "nim grundy(1, 1) is not the mex of its successors"
+
+
+def test_grundy_definition_check_catches_a_wrong_win_loss(monkeypatch):
+    walk = GrundySolver.win_loss
+
+    def flipped_on_three_kayles_rows(self, p):
+        outcome = walk(self, p)
+        if p.game_id == "kayles" and len(p.heaps) == 3:
+            return WinLoss.LOSS if outcome is WinLoss.WIN else WinLoss.WIN
+        return outcome
+
+    monkeypatch.setattr(games.GrundySolver, "win_loss", flipped_on_three_kayles_rows)
+    ok, detail = verify.check_grundy_definition()
+    assert not ok
+    assert detail == "kayles win_loss(1, 1, 1) disagrees with grundy 1"
 
 
 class TestWinLossOracle:
