@@ -239,9 +239,11 @@ class SingleFrameCircuitAgent(AgentPolicy):
         # so slot (i << l) + v is in range for every legal candidate
         bits = self.enc.encode_heaps(heaps)
         l = self.enc.l
-        slot = self.circuit.first_set(
-            bits, [(i << l) + v for i, c in enumerate(heaps) for v in range(c)]
-        )
+        slots: list[int] = []
+        for i, c in enumerate(heaps):
+            base = i << l
+            slots += range(base, base + c)
+        slot = self.circuit.first_set(bits, slots)
         if slot is not None:
             return GameMove(slot >> l, slot & ((1 << l) - 1))
         for i, c in enumerate(heaps):
@@ -479,9 +481,11 @@ class MultiFrameAgent(AgentPolicy):
         exact = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
         total = sum(heaps)
         for i, c in enumerate(heaps):
+            head, tail = heaps[:i], heaps[i + 1 :]
+            rest = total - c
             for v in range(c):
-                child = heaps[:i] + (v,) + heaps[i + 1 :]
-                objects = total - c + v
+                child = head + (v,) + tail
+                objects = rest + v
                 cap = objects if exact else min(objects, self.budget.ply_cap)
                 if _fast_rollout(child, _opp_oracle, None, cap):
                     self._proven.add(child)

@@ -8,6 +8,7 @@ all offsets are compile-time constants of the encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ..errors import EncodingError
@@ -15,6 +16,9 @@ from ..errors import EncodingError
 
 def encode_value(value: int, l: int) -> list[int]:
     """``l`` bits of ``value``, most significant first."""
+    # exactly int: a bool, a float or a string is no count
+    if type(value) is not int:
+        raise EncodingError(f"value {value!r} is not an int")
     if value < 0 or value >= (1 << l):
         raise EncodingError(f"value {value} does not fit in {l} bits")
     return [(value >> (l - 1 - j)) & 1 for j in range(l)]
@@ -33,7 +37,8 @@ class PositionEncoding:
 
     ``n`` heaps per frame, ``l`` bits per heap, ``frames`` consecutive
     positions.  Candidate move slots are heap-major: slot ``h * 2**l + v``
-    stands for "set heap h to v".
+    stands for "set heap h to v".  Heaps, values and counts are exact
+    ints: anything else raises ``EncodingError`` naming it.
     """
 
     n: int
@@ -62,18 +67,33 @@ class PositionEncoding:
         return self.n << self.l
 
     def candidate_slot(self, heap: int, value: int) -> int:
+        if type(heap) is not int:
+            raise EncodingError(f"heap {heap!r} is not an int")
+        if type(value) is not int:
+            raise EncodingError(f"value {value!r} is not an int")
         if not 0 <= heap < self.n:
             raise EncodingError(f"heap {heap} out of range for n={self.n}")
         if not 0 <= value < (1 << self.l):
             raise EncodingError(f"value {value} does not fit in {self.l} bits")
         return (heap << self.l) + value
 
+    @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...]]:
+        """Each count's ``l`` bits, filled in as counts are encoded and
+        kept with the encoding, outside its fields."""
+        return {}
+
     def encode_heaps(self, heaps: Sequence[int]) -> list[int]:
         if len(heaps) != self.n:
             raise EncodingError(f"expected {self.n} heaps, got {len(heaps)}")
+        get = self._rows.get
         bits: list[int] = []
         for h in heaps:
-            bits.extend(encode_value(h, self.l))
+            # exactly int: True would read the row of 1
+            row = get(h) if type(h) is int else None
+            if row is None:
+                row = self._rows[h] = tuple(encode_value(h, self.l))
+            bits.extend(row)
         return bits
 
     def encode(self, frames: Iterable[Sequence[int]]) -> list[int]:

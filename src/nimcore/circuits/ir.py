@@ -334,12 +334,17 @@ class Circuit:
         Output ``k`` is tested right after the last gate of outputs ``0..k``,
         so the run stops at the first hit, and on a miss soon after the
         largest index asked for: outputs whose gates come early in the gate
-        list cost least.  Each index must be a valid output index, else
-        ``EncodingError`` names it.
+        list cost least.  Each index must be a valid output index, an exact
+        int, else ``EncodingError`` names it.
         """
         self._check_bits(bits)
         if not outputs:
             return None
+        # exactly int: True would read as output 1, and in a set it would
+        # vanish into a 1 already there, so the sequence itself is checked
+        if not {int}.issuperset(map(type, outputs)):
+            bad = next(k for k in outputs if type(k) is not int)
+            raise EncodingError(f"output index {bad!r} is not an int")
         wanted = set(outputs)
         top = max(wanted)
         if min(wanted) < 0 or top >= len(self.outputs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IllegalMoveError, InvalidPositionError, MemoLimitError
 
@@ -116,8 +116,7 @@ def _check_counts(heaps: tuple[int, ...]) -> None:
             raise InvalidPositionError(f"heap {i} has negative count {h}")
 
 
-@dataclass(frozen=True, order=True)
-class GameMove:
+class GameMove(NamedTuple):
     """Reduce heap ``heap_index`` to ``new_count``.
 
     ``split_count`` is only used by Kayles: taking pins from the middle of
@@ -125,12 +124,20 @@ class GameMove:
     of ``split_count`` pins.  It is 0 for NIM and subtraction games.
 
     Field order doubles as the deterministic tie-break ordering used by
-    every agent (lowest heap index, then lowest new count).
+    every agent (lowest heap index, then lowest new count).  A named
+    tuple: immutable, ordered and hashed as its three fields, and cheap
+    to build on every ply.  Being a tuple, it also equals a plain tuple of
+    the same fields, but only a ``GameMove`` is played.
     """
 
     heap_index: int
     new_count: int
     split_count: int = 0
+
+
+# module-level aliases: reading an enum member off its class is slow
+_KAYLES = Variant.KAYLES
+_SUBTRACTION = Variant.SUBTRACTION
 
 
 class WinLoss(enum.Enum):
@@ -216,38 +223,34 @@ def _checked_heaps(heaps: tuple[int, ...], m: GameMove, rules: GameRules) -> tup
     too, since a legal move only shrinks a heap (a Kayles split leaves two
     smaller rows).  A move is a ``GameMove`` of three ints, not bools.
     """
-    if not (
-        isinstance(m, GameMove)
-        and type(m.heap_index) is type(m.new_count) is type(m.split_count) is int
-    ):
+    if not isinstance(m, GameMove):
         raise IllegalMoveError(f"not a move of three integers: {m!r}")
-    if not 0 <= m.heap_index < len(heaps):
-        raise IllegalMoveError(f"heap index {m.heap_index} out of range")
-    old = heaps[m.heap_index]
-    if not 0 <= m.new_count < old:
-        raise IllegalMoveError(
-            f"heap {m.heap_index} must strictly decrease ({old} -> {m.new_count})"
-        )
-    if rules.variant is Variant.KAYLES:
-        if not 0 <= m.split_count <= m.new_count:
+    i, new, split = m
+    if not (type(i) is type(new) is type(split) is int):
+        raise IllegalMoveError(f"not a move of three integers: {m!r}")
+    if not 0 <= i < len(heaps):
+        raise IllegalMoveError(f"heap index {i} out of range")
+    old = heaps[i]
+    if not 0 <= new < old:
+        raise IllegalMoveError(f"heap {i} must strictly decrease ({old} -> {new})")
+    variant = rules.variant
+    if variant is _KAYLES:
+        if not 0 <= split <= new:
             raise IllegalMoveError("kayles split must satisfy 0 <= split <= new_count")
-        removed = old - m.new_count - m.split_count
-        if removed not in (1, 2):
+        if old - new - split not in (1, 2):
             raise IllegalMoveError("kayles removes exactly one or two adjacent pins")
-    else:
-        if m.split_count:
-            raise IllegalMoveError("split moves only exist in kayles")
-        if rules.variant is Variant.SUBTRACTION:
-            removed = old - m.new_count
-            if removed not in rules.removal_set:
-                raise IllegalMoveError(f"removal of {removed} objects is not allowed")
+    elif split:
+        raise IllegalMoveError("split moves only exist in kayles")
+    elif variant is _SUBTRACTION and old - new not in rules.removal_set:
+        raise IllegalMoveError(f"removal of {old - new} objects is not allowed")
     return _apply_heaps(heaps, m)
 
 
 def _apply_heaps(heaps: tuple[int, ...], m: GameMove) -> tuple[int, ...]:
     """The heaps after ``m``, which the caller knows to be legal."""
-    new = heaps[: m.heap_index] + (m.new_count,) + heaps[m.heap_index + 1 :]
-    return new + (m.split_count,) if m.split_count else new
+    i, new, split = m
+    after = heaps[:i] + (new,) + heaps[i + 1 :]
+    return after + (split,) if split else after
 
 
 def mex(values: Iterable[int]) -> int:

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import nimber
 from ._jsondoc import expect
@@ -80,10 +80,10 @@ def stable_mix(*parts: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class MoveDiagnostic:
+class MoveDiagnostic(NamedTuple):
     """Outside-view instrumentation of one move (NIM only): the position
-    value before and after, measured by the oracle-side NIM sum."""
+    value before and after, measured by the oracle-side NIM sum.  A named
+    tuple, built on every ply."""
 
     mover: str
     nim_sum_before: int | None
@@ -147,6 +147,8 @@ def play_match(
 
     An agent raising or returning an illegal move forfeits (the record
     carries the reason); the game never crashes on a buggy policy.
+    Agents draw from ``random.Random(seed)``, which is created and seeded
+    on the first draw: a match in which no agent draws seeds none.
 
     Only the start is validated, and it is the only ``Position`` the
     match reads.  Each ply is one ``_agent_move``, which hands the mover
@@ -161,7 +163,7 @@ def play_match(
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
-    rng = random.Random(seed)
+    rng = _SeededOnFirstDraw(seed)
     names = (first.name, second.name)
     seats = ("first", "second")
     agents = (first, second)
@@ -240,16 +242,19 @@ def exhaustive_adversary(
 
 
 class _SeededOnFirstDraw:
-    """Stands in for ``random.Random(0)``: the generator is created and
+    """Stands in for ``random.Random(seed)``: the generator is created and
     seeded on the first attribute read, and that read and every later one
     go to it.  An agent that never draws never pays for the seeding."""
 
     _rng: random.Random | None = None
 
+    def __init__(self, seed: int):
+        self._seed = seed
+
     def __getattr__(self, name: str):
         rng = self._rng
         if rng is None:
-            rng = self._rng = random.Random(0)
+            rng = self._rng = random.Random(self._seed)
         return getattr(rng, name)
 
 
@@ -309,7 +314,7 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
                     return True
                 keys.append((history, True))
             try:
-                move, nxt = _agent_move(agent, history, rules, _SeededOnFirstDraw())
+                move, nxt = _agent_move(agent, history, rules, _SeededOnFirstDraw(0))
             except _AGENT_FAILURES:
                 return False
             line.append(move)
@@ -585,16 +590,25 @@ CSV_COLUMNS = (
 
 
 def _draw_start(rules: GameRules, heap_count: int, max_size: int, seed: int, winning: bool) -> Position:
-    rng = random.Random(seed)
+    """The first draw of ``heap_count`` heaps of 1..``max_size`` from
+    ``random.Random(seed)`` that has a move, and a non-zero value when
+    ``winning``.  Each heap is one ``randint(1, max_size)``, drawn as the
+    ``randrange(1, max_size + 1)`` that ``randint`` calls.  A NIM start's
+    value is the XOR fold of its heaps, so only the start returned is built
+    as a ``Position``; another game's value is read by ``grundy``."""
+    draw = random.Random(seed).randrange
+    top = max_size + 1
+    nim = rules.variant is Variant.NIM
     while True:
-        heaps = tuple(rng.randint(1, max_size) for _ in range(heap_count))
-        p = Position(heaps, rules.game_id)
-        if winning:
-            value = nimber.nim_sum(p) if rules.variant is Variant.NIM else grundy(p, rules)
-            if value != 0:
-                return p
-        elif not is_terminal(p, rules):
-            return p
+        heaps = tuple([draw(1, top) for _ in range(heap_count)])
+        if not winning:
+            found = not _no_moves(heaps, rules)
+        elif nim:
+            found = nimber._xor_fold(heaps) != 0
+        else:
+            found = grundy(Position(heaps, rules.game_id), rules) != 0
+        if found:
+            return Position(heaps, rules.game_id)
 
 
 def _preservation_failures(record: MatchRecord) -> int:
@@ -695,11 +709,20 @@ def _write_outputs(cfg, rows, matches) -> None:
     }
     # the bytes of json.dumps(doc | {"matches": ...}, indent=2, sort_keys=True):
     # "matches" sorts first, and its records, the bulk of the file, are laid
-    # out by template instead of by the pure-Python encoder indent selects
+    # out by template instead of by the pure-Python encoder indent selects.
+    # They are written one at a time, so memory holds one record's text,
+    # not copies of the whole file
     head = json.dumps(doc, indent=2, sort_keys=True)
-    records = [_record_json(matches[key]) for key in sorted(matches)]
-    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-    (out / "results.json").write_text('{\n  "matches": ' + body + "," + head[1:] + "\n")
+    with open(out / "results.json", "w") as f:
+        f.write('{\n  "matches": ')
+        if matches:
+            for i, key in enumerate(sorted(matches)):
+                f.write(",\n" if i else "[\n")
+                f.write(_record_json(matches[key]))
+            f.write("\n  ]")
+        else:
+            f.write("[]")
+        f.write("," + head[1:] + "\n")
 
 
 _json_str = json.encoder.encode_basestring_ascii  # a JSON string literal, as json.dumps writes it
@@ -727,10 +750,15 @@ _DIAGNOSTIC = """{
 def _record_json(r: MatchRecord) -> str:
     """``r.to_json()`` as an entry of the ``matches`` list of
     ``json.dumps(..., indent=2, sort_keys=True)``, byte for byte."""
+    # "%s" writes an int as str() does
     diagnostics = [
         _DIAGNOSTIC
-        % (_json_str(d.mover), _int_or_null(d.nim_sum_after), _int_or_null(d.nim_sum_before))
-        for d in r.diagnostics
+        % (
+            _json_str(mover),
+            "null" if after is None else after,
+            "null" if before is None else before,
+        )
+        for mover, before, after in r.diagnostics
     ]
     return _RECORD % (
         _list_json(diagnostics),
@@ -743,10 +771,6 @@ def _record_json(r: MatchRecord) -> str:
         _list_json([str(h) for h in r.start]),
         _json_str(r.winner),
     )
-
-
-def _int_or_null(value: int | None) -> str:
-    return "null" if value is None else str(value)
 
 
 def _list_json(items: list[str]) -> str:

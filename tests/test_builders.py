@@ -51,6 +51,32 @@ class TestEncoding:
         with pytest.raises(EncodingError):
             enc.candidate_slot(3, 0)
 
+    def test_encode_heaps_reads_encode_value(self):
+        # every board of a small shape, twice: the second pass reads the
+        # rows the first one kept
+        enc = PositionEncoding(3, 3, frames=1)
+        for _ in range(2):
+            for heaps in itertools.product(range(8), repeat=3):
+                expected = [b for h in heaps for b in encode_value(h, 3)]
+                assert enc.encode_heaps(heaps) == expected
+
+    # exactly int: True would encode as 1, and 2.0 and 1.5 are no counts
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "1", None])
+    def test_counts_must_be_ints(self, bad):
+        enc = PositionEncoding(3, 3, frames=1)
+        enc.encode_heaps((0, 1, 2))  # rows 0, 1 and 2 are now kept
+        message = rf"^value {re.escape(repr(bad))} is not an int$"
+        with pytest.raises(EncodingError, match=message):
+            encode_value(bad, 3)
+        with pytest.raises(EncodingError, match=message):
+            enc.encode_heaps((bad, 2, 3))
+        with pytest.raises(EncodingError, match=message):
+            enc.encode([(1, 2, bad)])
+        with pytest.raises(EncodingError, match=message):
+            enc.candidate_slot(1, bad)
+        with pytest.raises(EncodingError, match=rf"^heap {re.escape(repr(bad))} is not an int$"):
+            enc.candidate_slot(bad, 2)
+
     @pytest.mark.parametrize(
         "args, name, value",
         [

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -207,6 +208,14 @@ class TestFirstSet:
         # raised even though output 0, read first, is set
         with pytest.raises(EncodingError, match=rf"output index {bad} out of range"):
             and2().first_set([1, 1], [0, bad])
+
+    # exactly int: True and 1.0 would read as output 1, even beside a 1
+    @pytest.mark.parametrize("picks", [[1.5], [True], ["a"], [0, 1.0], [1, True], [None, 0]])
+    def test_output_index_not_an_int_named(self, picks):
+        bad = next(k for k in picks if type(k) is not int)
+        message = rf"^output index {re.escape(repr(bad))} is not an int$"
+        with pytest.raises(EncodingError, match=message):
+            and2().first_set([1, 1], picks)
 
     def test_deep_not_chain_needs_no_recursion(self):
         depth = 5000

@@ -250,6 +250,42 @@ class TestApplyMove:
                         assert q.heaps[i] == p.heaps[i]
 
 
+# a GameMove's fields, in tie-break order
+_FIELDS = ("heap_index", "new_count", "split_count")
+MOVES = st.builds(GameMove, st.integers(0, 4), st.integers(0, 6), st.integers(0, 3))
+
+
+class TestGameMove:
+    @given(st.lists(MOVES, max_size=30))
+    def test_order_is_the_field_tie_break(self, moves):
+        def key(m):
+            return tuple(getattr(m, name) for name in _FIELDS)
+
+        assert sorted(moves) == sorted(moves, key=key)
+        for a, b in itertools.combinations(moves, 2):
+            assert (a < b) == (key(a) < key(b)) and (a == b) == (key(a) == key(b))
+            assert a != b or hash(a) == hash(b)
+
+    def test_fields_defaults_and_repr(self):
+        m = GameMove(1, 2)
+        assert (m.heap_index, m.new_count, m.split_count) == (1, 2, 0)
+        assert repr(m) == "GameMove(heap_index=1, new_count=2, split_count=0)"
+        assert repr(GameMove(0, 2, 1)) == "GameMove(heap_index=0, new_count=2, split_count=1)"
+
+    @pytest.mark.parametrize("field", _FIELDS)
+    def test_fields_cannot_be_assigned(self, field):
+        m = GameMove(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
+        assert m == GameMove(1, 2)
+
+    # a plain tuple equals the move of its fields, but is not played
+    @pytest.mark.parametrize("move", [(0, 0, 0), (0, 0), GameMove(True, 0), GameMove(0, 0, False)])
+    def test_only_a_move_of_three_ints_is_played(self, move):
+        with pytest.raises(IllegalMoveError, match=r"^not a move of three integers: "):
+            games._checked_heaps((3, 5), move, NIM8)
+
+
 class TestMex:
     @pytest.mark.parametrize(
         "values,expected",

@@ -24,7 +24,15 @@ from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
 from nimcore.errors import IllegalMoveError, InvalidPositionError, NimcoreError
 from nimcore import agents, games, harness, verify
-from nimcore.games import GameMove, GameRules, Position, apply_move, is_terminal, legal_moves
+from nimcore.games import (
+    GameMove,
+    GameRules,
+    Position,
+    apply_move,
+    grundy,
+    is_terminal,
+    legal_moves,
+)
 from nimcore.harness import (
     RNG_ALGORITHM,
     AdversaryReport,
@@ -33,6 +41,7 @@ from nimcore.harness import (
     MatchRecord,
     MoveDiagnostic,
     _adversary_walk,
+    _draw_start,
     _SeededOnFirstDraw,
     _write_outputs,
     exhaustive_adversary,
@@ -259,6 +268,75 @@ def test_a_match_builds_only_its_start(monkeypatch):
     assert counts["positions"] == 1
 
 
+def _count_generators(monkeypatch) -> list:
+    """The seeds of the ``random.Random`` generators built from now on."""
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    return seeds
+
+
+def test_a_match_without_draws_seeds_no_generator(monkeypatch):
+    seeds = _count_generators(monkeypatch)
+    record = play_match(NIM, Position((3, 5, 7, 9)), MultiFrameAgent(), OracleAgent(NIM), 3)
+    assert record.forfeit is None and len(record.moves) >= 4
+    assert seeds == []
+    # a match whose agent draws seeds one generator, with the match seed
+    play_match(NIM, Position((3, 5, 7, 9)), OracleAgent(NIM), RandomAgent(NIM), 3)
+    assert seeds == [3]
+
+
+@pytest.mark.parametrize("rules", [NIM, GameRules.kayles(16)], ids=lambda r: r.game_id)
+def test_a_match_replays_with_an_eager_generator(rules):
+    # each agent decides again on the frames of the match, drawing from
+    # random.Random(seed) built before the first ply
+    for seed in range(20):
+        start = Position((3, 5, 7), rules.game_id)
+        players = (OracleAgent(rules), RandomAgent(rules))
+        record = play_match(rules, start, *players, seed)
+        assert record.forfeit is None
+        rng = random.Random(seed)
+        p = start
+        for ply, move in enumerate(record.moves):
+            assert players[ply % 2].choose(FrameHistory([p.heaps], rules.game_id), rng) == move
+            p = apply_move(p, move, rules)
+        assert is_terminal(p, rules)
+
+
+def _reference_start(rules, heap_count, max_size, seed, winning):
+    """The start drawing rule with one ``randint`` per heap and a
+    ``Position`` per draw."""
+    rng = random.Random(seed)
+    while True:
+        p = Position(tuple(rng.randint(1, max_size) for _ in range(heap_count)), rules.game_id)
+        if (grundy(p, rules) != 0) if winning else not is_terminal(p, rules):
+            return p
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        GameRules.nim(9),
+        GameRules.kayles(9),
+        GameRules.subtraction([1, 3, 4], 9),
+        GameRules.subtraction([2, 3], 9),  # heaps of 1 have no move
+    ],
+    ids=lambda r: r.game_id,
+)
+def test_draw_start_matches_randint_per_heap(rules):
+    for seed in range(150):
+        heap_count = 1 + seed % 4
+        max_size = 4 + seed % 6
+        for winning in (True, False):
+            start = _draw_start(rules, heap_count, max_size, seed, winning)
+            assert start == _reference_start(rules, heap_count, max_size, seed, winning)
+
+
 def test_the_adversary_walk_builds_only_its_start(monkeypatch):
     counts = _count_positions(monkeypatch)
     report = exhaustive_adversary(NIM, Position((3, 5, 7)), MultiFrameAgent())
@@ -392,7 +470,7 @@ class TestExhaustiveAdversary:
         assert reference_adversary(rules, start, agent).counterexample == line
 
     def test_generator_stream_matches_random0(self):
-        lazy, eager = _SeededOnFirstDraw(), random.Random(0)
+        lazy, eager = _SeededOnFirstDraw(0), random.Random(0)
         for bound in (2, 7, 1000, 3):
             assert lazy.random() == eager.random()
             assert lazy.randrange(bound) == eager.randrange(bound)
