@@ -63,12 +63,13 @@ class FrameHistory:
     heap is a count, with ``Position``'s errors; the heap bound and the
     game id are left to the agent.  The drivers cut their windows from
     heaps that a validated start and legal moves produced, through
-    ``_window``, which checks only that a frame is left.  Agents read the
-    frames as tuples; ``current`` builds the newest frame's ``Position``
-    on each read.
+    ``_window``, which checks only that a frame is left and records in
+    ``rules`` the ``GameRules`` object the heaps are valid under; the
+    constructor leaves ``rules`` None.  Agents read the frames as tuples;
+    ``current`` builds the newest frame's ``Position`` on each read.
     """
 
-    __slots__ = ("frames", "game_id")
+    __slots__ = ("frames", "game_id", "rules")
 
     def __init__(self, frames, game_id: str = "nim"):
         frames = tuple(map(tuple, frames))
@@ -79,20 +80,22 @@ class FrameHistory:
             _check_counts(heaps)
         self.frames: _Frames = frames
         self.game_id = game_id
+        self.rules: GameRules | None = None
 
     @property
     def current(self) -> Position:
         return Position(self.frames[-1], self.game_id)
 
 
-def _window(frames: _Frames, game_id: str) -> FrameHistory:
-    """The window of ``frames``, heap tuples already known to be counts,
-    built without checking them again."""
+def _window(frames: _Frames, rules: GameRules) -> FrameHistory:
+    """The window of ``frames``, heap tuples already known to be valid
+    under ``rules``, built without checking them again."""
     if not frames:
         raise ContractViolationError("history needs at least one frame")
     window = object.__new__(FrameHistory)
     window.frames = frames
-    window.game_id = game_id
+    window.game_id = rules.game_id
+    window.rules = rules
     return window
 
 
@@ -137,7 +140,8 @@ class OracleAgent(AgentPolicy):
             # the rollout oracle's rule: the lowest winning move, else the
             # lowest legal move, read off the heaps without a move list
             heaps = history.frames[-1]
-            _validate(heaps, history.game_id, self.rules)
+            if history.rules is not self.rules:
+                _validate(heaps, history.game_id, self.rules)
             return GameMove(*_opp_oracle(heaps, rng))
         p = history.current
         moves = legal_moves(p, self.rules)
@@ -158,7 +162,8 @@ class RandomAgent(AgentPolicy):
             # NIM has sum(heaps) moves; one draw picks the same move and
             # leaves the generator in the same state as indexing the list
             heaps = history.frames[-1]
-            _validate(heaps, history.game_id, self.rules)
+            if history.rules is not self.rules:
+                _validate(heaps, history.game_id, self.rules)
             return GameMove(*_opp_random(heaps, rng))
         moves = legal_moves(history.current, self.rules)
         if not moves:

@@ -15,8 +15,12 @@ from ..errors import EncodingError
 
 
 def encode_value(value: int, l: int) -> list[int]:
-    """``l`` bits of ``value``, most significant first."""
-    # exactly int: a bool, a float or a string is no count
+    """``l`` bits of ``value``, most significant first.  ``l`` is an exact
+    int >= 1 and ``value`` an exact int that fits, else ``EncodingError``
+    names it."""
+    # exactly int: a bool, a float or a string is no count or width
+    if type(l) is not int or l < 1:
+        raise EncodingError(f"width {l!r} is not an int >= 1")
     if type(value) is not int:
         raise EncodingError(f"value {value!r} is not an int")
     if value < 0 or value >= (1 << l):

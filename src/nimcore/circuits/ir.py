@@ -50,74 +50,167 @@ class CircuitMetrics:
     fan_in_max: int
 
 
-# The single-row evaluators are generated Python, one assignment per gate.
-# The code is compiled in units of at most _UNIT_STATEMENTS statements and
-# _UNIT_OPERANDS operands, and a gate wider than _PART operands takes several
-# statements: what the compiler holds at once grows with one unit.  Values
-# read across units pass through a list.
+# The single-row evaluators are generated Python.  Gates are written into
+# the tests of the gates that read them, so ``and``/``or`` skip a whole
+# subterm once an earlier operand decides:
+# - inputs and constants are read in place;
+# - a NOT of an input, a constant or a gate with a statement is read in
+#   place as ``not ...`` by each of its readers, since a negated test costs
+#   no instruction;
+# - any other logic gate read exactly once is inlined into its reader's
+#   test, if that test nests at most _NEST gates deep, which keeps deep
+#   circuits clear of the parser's and the compiler's recursion limits,
+#   and holds at most _INLINE_NODES expression nodes (gates named).
+# Every other gate below the last output, and every output or checked gate,
+# is a statement ``v = 1 if <test> else 0``; a test of more than
+# _UNIT_NODES nodes is cut into parts that each also read the parts before,
+# so the statements still stop at the first deciding part.  The code is
+# compiled in units of at most _UNIT_STATEMENTS statements and _UNIT_NODES
+# nodes: what the compiler holds at once grows with one unit.  Values read
+# across units pass through a list.
 _UNIT_STATEMENTS = 256
-_UNIT_OPERANDS = 4096
-_PART = 256
+_UNIT_NODES = 1024
+_INLINE_NODES = 256
+_NEST = 32
 _LEAF_OPS = (_OP_INPUT, _OP_CONST0, _OP_CONST1)
 
 
 def _leaf(op, a):
-    """The expression of an INPUT or constant gate, which every unit that
-    reads it recomputes rather than loads."""
+    """The test of an INPUT or constant gate: any nonzero input passes."""
     if op == _OP_INPUT:
-        return "1 if b[%d] else 0" % a[0]
+        return "b[%d]" % a[0]
     return "1" if op == _OP_CONST1 else "0"
 
 
-def _statements(ops, args, stop, checks):
-    """Yield ``(g, line, gates read, k)`` for gates ``g`` below ``stop``.
+def _plan(ops, args, stop, checks, results):
+    """How each gate below ``stop`` is written (see above), and where the
+    value of each gate with a statement is last read.
 
-    AND and OR are flat ``and``/``or`` chains over 0/1 locals, so they
-    short-circuit and nest no expressions.  Gate ``g``'s own statements
-    have ``k`` None; after them come the output checks ``checks[g]``, with
-    ``k`` the output index a check returns.
+    Returns ``place``, the test and the locals read of each gate read in
+    place, else None; ``inlined``; ``nodes``, the expression nodes of each
+    gate's test; the gates ``kept`` as statements for the outputs
+    (``results``) and the ``checks``; and ``last_read``: the gate whose
+    statements last read each gate, counting the checks after a gate and a
+    gate's own later parts, or ``stop`` for ``results``.
     """
+    kept = set(results)
+    for pairs in checks.values():
+        kept.update(o for _, o in pairs)
+    reads = [0] * stop
+    reader = [0] * stop
+    for g in range(stop):
+        if ops[g] not in _LEAF_OPS:
+            for x in args[g]:
+                reads[x] += 1
+                reader[x] = g
+    place: list[tuple[str, tuple[int, ...]] | None] = [None] * stop
+    inlined = [False] * stop
+    nodes = [1] * stop
+    nest = [0] * stop
     for g in range(stop):
         op, a = ops[g], args[g]
-        if op == _OP_AND or op == _OP_OR:
-            join = " and " if op == _OP_AND else " or "
-            names = ["v%d" % x for x in a]
-            yield g, "v%d = %s" % (g, join.join(names[:_PART])), a[:_PART], None
-            for i in range(_PART, len(a), _PART - 1):
-                part = names[i : i + _PART - 1]
-                line = "v%d = v%d%s%s" % (g, g, join, join.join(part))
-                yield g, line, (g,) + a[i : i + _PART - 1], None
-        elif op == _OP_NOT:
-            yield g, "v%d = 1 - v%d" % (g, a[0]), a, None
+        if op in _LEAF_OPS:
+            place[g] = (_leaf(op, a), ())
+            continue
+        x = a[0]
+        if op == _OP_NOT and g not in kept:
+            if ops[x] in _LEAF_OPS:
+                place[g] = ("not " + place[x][0], ())
+            elif place[x] is None and not inlined[x]:
+                place[g] = ("not v%d" % x, (x,))
+            if place[g] is not None:
+                nodes[g] = 2
+                continue
+        nodes[g] = 1 + sum(nodes[y] if inlined[y] or place[y] else 1 for y in a)
+        nest[g] = 1 + max((nest[y] for y in a if inlined[y]), default=0)
+        inlined[g] = (
+            reads[g] == 1 and g not in kept and nest[g] <= _NEST and nodes[g] <= _INLINE_NODES
+        )
+    # the statement an inlined gate's test lands in: its reader's, or that
+    # reader's own reader's if the reader is inlined too
+    home = list(range(stop))
+    for g in reversed(range(stop)):
+        if inlined[g]:
+            home[g] = home[reader[g]]
+    last_read = list(range(stop))
+    for g in range(stop):
+        if place[g] is None:
+            for x in args[g]:
+                for y in place[x][1] if place[x] else (x,):
+                    last_read[y] = max(last_read[y], home[g])
+        for _, o in checks.get(g, ()):
+            last_read[o] = max(last_read[o], g)
+    for o in results:
+        last_read[o] = stop
+    return place, inlined, nodes, kept, last_read
+
+
+def _statements(ops, args, stop, checks, plan):
+    """Yield ``(g, line, locals read, nodes, k)`` for the gates ``g`` below
+    ``stop`` that have statements, in gate order, as ``_plan`` planned.
+
+    A gate's test joins its operands' tests with ``and``/``or``, or negates
+    its one operand with ``not``; an operand is read in place, inlined in
+    parentheses, or the local of a gate with a statement, which holds 0 or
+    1.  Gate ``g``'s own statements have ``k`` None; after them come the
+    output checks ``checks[g]``, with ``k`` the output index a check
+    returns.
+    """
+    place, inlined, nodes, kept, _ = plan
+    # the test, node count and locals read of each inlined gate, until its
+    # reader takes it
+    pending: dict[int, tuple[str, int, list[int]]] = {}
+    for g in range(stop):
+        op, a = ops[g], args[g]
+        if place[g] is not None and g not in kept:
+            continue
+        if op in _LEAF_OPS:
+            yield g, "v%d = 1 if %s else 0" % (g, place[g][0]), (), 1, None
         else:
-            yield g, "v%d = %s" % (g, _leaf(op, a)), (), None
+            terms = []
+            for x in a:
+                if inlined[x]:
+                    terms.append(pending.pop(x))
+                elif place[x] is not None:
+                    terms.append((place[x][0], nodes[x], place[x][1]))
+                else:
+                    terms.append(("v%d" % x, 1, (x,)))
+            if op == _OP_NOT:
+                test, n, reads = terms[0]
+                terms = [("not " + test, n + 1, reads)]
+            join = " and " if op == _OP_AND else " or "
+            if inlined[g]:
+                test = join.join(t for t, _, _ in terms)
+                if op != _OP_NOT:
+                    test = "(%s)" % test
+                pending[g] = (test, nodes[g], [y for _, _, r in terms for y in r])
+                continue
+            part, size, reads = [], 1, []
+            for test, n, r in terms:
+                if part and size + n > _UNIT_NODES:
+                    yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size, None
+                    part, size, reads = ["v%d" % g], 2, [g]
+                part.append(test)
+                size += n
+                reads += r
+            yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size, None
         for k, o in checks.get(g, ()):
-            yield g, "if v%d and %d in w: return %d" % (o, k, k), (o,), k
+            yield g, "if v%d and %d in w: return %d" % (o, k, k), (o,), 3, k
 
 
 def _generate(ops, args, stop, checks, results):
     """Compile gates below ``stop`` and the output checks into unit
-    functions ``u(b, V, w)``, to run in order on one list ``V``.
+    functions ``u(b, V, w)``, to run in order on one list ``V``; only the
+    gates ``_plan`` gives a statement have a local, and a ``V`` slot when
+    another unit or the caller reads them.
 
     Each unit is compiled as soon as it is full.  It loads from ``V`` what
     earlier units computed, and stores there what later units and the
     caller (``results``) read.  Returns the units, ``len(V)``, the slots of
     ``results`` and the unit of each check.
     """
-    # the gate at which each gate is last read: by a gate, by the checks
-    # after a gate, or by a wide gate's own later statements; results are
-    # read after the last gate
-    last_read = [-1] * stop
-    for g in range(stop):
-        if ops[g] not in _LEAF_OPS:
-            for x in args[g]:
-                last_read[x] = g
-            if len(args[g]) > _PART:
-                last_read[g] = g
-        for _, o in checks.get(g, ()):
-            last_read[o] = g
-    for o in results:
-        last_read[o] = stop
+    plan = _plan(ops, args, stop, checks, results)
+    last_read = plan[-1]
     slot: dict[int, int] = {}
     units = []
     check_unit = {}
@@ -126,8 +219,8 @@ def _generate(ops, args, stop, checks, results):
         # ``until``: the gate the next unit starts at
         src = ["def u(b, V, w):"]
         for g in loaded:
-            if ops[g] in _LEAF_OPS:  # recomputed rather than stored
-                src.append(" v%d = %s" % (g, _leaf(ops[g], args[g])))
+            if ops[g] in _LEAF_OPS:  # a checked input or constant, recomputed
+                src.append(" v%d = 1 if %s else 0" % (g, _leaf(ops[g], args[g])))
             else:
                 src.append(" v%d = V[%d]" % (g, slot[g]))
         src.extend(" " + line for line in lines)
@@ -138,13 +231,11 @@ def _generate(ops, args, stop, checks, results):
         exec(compile("\n".join(src), "<circuit>", "exec"), namespace)
         units.append(namespace["u"])
 
-    lines, loaded, written, operands = [], {}, {}, 0
-    for g, line, reads, k in _statements(ops, args, stop, checks):
-        if lines and (
-            len(lines) == _UNIT_STATEMENTS or operands + len(reads) > _UNIT_OPERANDS
-        ):
+    lines, loaded, written, size = [], {}, {}, 0
+    for g, line, reads, n, k in _statements(ops, args, stop, checks, plan):
+        if lines and (len(lines) == _UNIT_STATEMENTS or size + n > _UNIT_NODES):
             compile_unit(lines, loaded, written, g)
-            lines, loaded, written, operands = [], {}, {}, 0
+            lines, loaded, written, size = [], {}, {}, 0
         for r in reads:
             if r not in written:
                 loaded[r] = None
@@ -153,7 +244,7 @@ def _generate(ops, args, stop, checks, results):
         else:
             check_unit[k] = len(units)
         lines.append(line)
-        operands += len(reads)
+        size += n
     compile_unit(lines, loaded, written, stop)
     return units, len(slot), [slot[g] for g in results], check_unit
 
@@ -206,9 +297,12 @@ class Circuit:
     """Immutable layered circuit; safe to evaluate from any thread.
 
     ``evaluate`` and ``first_set`` run Python code generated from the gate
-    list on their first call and kept with the circuit: one assignment per
-    gate, ending at the last output gate.  Two threads that both make the
-    first call compile the same code, and either copy serves.
+    list on their first call and kept with the circuit, ending at the last
+    output gate: a gate read by one other gate is written inside that
+    gate's ``and``/``or`` test, inputs and the negations of values already
+    computed are read in place, and every other gate is one assignment of
+    0 or 1.  Two threads that both make the first call compile the same
+    code, and either copy serves.
     ``evaluate_batch`` sweeps the gate list once with a numpy vector per
     gate.
     """

@@ -156,7 +156,8 @@ def play_match(
     every later position is valid, since a legal move only shrinks heaps
     (a Kayles split leaves two smaller rows).  The oracle and random
     agents validate the heaps they are handed, as their ``choose``
-    contract asks.  The tuple of frames holds the heap tuples the agents
+    contract asks, unless the window says it was cut under their own
+    ``rules`` object.  The tuple of frames holds the heap tuples the agents
     read: the larger window, or every frame when an agent reads them all
     (``required_frames == 0``).  Under NIM each ply's diagnostic value is
     the XOR fold of the heaps it leaves.
@@ -202,10 +203,10 @@ def _agent_move(agent: AgentPolicy, frames: _Frames, rules: GameRules, rng):
     """``agent``'s move from the newest of ``frames``, heap tuples of a
     game under ``rules``, and the heaps it leaves.  The agent is handed
     its newest ``required_frames`` frames (``[-0:]`` keeps every frame)
-    as a ``FrameHistory`` of ``rules.game_id``; an empty window raises
+    as a ``FrameHistory`` of ``rules``; an empty window raises
     ``ContractViolationError``, and an illegal move, or one that is not a
     move, ``IllegalMoveError``."""
-    move = agent.choose(_window(frames[-agent.required_frames :], rules.game_id), rng)
+    move = agent.choose(_window(frames[-agent.required_frames :], rules), rng)
     return move, _checked_heaps(frames[-1], move, rules)
 
 

@@ -167,12 +167,31 @@ def test_nim_choices_match_move_list(data, seed):
 def test_a_hand_built_window_is_validated(policy, rules, frame, message):
     # a heap that is no count is refused with the error a Position would
     # raise: by the public constructor, and by the agent on a window the
-    # drivers' unchecked path built
+    # drivers' unchecked path built under rules that are not its own
+    # object, even equal ones
     match = f"^{re.escape(message)}$"
     with pytest.raises(InvalidPositionError, match=match):
         FrameHistory([frame], rules.game_id)
+    other = GameRules(rules.variant, rules.max_heap_size)
+    assert other == rules and other is not rules
     with pytest.raises(InvalidPositionError, match=match):
-        policy(rules).choose(_window((frame,), rules.game_id), RNG())
+        policy(rules).choose(_window((frame,), other), RNG())
+
+
+@pytest.mark.parametrize("policy", [OracleAgent, RandomAgent])
+def test_windows_cut_under_the_agents_rules_are_not_checked_again(policy, monkeypatch):
+    checked = []
+    validate = nimcore.agents._validate
+    monkeypatch.setattr(
+        nimcore.agents, "_validate", lambda *a: checked.append(a[0]) or validate(*a)
+    )
+    rules = GameRules.nim(31)
+    record = nimcore.harness.play_match(rules, Position((3, 5, 7)), policy(rules), policy(rules), 0)
+    assert record.forfeit is None and checked == []
+    assert FrameHistory([(3, 5, 7)]).rules is None
+    policy(rules).choose(FrameHistory([(3, 5, 7)]), RNG())
+    policy(rules).choose(_window(((1, 2),), GameRules.nim(31)), RNG())
+    assert checked == [(3, 5, 7), (1, 2)]
 
 
 class TestPreservingReply:

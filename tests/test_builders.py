@@ -38,6 +38,15 @@ class TestEncoding:
         with pytest.raises(EncodingError):
             encode_value(8, 3)
 
+    # exactly int >= 1: True would read as width 1
+    @pytest.mark.parametrize(
+        "value, width", [(1, True), (3, 2.5), (5, "3"), (0, -1), (0, 0), (1, None)]
+    )
+    def test_width_must_be_an_int_of_at_least_one(self, value, width):
+        message = rf"^width {re.escape(repr(width))} is not an int >= 1$"
+        with pytest.raises(EncodingError, match=message):
+            encode_value(value, width)
+
     def test_layout(self):
         enc = PositionEncoding(2, 3, frames=2)
         assert enc.total_bits == 12

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from nimcore.circuits.builders import threshold_at_least
 from nimcore.circuits.ir import (
+    _UNIT_NODES,
+    _plan,
     AND,
     Circuit,
     Gate,
@@ -104,6 +106,41 @@ def wide_random_circuit(rng, n_gates):
         gates.append(Gate(kind, args))
     outputs = [rng.randrange(len(gates)) for _ in range(rng.randint(1, 12))]
     # the last gate is an output, so no unit is cut off as dead code
+    outputs.insert(rng.randrange(len(outputs) + 1), len(gates) - 1)
+    return Circuit(gates, outputs, n_inputs)
+
+
+def chain_heavy_circuit(rng, n_gates):
+    """Gates that mostly read a recent gate nothing has read yet, so most
+    have one reader and are written inside its test.  The rest read any
+    earlier gate, so some gates have several readers, and now and then an
+    OR of a few hundred fresh ANDs makes a test long enough to be cut
+    into parts."""
+    n_inputs = rng.randint(1, 10)
+    gates = [Gate(INPUT) for _ in range(n_inputs)] + [Gate("CONST0"), Gate("CONST1")]
+    unread: list[int] = []
+
+    def operand():
+        if unread and rng.random() < 0.75:
+            return unread.pop(rng.randrange(max(0, len(unread) - 4), len(unread)))
+        return rng.randrange(len(gates))
+
+    while len(gates) < n_gates:
+        r = rng.random()
+        if r < 0.01:
+            terms = []
+            for _ in range(rng.randint(150, 300)):
+                args = tuple(rng.randrange(len(gates)) for _ in range(rng.randint(1, 6)))
+                gates.append(Gate(AND, args))
+                terms.append(len(gates) - 1)
+            gates.append(Gate(OR, tuple(terms)))
+        elif r < 0.35:
+            gates.append(Gate(NOT, (operand(),)))
+        else:
+            args = tuple(operand() for _ in range(rng.randint(1, 5)))
+            gates.append(Gate(rng.choice((AND, OR)), args))
+        unread.append(len(gates) - 1)
+    outputs = [rng.randrange(len(gates)) for _ in range(rng.randint(0, 6))]
     outputs.insert(rng.randrange(len(outputs) + 1), len(gates) - 1)
     return Circuit(gates, outputs, n_inputs)
 
@@ -250,7 +287,7 @@ class TestGeneratedCode:
     generated code is split: across units, and within one wide gate."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(600, 1500), st.data())
+    @given(st.integers(0, 2**32), st.integers(1500, 3000), st.data())
     def test_circuits_spanning_units(self, seed, n_gates, data):
         rng = random.Random(seed)
         c = wide_random_circuit(rng, n_gates)
@@ -305,7 +342,7 @@ class TestGeneratedCode:
 
     def test_compile_memory_is_bounded(self):
         # one gate of fan-in 20,000 compiled in one piece peaks near 26 MB
-        # of Python allocations; split into units it stays near 6 MB
+        # of Python allocations; split into units it stays under 5 MB
         wide = Gate(OR, tuple(i % 10 for i in range(20_000)))
         c = Circuit([Gate(INPUT) for _ in range(10)] + [wide], [10], 10)
         tracemalloc.start()
@@ -352,6 +389,67 @@ class TestGeneratedCode:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [list(zip(expected, want))] * 4
+
+
+class TestInlinedGates:
+    """``evaluate`` and ``first_set`` against ``reference_eval`` where most
+    gates are written inside the tests of the gates that read them."""
+
+    ENTRIES = (0, 1, 2, -1, True, False, np.uint8(0), np.uint8(1), np.uint8(200))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(20, 2500))
+    def test_chain_heavy_circuits(self, seed, n_gates):
+        rng = random.Random(seed)
+        c = chain_heavy_circuit(rng, n_gates)
+        _, inlined, *_ = _plan(c._ops, c._args, max(c.outputs) + 1, {}, c.outputs)
+        assert any(inlined)  # the premise: gates are inlined
+        for _ in range(6):
+            bits = [rng.choice(self.ENTRIES) for _ in range(c.input_arity)]
+            expected = reference_eval(c, bits)
+            got = c.evaluate(bits)
+            assert got == expected
+            assert {type(v) for v in got} == {int}
+            for k in range(len(c.outputs) + 1):
+                picks = list(range(k))
+                assert c.first_set(bits, picks) == next((i for i in picks if expected[i]), None)
+
+    @pytest.mark.parametrize("kind", [AND, OR])
+    def test_long_test_cut_into_parts(self, kind):
+        # 500 fresh two-input terms in one gate: past a statement's size
+        n = 1000
+        gates = [Gate(INPUT) for _ in range(n)]
+        gates += [Gate(AND if kind == OR else OR, (2 * i, 2 * i + 1)) for i in range(500)]
+        gates.append(Gate(kind, tuple(range(n, n + 500))))
+        c = Circuit(gates, [len(gates) - 1, 0], n)
+        nodes = _plan(c._ops, c._args, len(gates), {}, c.outputs)[2]
+        assert nodes[-1] > _UNIT_NODES  # the premise: two parts or more
+        # every term the same but one, which decides the gate
+        rest = [1] * n if kind == AND else [0] * n
+        for term in (0, 250, 499):
+            row = list(rest)
+            row[2 * term] = row[2 * term + 1] = 1 - rest[0]
+            for bits in (rest, row):
+                expected = reference_eval(c, bits)
+                assert c.evaluate(bits) == expected
+                assert c.first_set(bits, [0]) == (0 if expected[0] else None)
+
+    # NOT and AND alternating, and one-operand ANDs, which nest parentheses
+    @pytest.mark.parametrize("chain", [(NOT, AND), (AND,)], ids=["not-and", "and"])
+    def test_long_single_reader_chain(self, chain):
+        # each gate read once, by the next: inlined only up to a bounded
+        # depth, so neither the parser nor the compiler recurses deeply
+        n = 100_000
+        gates = [Gate(INPUT), Gate(INPUT), Gate(NOT, (0,))]
+        for i in range(n):
+            prev = len(gates) - 1
+            kind = chain[i % len(chain)]
+            gates.append(Gate(kind, (prev,) if kind == NOT or len(chain) == 1 else (prev, 1)))
+        c = Circuit(gates, [len(gates) - 1, 2], 2)
+        for bits in ([0, 0], [0, 1], [1, 0], [1, 1], [True, np.uint8(3)]):
+            expected = reference_eval(c, bits)
+            assert c.evaluate(bits) == expected
+            assert c.first_set(bits, [0, 1]) == next((k for k in (0, 1) if expected[k]), None)
 
 
 class TestStructure:

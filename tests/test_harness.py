@@ -211,8 +211,9 @@ def test_negative_window_forfeits():
 
 
 def test_one_validation_per_choose(monkeypatch):
-    # the start is validated once; each later position only by the agent
-    # that moves from it, and no ply builds a move generator
+    # the start is validated once; each later position only by an agent
+    # built for rules other than the match's own object (here equal ones),
+    # and no ply builds a move generator
     counts = {"validated": 0, "chosen": 0, "generators": 0}
     validate, iter_moves = games._validate, games._iter_moves
 
@@ -228,20 +229,24 @@ def test_one_validation_per_choose(monkeypatch):
     monkeypatch.setattr(agents, "_validate", counted_validate)
     monkeypatch.setattr(games, "_iter_moves", counted_moves)
     monkeypatch.setattr(harness, "_iter_moves", counted_moves)
-    players = (OracleAgent(NIM), RandomAgent(NIM))
-    for agent in players:
-        choose = agent.choose
+    equal = GameRules(NIM.variant, NIM.max_heap_size)
+    for rules, checked in ((equal, 1), (NIM, 0)):
+        players = (OracleAgent(rules), RandomAgent(rules))
+        for agent in players:
+            choose = agent.choose
 
-        def counted_choose(history, rng, choose=choose):
-            counts["chosen"] += 1
-            return choose(history, rng)
+            def counted_choose(history, rng, choose=choose):
+                counts["chosen"] += 1
+                return choose(history, rng)
 
-        agent.choose = counted_choose
-    record = play_match(NIM, Position((3, 5, 7, 9)), *players, seed=3)
-    assert record.forfeit is None and len(record.moves) >= 8
-    assert counts["chosen"] == len(record.moves)
-    assert counts["validated"] == counts["chosen"] + 1
-    assert counts["generators"] == 0
+            agent.choose = counted_choose
+        for key in counts:
+            counts[key] = 0
+        record = play_match(NIM, Position((3, 5, 7, 9)), *players, seed=3)
+        assert record.forfeit is None and len(record.moves) >= 8
+        assert counts["chosen"] == len(record.moves)
+        assert counts["validated"] == checked * counts["chosen"] + 1
+        assert counts["generators"] == 0
 
 
 def _count_positions(monkeypatch) -> dict:
@@ -521,7 +526,7 @@ class _WindowChecker(AgentPolicy):
     def choose(self, history, rng):
         self.calls += 1
         assert isinstance(history, FrameHistory)
-        assert history.game_id == self.rules.game_id
+        assert history.game_id == self.rules.game_id and history.rules is self.rules
         assert all(
             type(f) is tuple and all(type(h) is int for h in f) for f in history.frames
         )
