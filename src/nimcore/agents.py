@@ -199,11 +199,10 @@ class SingleFrameCircuitAgent(AgentPolicy):
     The circuit sees one encoded position and emits one score bit per
     candidate slot.  The agent plays the first legal candidate, in
     tie-break order (lowest heap, lowest new count), that scores 1, and
-    the first legal move when none does.  Slots are heap-major, so that
-    candidate is the smallest legal slot scoring 1: what
-    ``Circuit.first_set`` returns, running the scorer's generated code
-    only up to that slot's gate.  The move depends on the current frame
-    alone, so it is remembered per heap tuple.  This is the history-free
+    the first legal move when none does.  One ``Circuit.evaluate`` gives
+    every score; slots are heap-major, so the agent scans each heap's
+    legal slots in order.  The move depends on the current frame alone,
+    so it is remembered per heap tuple.  This is the history-free
     baseline; no optimality is claimed for it.
     """
 
@@ -242,15 +241,12 @@ class SingleFrameCircuitAgent(AgentPolicy):
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
         # encode_heaps checks len(heaps) == n and every count < 2**l,
         # so slot (i << l) + v is in range for every legal candidate
-        bits = self.enc.encode_heaps(heaps)
+        scores = self.circuit.evaluate(self.enc.encode_heaps(heaps))
         l = self.enc.l
-        slots: list[int] = []
         for i, c in enumerate(heaps):
-            base = i << l
-            slots += range(base, base + c)
-        slot = self.circuit.first_set(bits, slots)
-        if slot is not None:
-            return GameMove(slot >> l, slot & ((1 << l) - 1))
+            row = scores[i << l : (i << l) + c]  # heap i's legal new counts 0..c-1
+            if 1 in row:
+                return GameMove(i, row.index(1))
         for i, c in enumerate(heaps):
             if c:
                 return GameMove(i, 0)

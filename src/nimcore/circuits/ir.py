@@ -50,7 +50,7 @@ class CircuitMetrics:
     fan_in_max: int
 
 
-# The single-row evaluators are generated Python.  Gates are written into
+# The single-row evaluator is generated Python.  Gates are written into
 # the tests of the gates that read them, so ``and``/``or`` skip a whole
 # subterm once an earlier operand decides:
 # - inputs and constants are read in place;
@@ -61,10 +61,10 @@ class CircuitMetrics:
 #   test, if that test nests at most _NEST gates deep, which keeps deep
 #   circuits clear of the parser's and the compiler's recursion limits,
 #   and holds at most _INLINE_NODES expression nodes (gates named).
-# Every other gate below the last output, and every output or checked gate,
-# is a statement ``v = 1 if <test> else 0``; a test of more than
-# _UNIT_NODES nodes is cut into parts that each also read the parts before,
-# so the statements still stop at the first deciding part.  The code is
+# Every other gate below the last output, and every output gate, is a
+# statement ``v = 1 if <test> else 0``; a test of more than _UNIT_NODES
+# nodes is cut into parts that each also read the parts before, so the
+# statements still stop at the first deciding part.  The code is
 # compiled in units of at most _UNIT_STATEMENTS statements and _UNIT_NODES
 # nodes: what the compiler holds at once grows with one unit.  Values read
 # across units pass through a list.
@@ -82,20 +82,18 @@ def _leaf(op, a):
     return "1" if op == _OP_CONST1 else "0"
 
 
-def _plan(ops, args, stop, checks, results):
+def _plan(ops, args, stop, results):
     """How each gate below ``stop`` is written (see above), and where the
     value of each gate with a statement is last read.
 
     Returns ``place``, the test and the locals read of each gate read in
     place, else None; ``inlined``; ``nodes``, the expression nodes of each
     gate's test; the gates ``kept`` as statements for the outputs
-    (``results``) and the ``checks``; and ``last_read``: the gate whose
-    statements last read each gate, counting the checks after a gate and a
-    gate's own later parts, or ``stop`` for ``results``.
+    (``results``); and ``last_read``: the gate whose statements last read
+    each gate, counting a gate's own later parts, or ``stop`` for
+    ``results``.
     """
     kept = set(results)
-    for pairs in checks.values():
-        kept.update(o for _, o in pairs)
     reads = [0] * stop
     reader = [0] * stop
     for g in range(stop):
@@ -138,23 +136,19 @@ def _plan(ops, args, stop, checks, results):
             for x in args[g]:
                 for y in place[x][1] if place[x] else (x,):
                     last_read[y] = max(last_read[y], home[g])
-        for _, o in checks.get(g, ()):
-            last_read[o] = max(last_read[o], g)
     for o in results:
         last_read[o] = stop
     return place, inlined, nodes, kept, last_read
 
 
-def _statements(ops, args, stop, checks, plan):
-    """Yield ``(g, line, locals read, nodes, k)`` for the gates ``g`` below
+def _statements(ops, args, stop, plan):
+    """Yield ``(g, line, locals read, nodes)`` for the gates ``g`` below
     ``stop`` that have statements, in gate order, as ``_plan`` planned.
 
     A gate's test joins its operands' tests with ``and``/``or``, or negates
     its one operand with ``not``; an operand is read in place, inlined in
     parentheses, or the local of a gate with a statement, which holds 0 or
-    1.  Gate ``g``'s own statements have ``k`` None; after them come the
-    output checks ``checks[g]``, with ``k`` the output index a check
-    returns.
+    1.
     """
     place, inlined, nodes, kept, _ = plan
     # the test, node count and locals read of each inlined gate, until its
@@ -165,7 +159,7 @@ def _statements(ops, args, stop, checks, plan):
         if place[g] is not None and g not in kept:
             continue
         if op in _LEAF_OPS:
-            yield g, "v%d = 1 if %s else 0" % (g, place[g][0]), (), 1, None
+            yield g, "v%d = 1 if %s else 0" % (g, place[g][0]), (), 1
         else:
             terms = []
             for x in a:
@@ -188,65 +182,56 @@ def _statements(ops, args, stop, checks, plan):
             part, size, reads = [], 1, []
             for test, n, r in terms:
                 if part and size + n > _UNIT_NODES:
-                    yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size, None
+                    yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size
                     part, size, reads = ["v%d" % g], 2, [g]
                 part.append(test)
                 size += n
                 reads += r
-            yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size, None
-        for k, o in checks.get(g, ()):
-            yield g, "if v%d and %d in w: return %d" % (o, k, k), (o,), 3, k
+            yield g, "v%d = 1 if %s else 0" % (g, join.join(part)), reads, size
 
 
-def _generate(ops, args, stop, checks, results):
-    """Compile gates below ``stop`` and the output checks into unit
-    functions ``u(b, V, w)``, to run in order on one list ``V``; only the
-    gates ``_plan`` gives a statement have a local, and a ``V`` slot when
+def _generate(ops, args, results):
+    """Compile the gates up to the last of ``results`` into unit functions
+    ``u(b, V)``, to run in order on one list ``V``; only the gates
+    ``_plan`` gives a statement have a local, and a ``V`` slot when
     another unit or the caller reads them.
 
     Each unit is compiled as soon as it is full.  It loads from ``V`` what
     earlier units computed, and stores there what later units and the
-    caller (``results``) read.  Returns the units, ``len(V)``, the slots of
-    ``results`` and the unit of each check.
+    caller (``results``) read.  Returns the units, ``len(V)`` and the slots
+    of ``results``.
     """
-    plan = _plan(ops, args, stop, checks, results)
+    stop = max(results) + 1
+    plan = _plan(ops, args, stop, results)
     last_read = plan[-1]
     slot: dict[int, int] = {}
     units = []
-    check_unit = {}
 
     def compile_unit(lines, loaded, written, until):
         # ``until``: the gate the next unit starts at
-        src = ["def u(b, V, w):"]
-        for g in loaded:
-            if ops[g] in _LEAF_OPS:  # a checked input or constant, recomputed
-                src.append(" v%d = 1 if %s else 0" % (g, _leaf(ops[g], args[g])))
-            else:
-                src.append(" v%d = V[%d]" % (g, slot[g]))
+        src = ["def u(b, V):"]
+        src.extend(" v%d = V[%d]" % (g, slot[g]) for g in loaded)
         src.extend(" " + line for line in lines)
         for g in written:
-            if last_read[g] == stop or (last_read[g] >= until and ops[g] not in _LEAF_OPS):
+            if last_read[g] >= until:
                 src.append(" V[%d] = v%d" % (slot.setdefault(g, len(slot)), g))
         namespace: dict = {}
         exec(compile("\n".join(src), "<circuit>", "exec"), namespace)
         units.append(namespace["u"])
 
     lines, loaded, written, size = [], {}, {}, 0
-    for g, line, reads, n, k in _statements(ops, args, stop, checks, plan):
+    for g, line, reads, n in _statements(ops, args, stop, plan):
         if lines and (len(lines) == _UNIT_STATEMENTS or size + n > _UNIT_NODES):
             compile_unit(lines, loaded, written, g)
             lines, loaded, written, size = [], {}, {}, 0
         for r in reads:
             if r not in written:
                 loaded[r] = None
-        if k is None:
-            written[g] = None
-        else:
-            check_unit[k] = len(units)
+        written[g] = None
         lines.append(line)
         size += n
     compile_unit(lines, loaded, written, stop)
-    return units, len(slot), [slot[g] for g in results], check_unit
+    return units, len(slot), [slot[g] for g in results]
 
 
 def _eval_batch(ops, args, out_ids, inputs):
@@ -296,13 +281,13 @@ def _eval_batch(ops, args, out_ids, inputs):
 class Circuit:
     """Immutable layered circuit; safe to evaluate from any thread.
 
-    ``evaluate`` and ``first_set`` run Python code generated from the gate
-    list on their first call and kept with the circuit, ending at the last
-    output gate: a gate read by one other gate is written inside that
-    gate's ``and``/``or`` test, inputs and the negations of values already
-    computed are read in place, and every other gate is one assignment of
-    0 or 1.  Two threads that both make the first call compile the same
-    code, and either copy serves.
+    ``evaluate``, the one single-row entry point, runs Python code
+    generated from the gate list on its first call and kept with the
+    circuit, ending at the last output gate: a gate read by one other gate
+    is written inside that gate's ``and``/``or`` test, inputs and the
+    negations of values already computed are read in place, and every
+    other gate is one assignment of 0 or 1.  Two threads that both make
+    the first call compile the same code, and either copy serves.
     ``evaluate_batch`` sweeps the gate list once with a numpy vector per
     gate.
     """
@@ -314,7 +299,6 @@ class Circuit:
         "_ops",
         "_args",
         "_evaluator",
-        "_first_setter",
     )
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int], input_arity: int):
@@ -368,13 +352,6 @@ class Circuit:
         self._ops = ops
         self._args = args
         self._evaluator = None
-        self._first_setter = None
-
-    def _check_bits(self, bits: Sequence[int]) -> None:
-        if len(bits) != self.input_arity:
-            raise EncodingError(
-                f"circuit takes {self.input_arity} input bits, got {len(bits)}"
-            )
 
     def gate_depths(self) -> list[int]:
         """Per-gate depth counting AND/OR/NOT gates along the longest path."""
@@ -398,17 +375,18 @@ class Circuit:
     def evaluate(self, bits: Sequence[int]) -> tuple[int, ...]:
         """Run one input vector through the circuit; any nonzero bit reads
         as 1.  Returns every output, in order."""
-        self._check_bits(bits)
+        if len(bits) != self.input_arity:
+            raise EncodingError(
+                f"circuit takes {self.input_arity} input bits, got {len(bits)}"
+            )
         units, size, read = self._evaluator or self._compile_evaluator()
         values = [0] * size
         for u in units:
-            u(bits, values, None)
+            u(bits, values)
         return read(values)
 
     def _compile_evaluator(self):
-        units, size, slots, _ = _generate(
-            self._ops, self._args, max(self.outputs) + 1, {}, self.outputs
-        )
+        units, size, slots = _generate(self._ops, self._args, self.outputs)
         if len(slots) == 1:
             (slot,) = slots
 
@@ -419,52 +397,6 @@ class Circuit:
             read = operator.itemgetter(*slots)
         self._evaluator = units, size, read
         return self._evaluator
-
-    def first_set(self, bits: Sequence[int], outputs: Sequence[int]) -> int | None:
-        """The smallest index in ``outputs`` whose output is 1 on ``bits``,
-        or None when none is (or ``outputs`` is empty).
-
-        Equal to ``min((k for k in outputs if evaluate(bits)[k]), default=None)``.
-        Output ``k`` is tested right after the last gate of outputs ``0..k``,
-        so the run stops at the first hit, and on a miss soon after the
-        largest index asked for: outputs whose gates come early in the gate
-        list cost least.  Each index must be a valid output index, an exact
-        int, else ``EncodingError`` names it.
-        """
-        self._check_bits(bits)
-        if not outputs:
-            return None
-        # exactly int: True would read as output 1, and in a set it would
-        # vanish into a 1 already there, so the sequence itself is checked
-        if not {int}.issuperset(map(type, outputs)):
-            bad = next(k for k in outputs if type(k) is not int)
-            raise EncodingError(f"output index {bad!r} is not an int")
-        wanted = set(outputs)
-        top = max(wanted)
-        if min(wanted) < 0 or top >= len(self.outputs):
-            bad = next(k for k in outputs if not 0 <= k < len(self.outputs))
-            raise EncodingError(
-                f"output index {bad} out of range for {len(self.outputs)} outputs"
-            )
-        units, size, check_unit = self._first_setter or self._compile_first_setter()
-        values = [0] * size
-        for u in units[: check_unit[top] + 1]:
-            k = u(bits, values, wanted)
-            if k is not None:
-                return k
-        return None
-
-    def _compile_first_setter(self):
-        # output k is tested after the last gate of outputs 0..k, so the
-        # tests run in index order whatever order the output gates take
-        checks: dict[int, list[tuple[int, int]]] = {}
-        last = 0
-        for k, o in enumerate(self.outputs):
-            last = max(last, o)
-            checks.setdefault(last, []).append((k, o))
-        units, size, _, check_unit = _generate(self._ops, self._args, last + 1, checks, ())
-        self._first_setter = units, size, check_unit
-        return self._first_setter
 
     def evaluate_batch(self, rows) -> np.ndarray:
         """Run many input vectors; returns a (rows, outputs) uint8 array.
@@ -480,8 +412,10 @@ class Circuit:
         return _eval_batch(self._ops, self._args, self.outputs, bits)
 
 
-_HEADER = re.compile(r"^ac0 v1 inputs=(\d+) outputs=(\d+(?:,\d+)*)$")
-_GATE_LINE = re.compile(r"^g(\d+) ([A-Z01]+)((?: \d+)*)$")
+# ASCII: a str pattern's \d also matches the digits of other scripts,
+# which int() reads too, so two texts would parse to one circuit
+_HEADER = re.compile(r"^ac0 v1 inputs=(\d+) outputs=(\d+(?:,\d+)*)$", re.ASCII)
+_GATE_LINE = re.compile(r"^g(\d+) ([A-Z01]+)((?: \d+)*)$", re.ASCII)
 
 
 def serialize(c: Circuit) -> str:
@@ -497,25 +431,34 @@ def serialize(c: Circuit) -> str:
 
 
 def parse(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # blank lines are skipped, but an error names the line of the text
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise CircuitFormatError("empty circuit text")
-    m = _HEADER.match(lines[0])
+    lineno, header = lines[0]
+    m = _HEADER.match(header)
     if not m:
-        raise CircuitFormatError(f"bad header line: {lines[0]!r}")
-    input_arity = int(m.group(1))
-    outputs = tuple(int(x) for x in m.group(2).split(","))
+        raise CircuitFormatError(f"bad header line: {header!r}")
+    # int() refuses text of more digits than sys.get_int_max_str_digits()
+    try:
+        input_arity = int(m.group(1))
+        outputs = tuple(int(x) for x in m.group(2).split(","))
+    except ValueError:
+        raise CircuitFormatError(f"line {lineno}: a number too long to read") from None
     gates: list[Gate] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         gm = _GATE_LINE.match(line)
         if not gm:
             raise CircuitFormatError(f"line {lineno}: cannot parse {line!r}")
-        gid = int(gm.group(1))
+        try:
+            gid = int(gm.group(1))
+            args = tuple(int(x) for x in gm.group(3).split()) if gm.group(3) else ()
+        except ValueError:
+            raise CircuitFormatError(f"line {lineno}: a number too long to read") from None
         if gid != len(gates):
             raise CircuitFormatError(
                 f"line {lineno}: expected gate g{len(gates)}, found g{gid}"
             )
-        args = tuple(int(x) for x in gm.group(3).split()) if gm.group(3) else ()
         gates.append(Gate(gm.group(2), args))
     return Circuit(gates, outputs, input_arity)
 
@@ -525,7 +468,14 @@ def save_circuit(c: Circuit, path) -> None:
 
 
 def load_circuit(path) -> Circuit:
-    return parse(Path(path).read_text())
+    """Parse the circuit text in file ``path``.  A file that cannot be read
+    raises ``OSError``; one that is not UTF-8 text, or does not parse,
+    raises ``CircuitFormatError``."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CircuitFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse(text)
 
 
 __all__ = [

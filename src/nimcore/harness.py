@@ -530,10 +530,10 @@ def make_agent(
     does not play ``rules.variant`` (see ``AgentPolicy.variants``), for a
     malformed ``mirror71:``, ``mirror72:`` or ``script:`` argument, and
     for a single-frame spec without ``heap_count``.  A ``singleframe:``
-    file that cannot be read raises ``OSError``; one that does not parse,
-    or whose circuit does not fit ``heap_count`` heaps, raises a
-    ``NimcoreError`` of the same type that names the spec and the heap
-    count.
+    file that cannot be read raises ``OSError``; one that is not UTF-8
+    text or does not parse, or whose circuit does not fit ``heap_count``
+    heaps, raises a ``NimcoreError`` of the same type that names the spec
+    and the heap count.
     """
     name, colon, arg = spec.partition(":")
     entry = _AGENT_SPECS.get(name)

@@ -37,16 +37,21 @@ class ModelKind(enum.Enum):
     LTST = "ltst"
 
 
-def _t1(rows):
-    return tuple(int(x) for x in rows)
+def _t1(rows, field):
+    # exactly int, as in GameRules: a float or a bool is refused, not truncated
+    row = tuple(rows)
+    for x in row:
+        if type(x) is not int:
+            raise ValueError(f"{field} entry {x!r} is not an int")
+    return row
 
 
-def _t2(rows):
-    return tuple(_t1(r) for r in rows)
+def _t2(rows, field):
+    return tuple(_t1(r, field) for r in rows)
 
 
-def _t3(rows):
-    return tuple(_t2(r) for r in rows)
+def _t3(rows, field):
+    return tuple(_t2(r, field) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,15 @@ class ThresholdNetwork:
     window: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", _t1(self.widths))
-        object.__setattr__(self, "weights", _t3(self.weights))
-        object.__setattr__(self, "thresholds", _t2(self.thresholds))
+        object.__setattr__(self, "widths", _t1(self.widths, "widths"))
+        object.__setattr__(self, "weights", _t3(self.weights, "weights"))
+        object.__setattr__(self, "thresholds", _t2(self.thresholds, "thresholds"))
         if self.recurrent is not None:
-            object.__setattr__(self, "recurrent", _t3(self.recurrent))
+            object.__setattr__(self, "recurrent", _t3(self.recurrent, "recurrent"))
+        for field in ("q0", "p_bound", "steps", "window"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ValueError(f"{field} {value!r} is not an int")
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ValueError("widths needs an input width plus >= 1 positive layer widths")
         if self.q0 < 1 or self.p_bound < 1:

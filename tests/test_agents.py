@@ -544,6 +544,22 @@ class TestSingleFrameAgent:
             assert fresh.choose(hist(heaps), RNG()) == want
 
 
+    # the heuristic scorers the benchmark plays: the 9-heap one has 1,233
+    # gates, and every decision reads all of its scores
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_heuristic_matches_full_scan_reference(self, n):
+        l = 5
+        agent = SingleFrameCircuitAgent.heuristic(n, l)
+        rng = random.Random(n)
+        for _ in range(300):
+            # some heaps empty, so boards with few candidates come up too
+            heaps = tuple(0 if rng.random() < 0.3 else rng.randint(1, 31) for _ in range(n))
+            if not any(heaps):
+                continue
+            want = reference_singleframe_choice(agent.circuit, n, l, heaps)
+            assert agent.choose(hist(heaps), RNG()) == want
+
+
 class TestMirror71:
     def test_opening_empties_pair_heap(self):
         agent = Mirror71Agent(2)

@@ -308,7 +308,7 @@ class TestEvenNonemptyScorer:
 
 
 def test_serialized_circuits_are_pinned():
-    # gate lists fix first_set costs and the gate counts the benchmark reports,
+    # gate lists fix evaluate costs and the gate counts the benchmark reports,
     # so a rewrite of a builder or the compiler must emit the same gates in order
     h = hashlib.sha256()
     for n in range(9):

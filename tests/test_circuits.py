@@ -1,6 +1,5 @@
 import functools
 import random
-import re
 import sys
 import threading
 import tracemalloc
@@ -20,6 +19,7 @@ from nimcore.circuits.ir import (
     INPUT,
     NOT,
     OR,
+    load_circuit,
     parse,
     serialize,
 )
@@ -145,13 +145,9 @@ def chain_heavy_circuit(rng, n_gates):
     return Circuit(gates, outputs, n_inputs)
 
 
-def assert_matches_reference(c, rows, picks):
+def assert_matches_reference(c, rows):
     for bits in rows:
-        expected = reference_eval(c, bits)
-        assert c.evaluate(bits) == expected
-        assert c.first_set(bits, picks) == min(
-            (k for k in picks if expected[k]), default=None
-        )
+        assert c.evaluate(bits) == reference_eval(c, bits)
 
 
 @functools.cache
@@ -218,50 +214,13 @@ class TestEvaluate:
         wide = np.array([[256, 1], [512, 0]], dtype=np.int64)
         assert and2().evaluate_batch(wide).tolist() == [[1], [0]]
 
-
-class TestFirstSet:
-    @given(circuits_with_rows(), st.data())
-    def test_matches_reference(self, case, data):
-        c, rows = case
-        # any order, repeats allowed, possibly empty
-        picks = data.draw(st.lists(st.integers(0, len(c.outputs) - 1), max_size=8))
-        for bits in rows:
-            expected = reference_eval(c, bits)
-            want = min((k for k in picks if expected[k]), default=None)
-            assert c.first_set(bits, picks) == want
-
-    def test_empty_outputs(self):
-        assert and2().first_set([1, 1], []) is None
-
-    def test_wrong_bit_count_as_evaluate(self):
-        with pytest.raises(EncodingError) as single:
-            and2().evaluate([1])
-        with pytest.raises(EncodingError) as first:
-            and2().first_set([1], [0])
-        assert str(first.value) == str(single.value)
-
-    @pytest.mark.parametrize("bad", [1, 7, -1])
-    def test_output_index_out_of_range_named(self, bad):
-        # raised even though output 0, read first, is set
-        with pytest.raises(EncodingError, match=rf"output index {bad} out of range"):
-            and2().first_set([1, 1], [0, bad])
-
-    # exactly int: True and 1.0 would read as output 1, even beside a 1
-    @pytest.mark.parametrize("picks", [[1.5], [True], ["a"], [0, 1.0], [1, True], [None, 0]])
-    def test_output_index_not_an_int_named(self, picks):
-        bad = next(k for k in picks if type(k) is not int)
-        message = rf"^output index {re.escape(repr(bad))} is not an int$"
-        with pytest.raises(EncodingError, match=message):
-            and2().first_set([1, 1], picks)
-
     def test_deep_not_chain_needs_no_recursion(self):
         depth = 5000
         assert depth > sys.getrecursionlimit()
         gates = [Gate(INPUT)] + [Gate(NOT, (i,)) for i in range(depth)]
         c = Circuit(gates, [depth, 1], 1)
         assert c.evaluate([1]) == (1, 0)
-        assert c.first_set([0], [0, 1]) == 1
-        assert c.first_set([1], [1, 0]) == 0
+        assert c.evaluate([0]) == (0, 1)
 
     def test_dead_gates_do_not_matter(self):
         # gates no output reads, before and between the output gates
@@ -275,25 +234,20 @@ class TestFirstSet:
         c = Circuit(gates, [6, 4], 3)
         for row in range(8):
             bits = [(row >> j) & 1 for j in range(3)]
-            expected = reference_eval(c, bits)
-            assert c.evaluate(bits) == expected
-            assert c.first_set(bits, [0, 1]) == next(
-                (k for k in (0, 1) if expected[k]), None
-            )
+            assert c.evaluate(bits) == reference_eval(c, bits)
 
 
 class TestGeneratedCode:
-    """``evaluate`` and ``first_set`` against ``reference_eval`` where the
-    generated code is split: across units, and within one wide gate."""
+    """``evaluate`` against ``reference_eval`` where the generated code is
+    split: across units, and within one wide gate."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(1500, 3000), st.data())
-    def test_circuits_spanning_units(self, seed, n_gates, data):
+    @given(st.integers(0, 2**32), st.integers(1500, 3000))
+    def test_circuits_spanning_units(self, seed, n_gates):
         rng = random.Random(seed)
         c = wide_random_circuit(rng, n_gates)
         rows = [[rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(8)]
-        picks = data.draw(st.lists(st.integers(0, len(c.outputs) - 1), max_size=12))
-        assert_matches_reference(c, rows, picks)
+        assert_matches_reference(c, rows)
         assert len(c._evaluator[0]) > 2  # the premise: several units
 
     @settings(max_examples=6, deadline=None)
@@ -314,8 +268,7 @@ class TestGeneratedCode:
             row = [rest] * fan_in
             row[i] = 1 - rest
             rows.append(row)
-        assert_matches_reference(c, rows, [0, 1, 2])
-        assert_matches_reference(c, rows, [1])
+        assert_matches_reference(c, rows)
 
     @pytest.mark.parametrize("kind", [AND, OR])
     def test_wide_gate_reads_every_operand(self, kind):
@@ -338,7 +291,7 @@ class TestGeneratedCode:
         gates += [Gate(AND, tuple(i % 8 for i in range(9000))), Gate(NOT, (0,))]
         c = Circuit(gates, [9], 8)
         assert c.evaluate([0] * 8) == (1,)
-        assert c.first_set([1] * 8, [0]) is None
+        assert c.evaluate([1] * 8) == (0,)
 
     def test_compile_memory_is_bounded(self):
         # one gate of fan-in 20,000 compiled in one piece peaks near 26 MB
@@ -359,23 +312,20 @@ class TestGeneratedCode:
         c = at_least_24_4()
         assert max(len(g.args) for g in c.gates) == 10_626
         bits = [1 if i in ones else 0 for i in range(24)]
-        assert_matches_reference(c, [bits], [0])
+        assert_matches_reference(c, [bits])
         assert c.evaluate(bits) == (int(len(set(ones)) >= 4),)
 
     def test_first_calls_from_four_threads(self):
         c = wide_random_circuit(random.Random(5), 2000)
         rng = random.Random(6)
         rows = [[rng.randint(0, 1) for _ in range(c.input_arity)] for _ in range(6)]
-        picks = list(range(len(c.outputs)))
         expected = [reference_eval(c, bits) for bits in rows]
-        want = [min((k for k in picks if e[k]), default=None) for e in expected]
         start = threading.Barrier(4)
         results = []
 
         def run():
             start.wait(timeout=30)
-            got = [(c.evaluate(bits), c.first_set(bits, picks)) for bits in rows]
-            results.append(got)
+            results.append([c.evaluate(bits) for bits in rows])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -388,12 +338,12 @@ class TestGeneratedCode:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == [list(zip(expected, want))] * 4
+        assert results == [expected] * 4
 
 
 class TestInlinedGates:
-    """``evaluate`` and ``first_set`` against ``reference_eval`` where most
-    gates are written inside the tests of the gates that read them."""
+    """``evaluate`` against ``reference_eval`` where most gates are written
+    inside the tests of the gates that read them."""
 
     ENTRIES = (0, 1, 2, -1, True, False, np.uint8(0), np.uint8(1), np.uint8(200))
 
@@ -402,7 +352,7 @@ class TestInlinedGates:
     def test_chain_heavy_circuits(self, seed, n_gates):
         rng = random.Random(seed)
         c = chain_heavy_circuit(rng, n_gates)
-        _, inlined, *_ = _plan(c._ops, c._args, max(c.outputs) + 1, {}, c.outputs)
+        _, inlined, *_ = _plan(c._ops, c._args, max(c.outputs) + 1, c.outputs)
         assert any(inlined)  # the premise: gates are inlined
         for _ in range(6):
             bits = [rng.choice(self.ENTRIES) for _ in range(c.input_arity)]
@@ -410,9 +360,6 @@ class TestInlinedGates:
             got = c.evaluate(bits)
             assert got == expected
             assert {type(v) for v in got} == {int}
-            for k in range(len(c.outputs) + 1):
-                picks = list(range(k))
-                assert c.first_set(bits, picks) == next((i for i in picks if expected[i]), None)
 
     @pytest.mark.parametrize("kind", [AND, OR])
     def test_long_test_cut_into_parts(self, kind):
@@ -422,7 +369,7 @@ class TestInlinedGates:
         gates += [Gate(AND if kind == OR else OR, (2 * i, 2 * i + 1)) for i in range(500)]
         gates.append(Gate(kind, tuple(range(n, n + 500))))
         c = Circuit(gates, [len(gates) - 1, 0], n)
-        nodes = _plan(c._ops, c._args, len(gates), {}, c.outputs)[2]
+        nodes = _plan(c._ops, c._args, len(gates), c.outputs)[2]
         assert nodes[-1] > _UNIT_NODES  # the premise: two parts or more
         # every term the same but one, which decides the gate
         rest = [1] * n if kind == AND else [0] * n
@@ -430,9 +377,7 @@ class TestInlinedGates:
             row = list(rest)
             row[2 * term] = row[2 * term + 1] = 1 - rest[0]
             for bits in (rest, row):
-                expected = reference_eval(c, bits)
-                assert c.evaluate(bits) == expected
-                assert c.first_set(bits, [0]) == (0 if expected[0] else None)
+                assert c.evaluate(bits) == reference_eval(c, bits)
 
     # NOT and AND alternating, and one-operand ANDs, which nest parentheses
     @pytest.mark.parametrize("chain", [(NOT, AND), (AND,)], ids=["not-and", "and"])
@@ -447,9 +392,7 @@ class TestInlinedGates:
             gates.append(Gate(kind, (prev,) if kind == NOT or len(chain) == 1 else (prev, 1)))
         c = Circuit(gates, [len(gates) - 1, 2], 2)
         for bits in ([0, 0], [0, 1], [1, 0], [1, 1], [True, np.uint8(3)]):
-            expected = reference_eval(c, bits)
-            assert c.evaluate(bits) == expected
-            assert c.first_set(bits, [0, 1]) == next((k for k in (0, 1) if expected[k]), None)
+            assert c.evaluate(bits) == reference_eval(c, bits)
 
 
 class TestStructure:
@@ -524,8 +467,39 @@ class TestSerialization:
             "ac0 v1 inputs=1 outputs=5\ng0 INPUT",
             "ac0 v1 inputs=1 outputs=,",
             "ac0 v1 inputs=1 outputs=0,,0",
+            # digits of another script, which int() would read
+            "ac0 v1 inputs=\u0661 outputs=0\ng0 INPUT",
+            "ac0 v1 inputs=1 outputs=0\ng\u0660 INPUT",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(CircuitFormatError):
             parse(text)
+
+    # more digits than int() reads from text: 4,300 by default
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("ac0 v1 inputs=%s outputs=0\ng0 INPUT" % ("1" * 5000), 1),
+            ("ac0 v1 inputs=1 outputs=0,%s\ng0 INPUT" % ("2" * 5000), 1),
+            ("ac0 v1 inputs=1 outputs=0\ng%s INPUT" % ("9" * 5000), 2),
+            ("ac0 v1 inputs=1 outputs=1\ng0 INPUT\ng1 NOT %s" % ("3" * 5000), 3),
+        ],
+        ids=["inputs", "output", "gate-id", "operand"],
+    )
+    def test_overlong_number_names_the_line(self, text, line):
+        with pytest.raises(CircuitFormatError, match=f"^line {line}: a number too long to read$"):
+            parse(text)
+
+    def test_error_names_the_line_of_the_text(self):
+        # blank lines before the faulty one count too
+        with pytest.raises(CircuitFormatError, match=r"^line 5: cannot parse 'g1 not 0'$"):
+            parse("ac0 v1 inputs=1 outputs=0\n\n  \ng0 INPUT\ng1 not 0\n")
+        with pytest.raises(CircuitFormatError, match=r"^line 3: expected gate g0, found g2$"):
+            parse("\nac0 v1 inputs=1 outputs=0\ng2 INPUT\n")
+
+    def test_load_refuses_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bytes.ac0"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(CircuitFormatError, match=r"bytes\.ac0: not UTF-8 text"):
+            load_circuit(path)

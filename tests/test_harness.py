@@ -22,7 +22,12 @@ from nimcore.agents import (
 )
 from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import save_circuit
-from nimcore.errors import IllegalMoveError, InvalidPositionError, NimcoreError
+from nimcore.errors import (
+    CircuitFormatError,
+    IllegalMoveError,
+    InvalidPositionError,
+    NimcoreError,
+)
 from nimcore import agents, games, harness, verify
 from nimcore.games import (
     GameMove,
@@ -653,6 +658,14 @@ class TestAgentFactory:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             make_agent("alphabeta", NIM)
+
+    def test_singleframe_file_that_is_not_utf8_names_the_spec(self, tmp_path):
+        circuit = tmp_path / "scorer.ac0"
+        circuit.write_bytes(b"\xff\xfe\x00")
+        spec = f"singleframe:{circuit}"
+        message = re.escape(f"agent {spec!r} for 3 heaps: {circuit}: not UTF-8 text")
+        with pytest.raises(CircuitFormatError, match=f"^{message}"):
+            make_agent(spec, NIM, heap_count=3)
 
     @pytest.mark.parametrize("rules", [GameRules.kayles(7), GameRules.subtraction([1, 3, 4], 7)])
     def test_nim_only_agents_reject_other_rules(self, tmp_path, rules):

@@ -127,6 +127,25 @@ class TestValidation:
                 dict(kind=ModelKind.RNN, recurrent=(((1,),),), window=2),
                 "the RNN recurrence looks back exactly one step",
             ),
+            # whole-number fields: refused, not truncated or taken as given
+            (dict(widths=(2.7, 1)), "widths entry 2.7 is not an int"),
+            (dict(widths=(2, True)), "widths entry True is not an int"),
+            (dict(weights=(((0.5,), (1,)),)), "weights entry 0.5 is not an int"),
+            (dict(weights=(((1,), (1.9,)),)), "weights entry 1.9 is not an int"),
+            (dict(thresholds=((1.2,),)), "thresholds entry 1.2 is not an int"),
+            (
+                dict(kind=ModelKind.RNN, recurrent=(((1.0,),),)),
+                "recurrent entry 1.0 is not an int",
+            ),
+            (dict(q0=1.5), "q0 1.5 is not an int"),
+            (dict(q0=True), "q0 True is not an int"),
+            (dict(p_bound=2.5), "p_bound 2.5 is not an int"),
+            # a float step count once got as far as eval_model's bare TypeError
+            (
+                dict(kind=ModelKind.RNN, recurrent=(((1,),),), steps=2.0),
+                "steps 2.0 is not an int",
+            ),
+            (dict(window=1.0), "window 1.0 is not an int"),
         ],
     )
     def test_refused_field_is_named(self, edit, message):
