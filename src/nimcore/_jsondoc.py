@@ -1,4 +1,5 @@
-"""Type checks for JSON documents read from files."""
+"""Type checks for JSON documents read from files, and for the configs
+built from them or directly."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ def _expect(value, kind: type, depth: int, what: str, entry: str):
         items = _expect(value, list, 0, what, entry)
         return [_expect(item, kind, depth - 1, entry, entry) for item in items]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        got = json.dumps(value)
+        got = json.dumps(value, default=repr)
         if len(got) > 40:
             got = got[:37] + "..."
         raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")

@@ -4,10 +4,10 @@ The interesting one is :class:`MultiFrameAgent`: it evaluates each
 candidate move by one rollout that answers every opponent move with a
 value-preserving reply, computed purely from the (at most two) heaps
 that changed.  A candidate whose rollout empties the board on the
-agent's move is a zero position, and the agent plays it.  Only that
-reply, which the agent also plays in a game from its two frames, does
-without the global NIM sum: the rollout's simulated perfect opponent,
-``_opp_oracle``, XORs every heap on each ply.
+agent's move is a zero position, and the agent plays it.  Neither the
+rollout nor the two-frame reply the agent plays in a game computes the
+global NIM sum: the rollout's simulated opponent empties the largest
+heap, and the reply tests one bit of each heap.
 
 The mirror agents implement the two paired-heap demonstration
 strategies for boards of duplicated components plus one odd heap.
@@ -59,10 +59,11 @@ class FrameHistory:
     The frames are all an agent sees: a move is the difference between
     two consecutive frames, and a window of every frame since the opening
     position has ``len(frames) - 1`` plies.  The constructor keeps each
-    frame as a tuple and checks that the window has a frame and that every
-    heap is a count, with ``Position``'s errors; the heap bound and the
-    game id are left to the agent.  The drivers cut their windows from
-    heaps that a validated start and legal moves produced, through
+    frame as a tuple and checks that the window has a frame, that every
+    frame is iterable and every heap a count, with ``Position``'s errors;
+    the heap bound and the game id are left to the agent.  The drivers cut
+    their windows from heaps that a validated start and legal moves
+    produced, through
     ``_window``, which checks only that a frame is left and records in
     ``rules`` the ``GameRules`` object the heaps are valid under; the
     constructor leaves ``rules`` None.  Agents read the frames as tuples;
@@ -72,13 +73,17 @@ class FrameHistory:
     __slots__ = ("frames", "game_id", "rules")
 
     def __init__(self, frames, game_id: str = "nim"):
-        frames = tuple(map(tuple, frames))
-        if not frames:
+        window = []
+        for i, heaps in enumerate(frames):
+            try:
+                window.append(tuple(heaps))
+            except TypeError:
+                raise InvalidPositionError(f"frame {i} is {heaps!r}, not a heap tuple") from None
+            _check_counts(window[-1])
+        if not window:
             # a ValueError; an agent whose window cuts it empty forfeits
             raise ContractViolationError("history needs at least one frame")
-        for heaps in frames:
-            _check_counts(heaps)
-        self.frames: _Frames = frames
+        self.frames: _Frames = tuple(window)
         self.game_id = game_id
         self.rules: GameRules | None = None
 
@@ -137,12 +142,19 @@ class OracleAgent(AgentPolicy):
 
     def choose(self, history: FrameHistory, rng: random.Random) -> GameMove:
         if self.rules.variant is Variant.NIM:
-            # the rollout oracle's rule: the lowest winning move, else the
-            # lowest legal move, read off the heaps without a move list
+            # the lowest winning move, else the lowest legal move, off the heaps
             heaps = history.frames[-1]
             if history.rules is not self.rules:
                 _validate(heaps, history.game_id, self.rules)
-            return GameMove(*_opp_oracle(heaps, rng))
+            s = _xor_fold(heaps)
+            if s:
+                for i, h in enumerate(heaps):
+                    if h ^ s < h:
+                        return GameMove(i, h ^ s)
+            for i, h in enumerate(heaps):
+                if h:
+                    return GameMove(i, 0)
+            raise IllegalMoveError("no legal moves from a terminal position")
         p = history.current
         moves = legal_moves(p, self.rules)
         if not moves:
@@ -164,7 +176,14 @@ class RandomAgent(AgentPolicy):
             heaps = history.frames[-1]
             if history.rules is not self.rules:
                 _validate(heaps, history.game_id, self.rules)
-            return GameMove(*_opp_random(heaps, rng))
+            total = sum(heaps)
+            if not total:
+                raise IllegalMoveError("no legal moves from a terminal position")
+            k = rng.randrange(total)
+            for i, h in enumerate(heaps):
+                if k < h:
+                    return GameMove(i, k)
+                k -= h
         moves = legal_moves(history.current, self.rules)
         if not moves:
             raise IllegalMoveError("no legal moves from a terminal position")
@@ -271,17 +290,6 @@ def _diff_indices(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
 
 
-def _single_diff(a: Position, b: Position) -> int:
-    if len(a.heaps) != len(b.heaps):
-        raise ContractViolationError("positions must have the same length")
-    d = _diff_indices(a.heaps, b.heaps)
-    if len(d) != 1:
-        raise ContractViolationError(
-            f"positions must differ in exactly one heap, found {len(d)} differences"
-        )
-    return d[0]
-
-
 def _reply_restore(pb: tuple[int, ...], q: tuple[int, ...], d: int):
     """Reply from q cancelling the value change of the move pb -> q.
 
@@ -304,8 +312,14 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
     positions must be NIM positions (else ``InvalidPositionError``)."""
     _require_nim(p_before)
     _require_nim(q_after)
-    d = _single_diff(p_before, q_after)
-    hit = _reply_restore(p_before.heaps, q_after.heaps, d)
+    if len(p_before.heaps) != len(q_after.heaps):
+        raise ContractViolationError("positions must have the same length")
+    d = _diff_indices(p_before.heaps, q_after.heaps)
+    if len(d) != 1:
+        raise ContractViolationError(
+            f"positions must differ in exactly one heap, found {len(d)} differences"
+        )
+    hit = _reply_restore(p_before.heaps, q_after.heaps, d[0])
     return GameMove(*hit) if hit else None
 
 
@@ -313,15 +327,15 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
 class RolloutBudget:
     """How far the multi-frame agent's rollouts may run.
 
-    Each candidate gets one perfect-opponent rollout, the probe.  It has
-    room for every ply when the board's state-count bound (product of
-    heap+1) is at most ``exhaustive_cap`` or the candidate holds at most
-    ``ply_cap`` objects; otherwise it stops after ``ply_cap`` plies.
+    Each candidate gets one rollout, the probe.  It has room for every ply
+    when the board's state-count bound (product of heap+1) is at most
+    ``exhaustive_cap`` or the candidate holds at most ``ply_cap`` objects;
+    otherwise it stops after ``ply_cap`` plies.
 
     A rollout answers every opponent move with the reply that restores the
     candidate's value, and every ply takes at least one object.  It
     answers one question: does the board empty on the agent's move within
-    the ply cap?  So:
+    the ply cap?  So, whatever the opponent plays:
 
     - it answers yes only from a candidate of value zero, since every
       reply leaves the candidate's value and the empty board has value
@@ -365,63 +379,39 @@ def _shown(value: int) -> str:
     return f"a {'negative ' if value < 0 else ''}{digits}-digit number"
 
 
-def _opp_oracle(heaps: tuple[int, ...], rng) -> tuple[int, int]:
-    s = 0
-    for h in heaps:
-        s ^= h
-    if s:
-        for i, h in enumerate(heaps):
-            t = h ^ s
-            if t < h:
-                return (i, t)
-    for i, h in enumerate(heaps):
-        if h:
-            return (i, 0)
-    raise IllegalMoveError("no legal moves from a terminal position")
-
-
-def _opp_random(heaps: tuple[int, ...], rng: random.Random) -> tuple[int, int]:
-    total = sum(heaps)
-    if not total:
-        raise IllegalMoveError("no legal moves from a terminal position")
-    k = rng.randrange(total)
-    for i, h in enumerate(heaps):
-        if k < h:
-            return (i, k)
-        k -= h
-    raise AssertionError("unreachable")
-
-
-def _fast_rollout(pb, opp, rng, ply_cap) -> bool:
+def _fast_rollout(pb: tuple[int, ...], ply_cap: int) -> bool:
     """Whether the preserving rollout from ``pb``, the heaps the agent just
-    moved to, against ``opp(heaps, rng)`` empties the board on the agent's
-    move within ``ply_cap`` plies.  A preservation failure, which includes
-    the opponent taking the last object, is a loss (see
-    :class:`RolloutBudget`)."""
+    moved to, empties the board on the agent's move within ``ply_cap`` plies
+    (see :class:`RolloutBudget`).  The opponent empties the largest heap,
+    the lowest among equals, so a rollout from a zero position ends within
+    twice its non-empty heaps in plies.  The reply, ``_reply_restore``'s,
+    goes on the first heap that XOR the removed count lowers; none loses."""
+    heaps = list(pb)
     for _ in range(ply_cap // 2):
-        if not any(pb):
+        c = max(heaps)
+        if not c:
             return True
-        i, v = opp(pb, rng)
-        q = pb[:i] + (v,) + pb[i + 1 :]
-        hit = _reply_restore(pb, q, i)
-        if hit is None:
+        heaps[heaps.index(c)] = 0
+        for r, h in enumerate(heaps):
+            if h ^ c < h:
+                heaps[r] = h ^ c
+                break
+        else:
             return False
-        r, w = hit
-        pb = q[:r] + (w,) + q[r + 1 :]
-    return not any(pb)
+    return not any(heaps)
 
 
 class MultiFrameAgent(AgentPolicy):
     """Value-preserving rollout agent for NIM.
 
     For each candidate move it asks: starting from the candidate, does one
-    rollout against the perfect opponent, every reply preserving value,
-    empty the board on the agent's move?  A yes proves the candidate a
-    zero position (see :class:`RolloutBudget`).  The first candidate
-    (tie-break order) so proven is played.  If none is, the agent plays
-    the first candidate, which empties the first non-empty heap, as the
-    perfect opponent does without a winning move.  Searched decisions are
-    cached by the current position.
+    rollout, every reply preserving value, empty the board on the agent's
+    move?  A yes proves the candidate a zero position (see
+    :class:`RolloutBudget`), and no step of the search computes the global
+    NIM sum (see ``_fast_rollout``).  The first candidate (tie-break order)
+    so proven is played.  If none is, the agent plays the first candidate,
+    which empties the first non-empty heap, as ``OracleAgent`` does without
+    a winning move.  Searched decisions are cached by the current position.
 
     The agent remembers the children its search proved, which are zero
     positions (see :class:`RolloutBudget`).  When the older of its two
@@ -488,7 +478,7 @@ class MultiFrameAgent(AgentPolicy):
                 child = head + (v,) + tail
                 objects = rest + v
                 cap = objects if exact else min(objects, self.budget.ply_cap)
-                if _fast_rollout(child, _opp_oracle, None, cap):
+                if _fast_rollout(child, cap):
                     self._proven.add(child)
                     return GameMove(i, v)
         return GameMove(next(i for i, c in enumerate(heaps) if c), 0)
@@ -506,8 +496,8 @@ class Mirror71Agent(AgentPolicy):
     variants = frozenset({Variant.NIM})
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if type(k) is not int or k < 1:  # a bool or a float is no pair count
+            raise ValueError(f"k must be an int >= 1, got {k!r}")
         self.k = k
         self.name = f"mirror71:{k}"
 
@@ -550,8 +540,8 @@ class Mirror72Agent(AgentPolicy):
     variants = frozenset({Variant.NIM})
 
     def __init__(self, k: int, role: str = "first"):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if type(k) is not int or k < 1:  # a bool or a float is no pair count
+            raise ValueError(f"k must be an int >= 1, got {k!r}")
         if role not in ("first", "second"):
             raise ValueError("role must be 'first' or 'second'")
         self.k = k

@@ -289,6 +289,8 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     """
     if role not in ("first", "second"):
         raise ValueError("role must be 'first' or 'second'")
+    if type(node_budget) is not int or node_budget < 0:
+        raise ValueError(f"node_budget must be an int >= 0, got {node_budget!r}")
     if is_terminal(start, rules):
         raise IllegalMoveError("adversary sweep needs a non-terminal start")
     frames = agent.required_frames
@@ -371,12 +373,16 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # the JSON types for a config built directly too; a seed is mandatory
+        expect(self.heap_counts, int, "heap_counts", depth=1)
+        expect(self.agents, str, "agents", depth=1)
+        expect(self.opponent, str, "opponent")
+        for key in ("max_heap_size", "games_per_cell", "seed"):
+            expect(getattr(self, key), int, key)
         if not self.heap_counts or not self.agents:
             raise ValueError("heap_counts and agents must be non-empty")
         if self.games_per_cell < 0:
             raise ValueError("games_per_cell must be >= 0")
-        if self.seed is None:
-            raise ValueError("a seed is mandatory")
         if self.start_mode not in ("winning", "any"):
             raise ValueError("start_mode must be 'winning' or 'any'")
         if min(self.heap_counts) < 1:
@@ -441,12 +447,12 @@ class ExperimentConfig:
         out_dir = doc.get("out_dir")
         return cls(
             rules=parse_rules(expect(doc.get("rules", "nim"), str, "rules"), max_heap_size),
-            heap_counts=expect(doc["heap_counts"], int, "heap_counts", depth=1),
+            heap_counts=doc["heap_counts"],
             max_heap_size=max_heap_size,
-            agents=expect(doc["agents"], str, "agents", depth=1),
-            opponent=expect(doc.get("opponent", "oracle"), str, "opponent"),
-            games_per_cell=expect(doc["games_per_cell"], int, "games_per_cell"),
-            seed=expect(doc["seed"], int, "seed"),
+            agents=doc["agents"],
+            opponent=doc.get("opponent", "oracle"),
+            games_per_cell=doc["games_per_cell"],
+            seed=doc["seed"],
             start_mode=expect(doc.get("start_mode", "winning"), str, "start_mode"),
             budget=RolloutBudget(
                 **{key: expect(value, int, f"budget.{key}") for key, value in budget.items()}

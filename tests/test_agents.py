@@ -19,8 +19,6 @@ from nimcore.agents import (
     RolloutBudget,
     SingleFrameCircuitAgent,
     _fast_rollout,
-    _opp_oracle,
-    _opp_random,
     _window,
     preserving_reply,
 )
@@ -65,6 +63,13 @@ class TestFrameHistory:
     def test_needs_a_frame(self):
         with pytest.raises(ValueError):
             FrameHistory(())
+
+    def test_a_frame_must_be_a_heap_tuple(self):
+        # one frame passed where a list of frames is wanted
+        with pytest.raises(InvalidPositionError, match="^frame 0 is 3, not a heap tuple$"):
+            FrameHistory((3, 5, 7))
+        with pytest.raises(InvalidPositionError, match="^frame 1 is None, not a heap tuple$"):
+            FrameHistory([(3, 5), None])
 
     def test_current_is_built_from_the_newest_frame(self):
         h = FrameHistory([(3,), (1,)], "kayles")
@@ -226,40 +231,37 @@ class TestPreservingReply:
 
 class TestRollout:
     def test_terminal_start_wins_immediately(self):
-        assert _fast_rollout((0, 0), _opp_oracle, None, 10) is True
+        assert _fast_rollout((0, 0), 10) is True
 
     def test_preserved_pair_always_wins(self):
-        lines = [(_opp_oracle, None)]
-        lines += [(_opp_random, random.Random(seed)) for seed in range(20)]
-        for opp, rng in lines:
-            # two objects take two plies, whatever the opponent does
-            assert _fast_rollout((1, 1), opp, rng, 2) is True
+        # two objects take two plies, whatever the opponent does
+        assert _fast_rollout((1, 1), 2) is True
 
-    def test_nonzero_start_fails_against_oracle(self):
-        assert _fast_rollout((2, 2, 1), _opp_oracle, None, 50) is False
+    def test_nonzero_start_fails(self):
+        assert _fast_rollout((2, 2, 1), 50) is False
 
     def test_ply_cap_distinct_outcome(self):
         # a rollout stopped by the cap is not a win
-        assert _fast_rollout((4, 4), _opp_oracle, None, 1) is False
-        assert _fast_rollout((1, 1), _opp_oracle, None, 1) is False
+        assert _fast_rollout((4, 4), 1) is False
+        assert _fast_rollout((1, 1), 1) is False
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     heaps=st.lists(st.integers(0, 31), min_size=1, max_size=6).map(tuple),
-    oracle=st.booleans(),
-    seed=st.integers(0, 2**32),
     ply_cap=st.integers(1, 200),
 )
-def test_rollout_outcomes_follow_the_start_value(heaps, oracle, seed, ply_cap):
-    """The claims of the ``RolloutBudget`` docstring."""
-    opp, rng = (_opp_oracle, None) if oracle else (_opp_random, random.Random(seed))
-    win = _fast_rollout(heaps, opp, rng, ply_cap)
+def test_rollout_outcomes_follow_the_start_value(heaps, ply_cap):
+    """The claims of the ``RolloutBudget`` docstring, and the bound of the
+    opponent that empties a heap on each of its plies."""
+    win = _fast_rollout(heaps, ply_cap)
     zero = nim_sum(Position(heaps)) == 0
     assert isinstance(win, bool)
     if win:
         assert zero
     if zero and ply_cap >= sum(heaps):
+        assert win
+    if zero and ply_cap >= 2 * sum(1 for h in heaps if h):
         assert win
 
 
@@ -328,6 +330,39 @@ def test_plays_the_oracle_move_on_every_small_board():
                 assert agent.choose(hist(heaps), RNG()) == oracle.choose(hist(heaps), RNG()), heaps
                 boards += 1
     assert boards == 4676
+
+
+def test_decides_every_small_board_without_the_nim_sum(monkeypatch):
+    """The search computes no global NIM sum: with every helper that folds
+    all heaps patched to raise, a fresh agent still plays the oracle's
+    move on every non-terminal board of 1-4 heaps of 0..7."""
+    oracle = OracleAgent(NIM)
+    boards = [
+        heaps
+        for n in range(1, 5)
+        for heaps in itertools.product(range(8), repeat=n)
+        if any(heaps)
+    ]
+    want = {heaps: oracle.choose(hist(heaps), RNG()) for heaps in boards}
+    assert len(want) == 4676
+
+    def parity(*args, **kwargs):
+        raise AssertionError("the search computed a global NIM sum")
+
+    for module, name in [
+        (nimcore.nimber, "nim_sum"),
+        (nimcore.nimber, "_xor_fold"),
+        (nimcore.nimber, "winning_moves"),
+        (nimcore.agents, "_xor_fold"),
+        (nimcore.agents, "winning_moves"),
+        (nimcore.agents, "_opp_oracle"),
+    ]:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, parity)
+    monkeypatch.setattr(OracleAgent, "choose", parity)
+    agent = MultiFrameAgent()
+    for heaps in boards:
+        assert agent.choose(hist(heaps), RNG()) == want[heaps], heaps
 
 
 class TestMultiFrameAgent:
@@ -558,6 +593,23 @@ class TestSingleFrameAgent:
                 continue
             want = reference_singleframe_choice(agent.circuit, n, l, heaps)
             assert agent.choose(hist(heaps), RNG()) == want
+
+
+@pytest.mark.parametrize(
+    "agent_class, args",
+    [
+        (Mirror71Agent, (2.5,)),
+        (Mirror71Agent, (True,)),
+        (Mirror71Agent, (0,)),
+        (Mirror72Agent, (1.5, "first")),
+        (Mirror72Agent, (False, "second")),
+    ],
+    ids=["71-float", "71-bool", "71-zero", "72-float", "72-bool"],
+)
+def test_mirror_pair_count_must_be_a_positive_int(agent_class, args):
+    # once accepted, with names such as mirror71:True
+    with pytest.raises(ValueError, match="^k must be an int >= 1, got "):
+        agent_class(*args)
 
 
 class TestMirror71:

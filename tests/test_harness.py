@@ -64,6 +64,24 @@ from oracles import reference_adversary, reference_never_miss
 NIM = GameRules.nim(16)
 _DELETE = object()  # a config edit that removes the key
 
+# fields of the wrong type, once accepted by a directly built config and
+# then a bare TypeError mid-sweep, a letter-by-letter agent list, or 1
+_WRONG_TYPES = [
+    (dict(seed=1.5), "seed"),
+    (dict(seed="7"), "seed"),
+    (dict(seed=True), "seed"),
+    (dict(games_per_cell=2.5), "games_per_cell"),
+    (dict(games_per_cell=True), "games_per_cell"),
+    (dict(max_heap_size=True), "max_heap_size"),
+    (dict(heap_counts=[3.0]), "heap_counts"),
+    (dict(heap_counts=[True]), "heap_counts"),
+    (dict(heap_counts=3), "heap_counts"),
+    (dict(heap_counts=range(1, 4)), "heap_counts"),  # shown by its repr
+    (dict(agents="oracle"), "agents"),
+    (dict(agents=["oracle", 3]), "agents"),
+    (dict(opponent=3), "opponent"),
+]
+
 
 class BrokenAgent(AgentPolicy):
     name = "broken"
@@ -412,6 +430,11 @@ class TestExhaustiveAdversary:
     def test_terminal_rejected(self):
         with pytest.raises(IllegalMoveError):
             exhaustive_adversary(NIM, Position((0,)), OracleAgent(NIM), "first")
+
+    @pytest.mark.parametrize("budget", [None, 2.5, True, -1])
+    def test_malformed_node_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="^node_budget must be an int >= 0, got "):
+            exhaustive_adversary(NIM, Position((3,)), OracleAgent(NIM), node_budget=budget)
 
     def test_budget_partial_result(self):
         agent = MultiFrameAgent()
@@ -795,6 +818,7 @@ class TestExperiment:
             dict(agents=["oracle", "mirror71:x"]),
             dict(opponent="mirror72:1:first:x"),
             dict(agents=["script:0:0;1"]),
+            *(case for case, _ in _WRONG_TYPES),
         ],
     )
     def test_unstartable_config_rejected(self, tmp_path, overrides):
@@ -808,12 +832,17 @@ class TestExperiment:
             "max_heap_size": overrides.get("max_heap_size", 7),
             "agents": overrides.get("agents", ["oracle"]),
             "opponent": overrides.get("opponent", "oracle"),
-            "games_per_cell": 1,
-            "seed": 3,
+            "games_per_cell": overrides.get("games_per_cell", 1),
+            "seed": overrides.get("seed", 3),
             "start_mode": overrides.get("start_mode", "winning"),
         }
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("overrides, key", _WRONG_TYPES)
+    def test_wrong_field_type_names_the_field(self, tmp_path, overrides, key):
+        with pytest.raises(ValueError, match=f"key '{key}' must be"):
+            self.cfg(tmp_path, **overrides)
 
     @pytest.mark.parametrize("role", ["agents", "opponent"])
     @pytest.mark.parametrize(
