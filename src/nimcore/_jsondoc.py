@@ -9,8 +9,9 @@ _KINDS = {int: "an integer", str: "a string", list: "a list"}
 
 
 def expect(value, kind: type, key: str, depth: int = 0):
-    """Return ``value`` if it has the JSON type ``kind``, or, with
-    ``depth`` > 0, if it is a list nested ``depth`` deep of such values.
+    """Return ``value`` if it has the type ``kind``, a JSON type or the
+    class a config field holds, or, with ``depth`` > 0, if it is a list
+    nested ``depth`` deep of such values.
 
     Raises ``ValueError`` naming ``key`` otherwise.  A bool is not an
     integer here, and neither is a number written with a fraction.
@@ -26,5 +27,5 @@ def _expect(value, kind: type, depth: int, what: str, entry: str):
         got = json.dumps(value, default=repr)
         if len(got) > 40:
             got = got[:37] + "..."
-        raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
+        raise ValueError(f"{what} must be {_KINDS.get(kind, f'a {kind.__name__}')}, got {got}")
     return value

@@ -1,10 +1,11 @@
 """Playing policies.
 
-The interesting one is :class:`MultiFrameAgent`: it evaluates each
-candidate move by one rollout that answers every opponent move with a
-value-preserving reply, computed purely from the (at most two) heaps
-that changed.  A candidate whose rollout empties the board on the
-agent's move is a zero position, and the agent plays it.  Neither the
+The interesting one is :class:`MultiFrameAgent`: it probes positions by
+one rollout that answers every opponent move with a value-preserving
+reply, computed purely from the (at most two) heaps that changed.  A
+position whose rollout empties the board on the agent's move is a zero
+position; the agent reads each heap's zero candidate bit by bit, one
+probe per bit, and plays the first that is legal.  Neither the
 rollout nor the two-frame reply the agent plays in a game computes the
 global NIM sum: the rollout's simulated opponent empties the largest
 heap, and the reply tests one bit of each heap.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import prod
 
 from .circuits.builders import build_even_nonempty_scorer
 from .circuits.encoding import PositionEncoding
@@ -325,28 +325,20 @@ def preserving_reply(p_before: Position, q_after: Position) -> GameMove | None:
 
 @dataclass(frozen=True)
 class RolloutBudget:
-    """How far the multi-frame agent's rollouts may run.
+    """The multi-frame agent's rollout budget, which no longer changes a
+    move: the agent's probes are never cut (see ``MultiFrameAgent``), so
+    a decision costs at most n*l + 1 probes on n heaps of at most l bits,
+    whatever the budget.  Its values are still checked.
 
-    Each candidate gets one rollout, the probe.  It has room for every ply
-    when the board's state-count bound (product of heap+1) is at most
-    ``exhaustive_cap`` or the candidate holds at most ``ply_cap`` objects;
-    otherwise it stops after ``ply_cap`` plies.
+    A probe, one rollout, answers every opponent move with the reply that
+    restores its start's value, and every ply takes at least one object.
+    It answers one question: does the board empty on the agent's move?
+    So, whatever the opponent plays:
 
-    A rollout answers every opponent move with the reply that restores the
-    candidate's value, and every ply takes at least one object.  It
-    answers one question: does the board empty on the agent's move within
-    the ply cap?  So, whatever the opponent plays:
-
-    - it answers yes only from a candidate of value zero, since every
-      reply leaves the candidate's value and the empty board has value
-      zero;
-    - from a candidate of value zero a restoring reply always exists, and
-      with a ply cap at least the candidate's object count it answers yes.
-
-    So a probe that empties the board proves its candidate, and a probe
-    with room for every ply passes a candidate if and only if it is a zero
-    position.  A probe stopped by ``ply_cap`` can only miss a zero
-    candidate, never pass another.
+    - it answers yes only from a start of value zero, since every reply
+      leaves the start's value and the empty board has value zero;
+    - from a start of value zero a restoring reply always exists, and a
+      rollout with room for its plies answers yes.
 
     Raises ``ValueError`` when ``ply_cap < 1`` or ``exhaustive_cap`` is
     outside ``0..2**16``.
@@ -404,26 +396,34 @@ def _fast_rollout(pb: tuple[int, ...], ply_cap: int) -> bool:
 class MultiFrameAgent(AgentPolicy):
     """Value-preserving rollout agent for NIM.
 
-    For each candidate move it asks: starting from the candidate, does one
-    rollout, every reply preserving value, empty the board on the agent's
-    move?  A yes proves the candidate a zero position (see
-    :class:`RolloutBudget`), and no step of the search computes the global
-    NIM sum (see ``_fast_rollout``).  The first candidate (tie-break order)
-    so proven is played.  If none is, the agent plays the first candidate,
-    which empties the first non-empty heap, as ``OracleAgent`` does without
-    a winning move.  Searched decisions are cached by the current position.
+    Its probe asks: starting from a position, does one rollout, every
+    reply preserving value, empty the board on the agent's move?  A yes
+    proves the position a zero position (see :class:`RolloutBudget`), and
+    no step of a probe computes the global NIM sum (see ``_fast_rollout``).
+    A probe is never cut: from a zero position it ends within twice the
+    heaps in plies.
+
+    Heap i has at most one zero candidate, t_i, the XOR of the other
+    heaps, and the search reads its bits from the top, one probe each.
+    With p the bits above bit b, the other heaps shifted right by b and
+    a heap of 2p make a zero position iff bit b is 0.  The search stops on
+    a heap once p exceeds the same bits of its count, and plays the first
+    heap, in tie-break order, whose t_i is below its count, moving it to
+    t_i.  If no heap has one, it plays the first candidate, which empties
+    the first non-empty heap, as ``OracleAgent`` does without a winning
+    move.  So a decision costs at most n*l + 1 probes on n heaps of at
+    most l bits, the last one proving the played child when its last bit
+    was inferred.  Searched decisions are cached by the current position.
 
     The agent remembers the children its search proved, which are zero
-    positions (see :class:`RolloutBudget`).  When the older of its two
-    frames is one of them, the opponent has since shrunk exactly one heap,
-    and that frame holds fewer than ``ply_cap`` objects, it plays the
-    paper's two-frame reply instead of searching: ``_reply_restore``, read
-    off the changed heap and a per-heap comparison, without the global
-    NIM sum.  From a zero position those restore replies are exactly the
-    winning moves, at most one per heap, and both rules take the lowest
-    heap; the search proves that move, because it decides a child smaller
-    than the cap by the exact rollout.  So the reply is the move
-    the search would return, and ``choose`` stays a function of its window.
+    positions.  When the older of its two frames is one of them and the
+    opponent has since shrunk exactly one heap, it plays the paper's
+    two-frame reply instead of searching: ``_reply_restore``, read off the
+    changed heap and a per-heap comparison, without the global NIM sum.
+    From a zero position those restore replies are exactly the winning
+    moves, at most one per heap, and both rules take the lowest heap.  So
+    the reply is the move the search would return, and ``choose`` stays a
+    function of its window.
     """
 
     name = "multiframe"
@@ -456,7 +456,7 @@ class MultiFrameAgent(AgentPolicy):
         if len(frames) < 2:
             return None
         pb = frames[-2]
-        if pb not in self._proven or len(pb) != len(heaps) or sum(pb) >= self.budget.ply_cap:
+        if pb not in self._proven or len(pb) != len(heaps):
             return None
         d = _diff_indices(pb, heaps)
         if len(d) != 1 or heaps[d[0]] >= pb[d[0]]:
@@ -467,20 +467,24 @@ class MultiFrameAgent(AgentPolicy):
         return GameMove(r, w)
 
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
-        """The first candidate whose probe empties the board, else the
-        first candidate (see :class:`RolloutBudget` for the probe's cap)."""
-        exact = prod(c + 1 for c in heaps) <= self.budget.exhaustive_cap
-        total = sum(heaps)
+        """The first heap's zero candidate, read bit by bit, else the first
+        candidate (see the class docstring)."""
+        plies = 2 * len(heaps)  # room for every ply of a probe
+        top = max(heaps).bit_length()
         for i, c in enumerate(heaps):
-            head, tail = heaps[:i], heaps[i + 1 :]
-            rest = total - c
-            for v in range(c):
-                child = head + (v,) + tail
-                objects = rest + v
-                cap = objects if exact else min(objects, self.budget.ply_cap)
-                if _fast_rollout(child, cap):
+            t = 0  # the bits of t_i above bit b, then t_i
+            for b in reversed(range(top)):
+                probe = [h >> b for h in heaps]
+                probe[i] = 2 * t
+                t = 2 * t + (not _fast_rollout(probe, plies))
+                if t > c >> b:
+                    break
+            else:
+                child = heaps[:i] + (t,) + heaps[i + 1 :]
+                # an even t_i's child was the last probe; an odd one's is probed
+                if t < c and (not t & 1 or _fast_rollout(child, plies)):
                     self._proven.add(child)
-                    return GameMove(i, v)
+                    return GameMove(i, t)
         return GameMove(next(i for i, c in enumerate(heaps) if c), 0)
 
 

@@ -60,7 +60,11 @@ class CircuitMetrics:
 # - any other logic gate read exactly once is inlined into its reader's
 #   test, if that test nests at most _NEST gates deep, which keeps deep
 #   circuits clear of the parser's and the compiler's recursion limits,
-#   and holds at most _INLINE_NODES expression nodes (gates named).
+#   and holds at most _INLINE_NODES expression nodes (gates named);
+# - an OR's consecutive inlined ANDs that share their first operands write
+#   them once, ``(a and x) or (a and y)`` as ``a and (x or y)``, and so on
+#   within the parentheses (see ``_factor``), so a sum of products in wire
+#   order is tested as a trie, one path of it at a time.
 # Every other gate below the last output, and every output gate, is a
 # statement ``v = 1 if <test> else 0``; a test of more than _UNIT_NODES
 # nodes is cut into parts that each also read the parts before, so the
@@ -82,6 +86,88 @@ def _leaf(op, a):
     return "1" if op == _OP_CONST1 else "0"
 
 
+def _factor(terms, whole, item, room):
+    """How an OR writes its disjuncts ``terms``, each the operands of an
+    inlined AND or one operand of its own, as runs ``(m, lo, hi, sub,
+    nodes, nest)``: a run writes operands ``lo:hi`` of term ``m`` joined
+    by ``and``, then ``and (<sub>)`` when ``sub``, the runs of the terms'
+    remainders, is not None.  A term written whole is written as its own
+    test, of ``whole[m]`` (nodes, nest); ``item(x)`` gives an operand's.
+
+    Consecutive terms that share a first operand are one run, which
+    writes their longest shared prefix once; if that prefix is a whole
+    term, the others only extend it and are dropped.  Runs nest at most
+    ``room`` parentheses deep, and a run at the top holds at most
+    _INLINE_NODES nodes, or is cut into runs that each write the shared
+    prefix, so the parts of one gate's test stay as small as today.
+    ``nest`` counts the parentheses a run's text opens, with its
+    operands' own.
+    """
+
+    def written(m, lo, hi, sub):
+        if sub is None and lo == 0 and hi == len(terms[m]):
+            return (m, lo, hi, None) + whole[m]
+        nodes, nest = 1, 0
+        for x in terms[m][lo:hi]:
+            n, d = item(x)
+            nodes += n
+            nest = max(nest, d)
+        if sub is not None:
+            nodes += 1 + sum(r[4] for r in sub)
+            nest = max(nest, 1 + max(r[5] for r in sub))
+        return (m, lo, hi, sub, nodes, nest)
+
+    def group(lo, members, room):
+        runs = []
+        i = 0
+        while i < len(members):
+            key = terms[members[i]][lo]
+            j = i + 1
+            while j < len(members) and terms[members[j]][lo] == key:
+                j += 1
+            runs += run(lo, members[i:j], room)
+            i = j
+        return runs
+
+    def run(lo, members, room):
+        if len(members) == 1 or not room:
+            return [written(m, lo, len(terms[m]), None) for m in members]
+        first = terms[members[0]]
+        hi = lo + 1
+        while all(len(terms[m]) > hi and terms[m][hi] == first[hi] for m in members):
+            hi += 1
+        ends = [m for m in members if len(terms[m]) == hi]
+        if ends:
+            return [written(ends[0], lo, hi, None)]
+        return [written(members[0], lo, hi, group(hi, members, room - 1))]
+
+    def fit(r):
+        # r cut into runs of at most _INLINE_NODES nodes, each of which
+        # writes r's prefix and some of its remainders' runs
+        m, lo, hi, sub, nodes, _ = r
+        if nodes <= _INLINE_NODES or sub is None:
+            return [r]
+        joins = nodes - sum(s[4] for s in sub)
+        chunks = [[]]
+        size = joins
+        for s in sub:
+            if chunks[-1] and size + s[4] > _INLINE_NODES:
+                chunks.append([])
+                size = joins
+            chunks[-1].append(s)
+            size += s[4]
+        cut = []
+        for chunk in chunks:
+            if len(chunk) > 1:
+                cut.append(written(m, lo, hi, chunk))
+            else:
+                (s,) = chunk
+                cut += fit(written(s[0], lo, s[2], s[3]))
+        return cut
+
+    return [cut for r in group(0, range(len(terms)), room) for cut in fit(r)]
+
+
 def _plan(ops, args, stop, results):
     """How each gate below ``stop`` is written (see above), and where the
     value of each gate with a statement is last read.
@@ -89,9 +175,10 @@ def _plan(ops, args, stop, results):
     Returns ``place``, the test and the locals read of each gate read in
     place, else None; ``inlined``; ``nodes``, the expression nodes of each
     gate's test; the gates ``kept`` as statements for the outputs
-    (``results``); and ``last_read``: the gate whose statements last read
-    each gate, counting a gate's own later parts, or ``stop`` for
-    ``results``.
+    (``results``); ``runs``, the ``_factor`` runs of each OR whose test
+    writes a shared prefix once; and ``last_read``: the gate whose
+    statements last read each gate, counting a gate's own later parts, or
+    ``stop`` for ``results``.
     """
     kept = set(results)
     reads = [0] * stop
@@ -105,6 +192,11 @@ def _plan(ops, args, stop, results):
     inlined = [False] * stop
     nodes = [1] * stop
     nest = [0] * stop
+    runs: dict[int, list] = {}
+
+    def item(y):
+        return (nodes[y] if inlined[y] or place[y] else 1, nest[y] if inlined[y] else 0)
+
     for g in range(stop):
         op, a = ops[g], args[g]
         if op in _LEAF_OPS:
@@ -121,6 +213,16 @@ def _plan(ops, args, stop, results):
                 continue
         nodes[g] = 1 + sum(nodes[y] if inlined[y] or place[y] else 1 for y in a)
         nest[g] = 1 + max((nest[y] for y in a if inlined[y]), default=0)
+        if op == _OP_OR:
+            terms = [args[y] if ops[y] == _OP_AND and inlined[y] else (y,) for y in a]
+            if any(terms[k][0] == terms[k + 1][0] for k in range(len(a) - 1)):
+                # factored parentheses count against _NEST with the
+                # operands', so no test nests deeper than it could unfactored
+                deepest = max(item(x)[1] for t in terms for x in t)
+                ran = _factor(terms, [item(y) for y in a], item, max(1, _NEST - 1 - deepest))
+                runs[g] = ran
+                nodes[g] = 1 + sum(r[4] for r in ran)
+                nest[g] = 1 + max(r[5] for r in ran)
         inlined[g] = (
             reads[g] == 1 and g not in kept and nest[g] <= _NEST and nodes[g] <= _INLINE_NODES
         )
@@ -138,7 +240,7 @@ def _plan(ops, args, stop, results):
                     last_read[y] = max(last_read[y], home[g])
     for o in results:
         last_read[o] = stop
-    return place, inlined, nodes, kept, last_read
+    return place, inlined, nodes, kept, runs, last_read
 
 
 def _statements(ops, args, stop, plan):
@@ -148,12 +250,27 @@ def _statements(ops, args, stop, plan):
     A gate's test joins its operands' tests with ``and``/``or``, or negates
     its one operand with ``not``; an operand is read in place, inlined in
     parentheses, or the local of a gate with a statement, which holds 0 or
-    1.
+    1.  An OR with ``runs`` joins the runs' tests instead.
     """
-    place, inlined, nodes, kept, _ = plan
-    # the test, node count and locals read of each inlined gate, until its
-    # reader takes it
-    pending: dict[int, tuple[str, int, list[int]]] = {}
+    place, inlined, nodes, kept, runs, _ = plan
+    # the test, node count and locals read of each inlined gate, and its
+    # operands' (test, nodes, locals read), until its reader takes it
+    pending: dict[int, tuple[str, int, list[int], list]] = {}
+
+    def run_test(run, whole, items):
+        # the (test, nodes, locals read) of a _factor run
+        m, lo, hi, sub, n, _ = run
+        if sub is None and lo == 0 and hi == len(items[m]):
+            return whole[m]
+        its = items[m][lo:hi]
+        tests = [t for t, _, _ in its]
+        reads = [y for _, _, r in its for y in r]
+        if sub is not None:
+            parts = [run_test(r, whole, items) for r in sub]
+            tests.append("(%s)" % " or ".join(t for t, _, _ in parts))
+            reads += [y for _, _, r in parts for y in r]
+        return " and ".join(tests), n, reads
+
     for g in range(stop):
         op, a = ops[g], args[g]
         if place[g] is not None and g not in kept:
@@ -162,22 +279,29 @@ def _statements(ops, args, stop, plan):
             yield g, "v%d = 1 if %s else 0" % (g, place[g][0]), (), 1
         else:
             terms = []
+            items = []
             for x in a:
                 if inlined[x]:
-                    terms.append(pending.pop(x))
-                elif place[x] is not None:
+                    test, n, reads, its = pending.pop(x)
+                    terms.append((test, n, reads))
+                    items.append(its if ops[x] == _OP_AND else [terms[-1]])
+                    continue
+                if place[x] is not None:
                     terms.append((place[x][0], nodes[x], place[x][1]))
                 else:
                     terms.append(("v%d" % x, 1, (x,)))
+                items.append([terms[-1]])
             if op == _OP_NOT:
                 test, n, reads = terms[0]
                 terms = [("not " + test, n + 1, reads)]
+            elif g in runs:
+                terms = [run_test(r, terms, items) for r in runs[g]]
             join = " and " if op == _OP_AND else " or "
             if inlined[g]:
                 test = join.join(t for t, _, _ in terms)
                 if op != _OP_NOT:
                     test = "(%s)" % test
-                pending[g] = (test, nodes[g], [y for _, _, r in terms for y in r])
+                pending[g] = (test, nodes[g], [y for _, _, r in terms for y in r], terms)
                 continue
             part, size, reads = [], 1, []
             for test, n, r in terms:
@@ -284,7 +408,8 @@ class Circuit:
     ``evaluate``, the one single-row entry point, runs Python code
     generated from the gate list on its first call and kept with the
     circuit, ending at the last output gate: a gate read by one other gate
-    is written inside that gate's ``and``/``or`` test, inputs and the
+    is written inside that gate's ``and``/``or`` test, an OR's inlined
+    ANDs write the first operands they share once, inputs and the
     negations of values already computed are read in place, and every
     other gate is one assignment of 0 or 1.  Two threads that both make
     the first call compile the same code, and either copy serves.

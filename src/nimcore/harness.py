@@ -374,6 +374,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the JSON types for a config built directly too; a seed is mandatory
+        expect(self.rules, GameRules, "rules")
+        expect(self.budget, RolloutBudget, "budget")
+        if self.out_dir is not None:
+            expect(self.out_dir, str, "out_dir")
         expect(self.heap_counts, int, "heap_counts", depth=1)
         expect(self.agents, str, "agents", depth=1)
         expect(self.opponent, str, "opponent")

@@ -630,7 +630,20 @@ def check_scaled_mastery(
             if _preservation_failures(record):
                 return False, f"non-preserving move vs {label} from {heaps}"
             played += 1
-    return True, f"{played} seeded games won without preservation failures"
+    return True, (
+        f"{played} seeded games on heaps of 1..{max_size} won without preservation failures"
+    )
+
+
+def _all_green(results) -> tuple[bool, str]:
+    """The first failing ``(ok, detail)`` of ``results``, else every
+    detail joined."""
+    details = []
+    for ok, detail in results:
+        if not ok:
+            return ok, detail
+        details.append(detail)
+    return True, "; ".join(details)
 
 
 def _missed_a_win(before: tuple[int, ...], after: tuple[int, ...] | None) -> bool:
@@ -769,7 +782,9 @@ def _checks(scale: str) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         else ((4, 3, 800), (6, 4, 1_200))
     )
     model_count = 200 if extended else 60
-    mastery_games = 500 if extended else 40
+    # (games per opponent, largest heap): the search costs probes by the
+    # heaps' bit length, so large heaps are as cheap as small ones
+    mastery_plans = ((500, 15), (100, 65_535)) if extended else ((40, 15),)
     mirror_games = 200 if extended else 25
     return [
         ("worked-example", check_worked_example),
@@ -797,7 +812,10 @@ def _checks(scale: str) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         ("move-validator-circuit", lambda: check_validator_circuit(validator_plans)),
         ("preserving-reply-lemma", check_preserving_reply_lemma),
         ("strong-mastery-exhaustive", check_strong_mastery_exhaustive),
-        ("scaled-mastery", lambda: check_scaled_mastery(mastery_games)),
+        (
+            "scaled-mastery",
+            lambda: _all_green(check_scaled_mastery(g, max_size=m) for g, m in mastery_plans),
+        ),
         ("mirror-strategies-exhaustive", check_mirror_strategies_exhaustive),
         (
             "mirror-strategies-random",

@@ -294,7 +294,8 @@ def test_smallest_budget_accepted():
     ],
 )
 def test_decides_at_the_exhaustive_cap_bound(heaps, move):
-    # each board's state-count bound is exactly 2**16, so the sweep decides it
+    # each board's state-count bound is exactly 2**16, the largest cap; the
+    # probes are never cut, so the budget changes no move
     agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=2**16))
     assert agent.choose(hist(heaps), random.Random(0)) == move
 
@@ -308,9 +309,7 @@ def test_exact_regime_plays_the_oracle_move(data):
         exhaustive_cap=data.draw(st.sampled_from((0, 1, 64, 2**16))),
         ply_cap=data.draw(st.integers(1, 50)),
     )
-    within_cap = functools.reduce(operator.mul, (c + 1 for c in heaps)) <= budget.exhaustive_cap
-    # every child holds at most sum(heaps) - 1 objects
-    assume(within_cap or sum(heaps) - 1 <= budget.ply_cap)
+    # no probe is cut, so every budget plays the same move
     agent = MultiFrameAgent(budget)
     # the lowest winning move, else the first non-empty heap emptied
     assert agent.choose(hist(heaps), RNG()) == OracleAgent(NIM).choose(hist(heaps), RNG())
@@ -365,6 +364,39 @@ def test_decides_every_small_board_without_the_nim_sum(monkeypatch):
         assert agent.choose(hist(heaps), RNG()) == want[heaps], heaps
 
 
+def _large_boards(count, seed=31):
+    """Seeded non-terminal boards of 1-30 heaps of up to 1-20 bits."""
+    rng = random.Random(seed)
+    boards = []
+    while len(boards) < count:
+        bits = rng.randint(1, 20)
+        heaps = tuple(rng.randrange(1 << bits) for _ in range(rng.randint(1, 30)))
+        if any(heaps):
+            boards.append(heaps)
+    return boards
+
+
+def test_plays_the_oracle_move_on_large_boards():
+    """Differential against the perfect player where one probe per
+    candidate would cost up to a million probes a decision."""
+    oracle = OracleAgent(GameRules.nim(2**20))
+    for heaps in _large_boards(600):
+        assert MultiFrameAgent().choose(hist(heaps), RNG()) == oracle.choose(hist(heaps), RNG())
+
+
+def test_a_decision_costs_at_most_n_l_plus_one_probes(monkeypatch):
+    probes = []
+    rollout = nimcore.agents._fast_rollout
+    monkeypatch.setattr(
+        nimcore.agents, "_fast_rollout", lambda pb, cap: probes.append(pb) or rollout(pb, cap)
+    )
+    boards = _large_boards(300, seed=32) + [(1, 2**24, 2**24 + 3), (2**20 - 1,) * 30, (1,) * 30]
+    for heaps in boards:
+        probes.clear()
+        MultiFrameAgent()._decide(heaps)
+        assert 0 < len(probes) <= len(heaps) * max(heaps).bit_length() + 1, heaps
+
+
 class TestMultiFrameAgent:
     def test_exhaustive_picks_zeroing_move(self):
         agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=1024))
@@ -374,8 +406,8 @@ class TestMultiFrameAgent:
     @pytest.mark.parametrize(
         "heaps, move",
         [
-            # the probe of the lowest winning move, 0:1, is cut at 4 plies
-            # but empties the board within them, which proves the move
+            # the lowest winning move, 0:1, under the smallest budget: the
+            # probes are never cut, so the budget changes no move
             ((2, 2, 3), GameMove(0, 1)),
             ((2, 6, 7), GameMove(0, 1)),
         ],
@@ -415,7 +447,7 @@ def _spied_choose(agent, *frames):
 def _proving(budget, a):
     """An agent that has searched a parent of the zero position ``a``:
     raising heap 0 makes ``a`` the parent's lowest winning move, which the
-    search proves unless its rollouts are cut short."""
+    search proves."""
     agent = MultiFrameAgent(budget)
     agent.choose(hist((a[0] + 1,) + a[1:]), RNG())
     return agent
@@ -434,13 +466,12 @@ def test_restore_reply_is_the_searched_move(data):
         ply_cap=data.draw(st.integers(1, 2 * sum(a) + 2)),
     )
     agent = _proving(budget, a)
-    proven = a in agent._proven
-    # a zero child under the cap always passes the search; over it only
-    # the exact rollout, which has room for every ply, proves it
-    assert proven or sum(a) >= budget.ply_cap
+    # the search proves the zero child it plays under every budget, so the
+    # reply answers the opponent's move from it without a search
+    assert a in agent._proven
     move, searched = _spied_choose(agent, a, b)
     assert move == MultiFrameAgent(budget)._decide(b)
-    assert searched == (not proven or sum(a) >= budget.ply_cap)
+    assert not searched
 
 
 class TestRestoreReply:
@@ -456,10 +487,21 @@ class TestRestoreReply:
         assert _spied_choose(agent, (1, 0, 1), (0, 0, 1)) == (GameMove(2, 0), False)
 
     @pytest.mark.parametrize(
+        "budget",
+        [RolloutBudget(ply_cap=6), RolloutBudget(exhaustive_cap=0, ply_cap=1)],
+        ids=["ply-cap-6", "smallest"],
+    )
+    def test_replies_under_every_budget(self, budget):
+        # the older frame may hold any number of objects: no probe is cut
+        agent = _proving(budget, self.A)
+        assert _spied_choose(agent, self.A, self.B) == (GameMove(1, 0), False)
+
+    @pytest.mark.parametrize(
         "budget, window",
         [
-            (RolloutBudget(ply_cap=6), (A, B)),  # the older frame holds ply_cap objects
-            (RolloutBudget(exhaustive_cap=0, ply_cap=6), (A, B)),
+            (RolloutBudget(ply_cap=6), (B,)),  # a one-frame window
+            # a zero older frame that no probe of this agent emptied
+            (RolloutBudget(exhaustive_cap=0, ply_cap=6), ((1, 0, 1), (0, 0, 1))),
             (RolloutBudget(), (A, (0, 1, 3))),  # two heaps changed
             (RolloutBudget(), (A, (1, 2, 4))),  # a heap grew
             (RolloutBudget(), (A, A)),  # nothing changed

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nimcore.circuits.builders import threshold_at_least
+from nimcore.circuits.builders import build_even_nonempty_scorer, threshold_at_least
 from nimcore.circuits.ir import (
+    _NEST,
     _UNIT_NODES,
     _plan,
+    _statements,
     AND,
     Circuit,
     Gate,
@@ -393,6 +395,167 @@ class TestInlinedGates:
         c = Circuit(gates, [len(gates) - 1, 2], 2)
         for bits in ([0, 0], [0, 1], [1, 0], [1, 1], [True, np.uint8(3)]):
             assert c.evaluate(bits) == reference_eval(c, bits)
+
+
+@st.composite
+def shared_prefix_ors(draw):
+    """An OR over ANDs read by it alone, so inlined, whose operand lists
+    are copies, prefixes and extensions of earlier ones, in drawn or in
+    sorted order; a one-operand disjunct may be that operand itself.  The
+    OR is an output, or read by one AND, which inlines it too."""
+    n_inputs = draw(st.integers(1, 5))
+    gates = [Gate(INPUT) for _ in range(n_inputs)]
+    gates += [Gate(NOT, (i,)) for i in range(n_inputs)]
+    shared = len(gates)  # an output, so a statement that the ANDs read
+    gates.append(Gate(OR, (0, n_inputs - 1)))
+    operand = st.integers(0, shared)
+    lists: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 40))):
+        how = draw(st.sampled_from(("fresh", "copy", "prefix", "extend")))
+        if not lists or how == "fresh":
+            ops = tuple(draw(st.lists(operand, min_size=1, max_size=6)))
+        else:
+            base = draw(st.sampled_from(lists))
+            if how == "copy":
+                ops = base
+            elif how == "prefix":
+                ops = base[: draw(st.integers(1, len(base)))]
+            else:
+                ops = base + tuple(draw(st.lists(operand, min_size=1, max_size=3)))
+        lists.append(ops)
+    if draw(st.booleans()):
+        lists.sort()
+    disjuncts = []
+    for ops in lists:
+        if len(ops) == 1 and draw(st.booleans()):
+            disjuncts.append(ops[0])
+        else:
+            gates.append(Gate(AND, ops))
+            disjuncts.append(len(gates) - 1)
+    gates.append(Gate(OR, tuple(disjuncts)))
+    if draw(st.booleans()):
+        gates.append(Gate(AND, (len(gates) - 1, draw(operand))))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=n_inputs, max_size=n_inputs),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    return Circuit(gates, [len(gates) - 1, shared], n_inputs), rows
+
+
+def deepest_parentheses(c):
+    """How deep the parentheses of the generated statements nest."""
+    stop = max(c.outputs) + 1
+    plan = _plan(c._ops, c._args, stop, c.outputs)
+    deepest = 0
+    for _, line, _, _ in _statements(c._ops, c._args, stop, plan):
+        depth = 0
+        for ch in line:
+            if ch == "(":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif ch == ")":
+                depth -= 1
+    return deepest
+
+
+class TestFactoredTests:
+    """``evaluate`` against ``reference_eval`` where an OR's inlined ANDs
+    share their first operands, which its test writes once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_prefix_ors())
+    def test_shared_prefixes(self, case):
+        c, rows = case
+        assert_matches_reference(c, rows)
+
+    def test_parity_is_tested_as_a_trie(self):
+        # the 9-heap scorer: each heap's parity of the other 8 non-empty
+        # flags, 128 ANDs in wire order, written as a trie of depth 8
+        c = build_even_nonempty_scorer(9, 5)
+        stop = max(c.outputs) + 1
+        runs = _plan(c._ops, c._args, stop, c.outputs)[4]
+        assert len(runs) == 9
+        rng = random.Random(4)
+        assert_matches_reference(c, [[rng.randint(0, 1) for _ in range(45)] for _ in range(40)])
+
+    # the ORs nest, each read once by an AND of the next, and their ANDs
+    # share a 14-operand prefix, or branch after every operand of it
+    @pytest.mark.parametrize("levels", [_NEST, 40])
+    @pytest.mark.parametrize("shape", ["shared", "staircase"])
+    def test_nested_factored_ors_nest_no_deeper_than_the_bound(self, levels, shape):
+        k = 14
+        gates = [Gate(INPUT) for _ in range(k + 2)]
+        prefix, y = tuple(range(k)), k + 1
+        inner = k
+        for _ in range(levels):
+            if shape == "shared":
+                lists = [prefix + (inner,), prefix + (y,)]
+            else:
+                lists = [prefix[:1] + (inner,)] + [prefix[: i + 1] + (y,) for i in range(1, k)]
+            for ops in lists:
+                gates.append(Gate(AND, ops))
+            gates.append(Gate(OR, tuple(range(len(gates) - len(lists), len(gates)))))
+            inner = len(gates) - 1
+        c = Circuit(gates, [inner], k + 2)
+        assert _plan(c._ops, c._args, len(gates), c.outputs)[4]  # the premise: factored
+        assert deepest_parentheses(c) <= _NEST
+        ones = [1] * (k + 2)
+        rows = [ones, [0] * (k + 2)]
+        for i in (0, 1, k - 1, k, k + 1):
+            rows.append(ones[:i] + [0] + ones[i + 1 :])
+        rows.append(ones[:k] + [0, 0])
+        assert_matches_reference(c, rows)
+
+    def test_a_branch_after_every_operand_nests_no_deeper_than_the_bound(self):
+        # ANDs of the first 1..199 inputs and the last: a trie 199 deep
+        n = 200
+        gates = [Gate(INPUT) for _ in range(n)]
+        gates += [Gate(AND, tuple(range(i + 1)) + (n - 1,)) for i in range(n - 1)]
+        gates.append(Gate(OR, tuple(range(n, 2 * n - 1))))
+        c = Circuit(gates, [2 * n - 1], n)
+        assert deepest_parentheses(c) <= _NEST
+        ones = [1] * n
+        rows = [ones, ones[:-1] + [0]]
+        rows += [[0] * i + ones[i:] for i in (1, 100, n - 1)]
+        rows += [ones[:i] + [0] * (n - i) for i in (1, 100, n - 1)]
+        assert_matches_reference(c, rows)
+
+    def test_factored_compile_memory_is_bounded(self):
+        # 8,000 ANDs that share their first operand: factored as one test,
+        # a ~17 MB compile; cut into parts that each write it, under 6 MB
+        n = 8_000
+        gates = [Gate(INPUT) for _ in range(10)]
+        gates += [Gate(AND, (0, 1 + i % 9)) for i in range(n)]
+        gates.append(Gate(OR, tuple(range(10, 10 + n))))
+        c = Circuit(gates, [len(gates) - 1], 10)
+        tracemalloc.start()
+        try:
+            assert c.evaluate([1] + [0] * 8 + [1]) == (1,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert_matches_reference(c, [[0] + [1] * 9, [1] + [0] * 9, [1] * 10])
+
+    @pytest.mark.parametrize("prefix", [200, 300])
+    def test_long_shared_prefix(self, prefix):
+        # ANDs of 201 operands are inlined and factored; of 301, they are
+        # past _INLINE_NODES and are statements the OR reads
+        n = prefix + 4
+        gates = [Gate(INPUT) for _ in range(n)]
+        gates += [Gate(AND, tuple(range(prefix)) + (prefix + j,)) for j in range(4)]
+        gates.append(Gate(OR, tuple(range(n, n + 4))))
+        c = Circuit(gates, [n + 4], n)
+        ones = [1] * n
+        rows = [ones, [0] * n, ones[:prefix] + [0] * 4]
+        for j in range(4):
+            rows.append(ones[:prefix] + [int(i == j) for i in range(4)])
+        for i in (0, prefix // 2, prefix - 1):
+            rows.append(ones[:i] + [0] + ones[i + 1 :])
+        assert_matches_reference(c, rows)
 
 
 class TestStructure:
