@@ -25,7 +25,6 @@ from .agents import (
     MultiFrameAgent,
     OracleAgent,
     RandomAgent,
-    RolloutBudget,
     SingleFrameCircuitAgent,
     preserving_reply,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Position",
     "PositionEncoding",
     "RandomAgent",
-    "RolloutBudget",
     "SingleFrameCircuitAgent",
     "ThresholdNetwork",
     "Variant",

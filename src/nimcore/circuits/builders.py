@@ -280,9 +280,11 @@ def build_even_nonempty_scorer(n: int, l: int) -> Circuit:
     Takes one encoded frame and emits one bit per candidate slot (heap h
     to value v, heap-major).  Deliberately crude: it is the history-free
     baseline, correct only on boards of single-object heaps.  Built
-    within the fixed gate budget.
+    within the fixed gate budget, which counts the n * 2**l output slots:
+    each slot reuses one of two gates, so no gate count would reach it.
     """
     b = CircuitBuilder()
+    b.reserve(n << l)
     ins = b.inputs(n * l)
     nonempty = [b.or_(ins[i * l : (i + 1) * l]) for i in range(n)]
     outs = []

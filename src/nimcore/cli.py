@@ -19,7 +19,6 @@ from .errors import NimcoreError
 from .games import Position
 from .harness import (
     ExperimentConfig,
-    RolloutBudget,
     make_agent,
     parse_rules,
     play_match,
@@ -44,15 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     play.add_argument("--second", required=True, help="agent spec for the second mover")
     play.add_argument("--seed", type=int, default=0)
     play.add_argument("--max-heap-size", type=int, default=None)
-    play.add_argument(
-        "--exhaustive-cap", type=int, default=512,
-        help="boards with at most this many states (product of heap+1) are decided exactly",
-    )
-    play.add_argument(
-        "--ply-cap", type=int, default=512,
-        help="rollouts stop after this many plies; "
-        "candidates with at most this many objects are decided exactly",
-    )
     play.add_argument("--record", default=None, help="write the match record as JSON")
 
     tour = sub.add_parser("tournament", help="run a seeded experiment sweep")
@@ -86,9 +76,8 @@ def _cmd_play(args) -> int:
         max_size = max(255, max(start.heaps))
     rules = parse_rules(args.rules, max_size)
     start = Position(start.heaps, rules.game_id)
-    budget = RolloutBudget(exhaustive_cap=args.exhaustive_cap, ply_cap=args.ply_cap)
-    first = make_agent(args.first, rules, heap_count=len(start.heaps), budget=budget)
-    second = make_agent(args.second, rules, heap_count=len(start.heaps), budget=budget)
+    first = make_agent(args.first, rules, heap_count=len(start.heaps))
+    second = make_agent(args.second, rules, heap_count=len(start.heaps))
     record = play_match(rules, start, first, second, seed=args.seed)
     pos = start
     print(f"start {pos.to_text()}  ({rules.game_id}, seed {args.seed})")

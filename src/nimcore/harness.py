@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -369,13 +369,14 @@ class ExperimentConfig:
     games_per_cell: int
     seed: int
     start_mode: str = "winning"  # winning | any
-    budget: RolloutBudget = field(default_factory=RolloutBudget)
     out_dir: str | None = None
+    # not a field, so no config sets it: it changes no move, and is kept
+    # only because ``perfbench/workloads.py`` still reads it
+    budget = RolloutBudget()
 
     def __post_init__(self):
         # the JSON types for a config built directly too; a seed is mandatory
         expect(self.rules, GameRules, "rules")
-        expect(self.budget, RolloutBudget, "budget")
         if self.out_dir is not None:
             expect(self.out_dir, str, "out_dir")
         expect(self.heap_counts, int, "heap_counts", depth=1)
@@ -402,7 +403,7 @@ class ExperimentConfig:
         # play some cell is refused here, not halfway through the sweep
         for hc in self.heap_counts:
             for spec in [*self.agents, self.opponent]:
-                make_agent(spec, self.rules, heap_count=hc, budget=self.budget)
+                make_agent(spec, self.rules, heap_count=hc)
         if not 1 <= self.max_heap_size <= self.rules.max_heap_size:
             raise ValueError(
                 f"max_heap_size must be in 1..{self.rules.max_heap_size}, "
@@ -441,12 +442,10 @@ class ExperimentConfig:
         """Build a config from its JSON document.
 
         Raises ``ValueError`` naming the key when a required key is missing
-        or null, when a key is unknown, at the top level or in ``budget``,
-        or when a value has the wrong JSON type.
+        or null, when a key is unknown, or when a value has the wrong JSON
+        type.
         """
         _check_keys(doc, "config", cls, ("heap_counts", "agents", "games_per_cell", "seed"))
-        budget = doc.get("budget", {})
-        _check_keys(budget, "budget", RolloutBudget)
         max_heap_size = expect(doc.get("max_heap_size", 255), int, "max_heap_size")
         out_dir = doc.get("out_dir")
         return cls(
@@ -458,9 +457,6 @@ class ExperimentConfig:
             games_per_cell=doc["games_per_cell"],
             seed=doc["seed"],
             start_mode=expect(doc.get("start_mode", "winning"), str, "start_mode"),
-            budget=RolloutBudget(
-                **{key: expect(value, int, f"budget.{key}") for key, value in budget.items()}
-            ),
             out_dir=None if out_dir is None else expect(out_dir, str, "out_dir"),
         )
 
@@ -544,6 +540,8 @@ def make_agent(
     text or does not parse, or whose circuit does not fit ``heap_count``
     heaps, raises a ``NimcoreError`` of the same type that names the spec
     and the heap count.
+
+    ``budget`` is ignored; ``perfbench/workloads.py`` still passes one.
     """
     name, colon, arg = spec.partition(":")
     entry = _AGENT_SPECS.get(name)
@@ -566,7 +564,7 @@ def make_agent(
     if name == "random":
         return RandomAgent(rules)
     if name == "multiframe":
-        return MultiFrameAgent(budget)
+        return MultiFrameAgent()
     if heap_count is None:
         raise ValueError(f"{name} needs the board's heap count")
     l = nimber.bit_width(rules.max_heap_size)
@@ -639,8 +637,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     matches: dict[tuple[int, int, int], MatchRecord] = {}
     for hc in cfg.heap_counts:
         for ai, agent_spec in enumerate(cfg.agents):
-            agent = make_agent(agent_spec, cfg.rules, heap_count=hc, budget=cfg.budget)
-            opponent = make_agent(cfg.opponent, cfg.rules, heap_count=hc, budget=cfg.budget)
+            agent = make_agent(agent_spec, cfg.rules, heap_count=hc)
+            opponent = make_agent(cfg.opponent, cfg.rules, heap_count=hc)
             for gi in range(cfg.games_per_cell):
                 game_seed = stable_mix(cfg.seed, hc, ai, gi)
                 start = _draw_start(

@@ -22,10 +22,12 @@ from nimcore.agents import (
     _window,
     preserving_reply,
 )
+from nimcore.circuits.builders import build_even_nonempty_scorer
 from nimcore.circuits.ir import AND, INPUT, NOT, OR, Circuit, Gate
 from nimcore.errors import (
     ContractViolationError,
     EncodingError,
+    GateBudgetError,
     IllegalMoveError,
     InvalidPositionError,
     StrategyDomainError,
@@ -252,7 +254,7 @@ class TestRollout:
     ply_cap=st.integers(1, 200),
 )
 def test_rollout_outcomes_follow_the_start_value(heaps, ply_cap):
-    """The claims of the ``RolloutBudget`` docstring, and the bound of the
+    """The claims of the ``_fast_rollout`` docstring, and the bound of the
     opponent that empties a heap on each of its plies."""
     win = _fast_rollout(heaps, ply_cap)
     zero = nim_sum(Position(heaps)) == 0
@@ -266,25 +268,6 @@ def test_rollout_outcomes_follow_the_start_value(heaps, ply_cap):
 
 
 @pytest.mark.parametrize(
-    "field",
-    [
-        dict(ply_cap=-(10**5000)),  # past str()'s digit limit, and still named
-        dict(ply_cap=0),
-        dict(ply_cap=-5),
-        dict(exhaustive_cap=-1),
-        dict(exhaustive_cap=2**16 + 1),
-    ],
-)
-def test_bad_budget_rejected(field):
-    with pytest.raises(ValueError, match=next(iter(field))):
-        RolloutBudget(**field)
-
-
-def test_smallest_budget_accepted():
-    assert RolloutBudget(exhaustive_cap=0, ply_cap=1).ply_cap == 1
-
-
-@pytest.mark.parametrize(
     "heaps, move",
     [
         ((255, 255), GameMove(0, 0)),  # lost: the first candidate
@@ -294,8 +277,8 @@ def test_smallest_budget_accepted():
     ],
 )
 def test_decides_at_the_exhaustive_cap_bound(heaps, move):
-    # each board's state-count bound is exactly 2**16, the largest cap; the
-    # probes are never cut, so the budget changes no move
+    # each board has exactly 2**16 states; the probes are never cut, so the
+    # budget changes no move
     agent = MultiFrameAgent(RolloutBudget(exhaustive_cap=2**16))
     assert agent.choose(hist(heaps), random.Random(0)) == move
 
@@ -354,7 +337,6 @@ def test_decides_every_small_board_without_the_nim_sum(monkeypatch):
         (nimcore.nimber, "winning_moves"),
         (nimcore.agents, "_xor_fold"),
         (nimcore.agents, "winning_moves"),
-        (nimcore.agents, "_opp_oracle"),
     ]:
         if hasattr(module, name):
             monkeypatch.setattr(module, name, parity)
@@ -545,6 +527,13 @@ class TestSingleFrameAgent:
         assert a.circuit is b.circuit
         a.choose(hist((1, 2, 3)), RNG())
         assert a._decisions and not b._decisions
+
+    def test_heuristic_slots_count_against_the_gate_budget(self):
+        # 9 * 2**17 = 1,179,648 output slots, each a reused gate: refused
+        # before any gate is built, not built for seconds and gigabytes
+        with pytest.raises(GateBudgetError, match="1179648"):
+            SingleFrameCircuitAgent.heuristic(9, 17)
+        assert len(build_even_nonempty_scorer(9, 16).outputs) == 9 << 16
 
     def test_heuristic_on_single_move(self):
         agent = SingleFrameCircuitAgent.heuristic(1, 3)

@@ -110,11 +110,6 @@ class TestPlay:
         "flags",
         [
             ["--max-heap-size", "0"],
-            ["--ply-cap", "0", "--exhaustive-cap", "0"],
-            ["--exhaustive-cap", "-1"],
-            # once a RecursionError in the multi-frame agent's sweep
-            ["--exhaustive-cap", str(2**4000)],
-            ["--exhaustive-cap", str(2**16 + 1)],
         ],
     )
     def test_bad_bounds_rejected(self, capsys, flags):
@@ -125,20 +120,26 @@ class TestPlay:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "cap, shown",
-        [(2**4000, "got a 1205-digit number"), (2**16 + 1, "got 65537")],
-        ids=["2**4000", "2**16+1"],
-    )
-    def test_out_of_range_error_is_one_short_line(self, capsys, cap, shown):
-        rc = main(
-            ["play", "--start", "3,5", "--first", "multiframe", "--second", "oracle",
-             "--exhaustive-cap", str(cap)]
-        )
+    def test_no_rollout_budget_option(self, capsys):
+        # the budget changed no move, so play offers no option for it
+        with pytest.raises(SystemExit) as exc:
+            main(["play", "--help"])
+        assert exc.value.code == 0
+        assert "-cap" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["play", "--start", "3,5", "--first", "multiframe", "--second", "oracle",
+                  "--ply-cap", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ply-cap 4" in capsys.readouterr().err
+
+    def test_heuristic_over_the_gate_budget_is_refused(self, capsys):
+        # 2 * 2**20 output slots, each a reused gate: refused before any
+        # gate is built (at 2**30 the build would need about 50 GB)
+        rc = main(["play", "--start", "1,2", "--max-heap-size", str(2**20 - 1),
+                   "--first", "singleframe-heuristic", "--second", "oracle"])
         assert rc == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error:") and line.endswith(shown)
-        assert len(line) < 200
+        assert line.startswith("error:") and "exceeds the budget of 1000000" in line
 
 
 _CONFIG = {
@@ -182,8 +183,14 @@ class TestTournament:
         [
             (dict(heap_counts=3), "heap_counts"),
             (dict(heap_counts=[3, True]), "heap_counts"),
-            (dict(budget={"exhaustive_cap": [2]}), "exhaustive_cap"),
-            (dict(budget={"ply_cap": 2.5}), "ply_cap"),
+            # no config sets a rollout budget
+            pytest.param(
+                dict(budget={"exhaustive_cap": [2]}), "unknown config key 'budget'",
+                id="edit2-budget",
+            ),
+            pytest.param(
+                dict(budget={"ply_cap": 2.5}), "unknown config key 'budget'", id="edit3-budget"
+            ),
             (dict(rules=5), "rules"),
             (dict(opponent=7), "opponent"),
             (dict(agents="oracle"), "agents"),

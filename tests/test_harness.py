@@ -83,10 +83,10 @@ _WRONG_TYPES = [
     # fields a directly built config holds as Python objects, which the
     # JSON half of test_unstartable_config_rejected cannot write (_NOT_JSON)
     (dict(rules="nim"), "rules"),
-    (dict(agents=["multiframe"], budget={"ply_cap": 4}), "budget"),
     (dict(out_dir=3), "out_dir"),
 ]
-_NOT_JSON = ("rules", "budget", "out_dir")
+_NOT_JSON = ("rules", "out_dir")
+_NO_BUDGET = "unknown config key 'budget'"
 
 
 class BrokenAgent(AgentPolicy):
@@ -850,6 +850,11 @@ class TestExperiment:
         with pytest.raises(ValueError, match=f"key '{key}' must be"):
             self.cfg(tmp_path, **overrides)
 
+    def test_no_budget_argument(self, tmp_path):
+        # a rollout budget changed no move, so a config takes none
+        with pytest.raises(TypeError, match="budget"):
+            self.cfg(tmp_path, agents=["multiframe"], budget=RolloutBudget(ply_cap=4))
+
     @pytest.mark.parametrize("role", ["agents", "opponent"])
     @pytest.mark.parametrize(
         "scorer, error",
@@ -964,10 +969,13 @@ class TestExperiment:
             (dict(seed=_DELETE), "seed"),
             (dict(seed=None), "seed"),
             (dict(sede=3), "sede"),
-            (dict(budget={"sampels": 0}), "sampels"),
-            (dict(budget={"ply_cap": 2, "oracle_probe": True}), "oracle_probe"),
+            # no config sets a rollout budget, whatever it holds
+            pytest.param(dict(budget={"sampels": 0}), _NO_BUDGET, id="edit6-budget"),
+            pytest.param(
+                dict(budget={"ply_cap": 2, "oracle_probe": True}), _NO_BUDGET, id="edit7-budget"
+            ),
             (dict(budget=[8]), "budget"),
-            (dict(budget={"samples": 8}), "samples"),
+            pytest.param(dict(budget={"samples": 8}), _NO_BUDGET, id="edit9-budget"),
         ],
     )
     def test_malformed_json_config_names_the_key(self, edit, key):
@@ -979,6 +987,12 @@ class TestExperiment:
                 doc[name] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_json(doc)
+
+    def test_budget_key_refused(self):
+        doc = {"heap_counts": [3], "agents": ["multiframe"], "games_per_cell": 1, "seed": 3}
+        ExperimentConfig.from_json(doc)
+        with pytest.raises(ValueError, match=f"^{_NO_BUDGET}$"):
+            ExperimentConfig.from_json({**doc, "budget": {"exhaustive_cap": 512, "ply_cap": 512}})
 
     def test_readme_config_builds(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
