@@ -47,21 +47,45 @@ class Mutant(NamedTuple):
 
 _AGENTS = "src/nimcore/agents.py"
 _ROLLOUT = ("tests/test_agents.py", "-k", "rollout")
+_RESTORE = ("tests/test_agents.py", "-k", "restore or Restore")
+_HARNESS = "src/nimcore/harness.py"
+_CARRIED = ("tests/test_harness.py", "-k", "carried_nim_value")
 
 MUTANTS: tuple[Mutant, ...] = (
     # the rollout stops after half its room, or answers yes when it runs out
     Mutant(_AGENTS, "for _ in range(ply_cap // 2):", "for _ in range(ply_cap // 4):", _ROLLOUT),
     Mutant(_AGENTS, "    return not any(heaps)\n", "    return True\n", _ROLLOUT),
+    # the two-frame reply when a heap other than the first changed one changed too
+    Mutant(
+        _AGENTS,
+        "if y >= x or pb[d + 1 :] != heaps[d + 1 :]:",
+        "if y >= x:",
+        _RESTORE,
+    ),
     # the two-frame reply from an older frame that no probe proved zero
     Mutant(
         _AGENTS,
         "if pb not in self._proven or len(pb) != len(heaps):",
         "if len(pb) != len(heaps):",
-        ("tests/test_agents.py", "-k", "restore or Restore"),
+        _RESTORE,
+    ),
+    # the match's carried NIM value without the changed heap's old count,
+    # and a match that ends at a zero value with heaps left
+    Mutant(
+        _HARNESS,
+        "after = value ^ frames[-1][move.heap_index] ^ move.new_count if nim else None",
+        "after = value ^ move.new_count if nim else None",
+        _CARRIED,
+    ),
+    Mutant(
+        _HARNESS,
+        "if (not after and not any(heaps)) if nim else _no_moves(heaps, rules):",
+        "if (not after) if nim else _no_moves(heaps, rules):",
+        _CARRIED,
     ),
     # a config key that is not a field, such as the retired ``budget``
     Mutant(
-        "src/nimcore/harness.py",
+        _HARNESS,
         'raise ValueError(f"unknown {where} key {key!r}")',
         "continue",
         ("tests/test_harness.py", "-k", "malformed_json_config or budget_key"),

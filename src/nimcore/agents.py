@@ -421,11 +421,16 @@ class MultiFrameAgent(AgentPolicy):
         pb = frames[-2]
         if pb not in self._proven or len(pb) != len(heaps):
             return None
-        d = _diff_indices(pb, heaps)
-        if len(d) != 1 or heaps[d[0]] >= pb[d[0]]:
+        for d, (x, y) in enumerate(zip(pb, heaps)):
+            if x != y:
+                break
+        else:
+            return None
+        # the first changed heap must have shrunk and be the only change
+        if y >= x or pb[d + 1 :] != heaps[d + 1 :]:
             return None
         # pb is a zero position and heaps is not, so a reply exists
-        r, w = _reply_restore(pb, heaps, d[0])
+        r, w = _reply_restore(pb, heaps, d)
         self._proven.add(heaps[:r] + (w,) + heaps[r + 1 :])
         return GameMove(r, w)
 

@@ -243,7 +243,9 @@ def _checked_heaps(heaps: tuple[int, ...], m: GameMove, rules: GameRules) -> tup
         raise IllegalMoveError("split moves only exist in kayles")
     elif variant is _SUBTRACTION and old - new not in rules.removal_set:
         raise IllegalMoveError(f"removal of {old - new} objects is not allowed")
-    return _apply_heaps(heaps, m)
+    # _apply_heaps, inline: this runs on every ply of every match
+    after = heaps[:i] + (new,) + heaps[i + 1 :]
+    return after + (split,) if split else after
 
 
 def _apply_heaps(heaps: tuple[int, ...], m: GameMove) -> tuple[int, ...]:

@@ -72,12 +72,18 @@ def stable_mix(*parts: int) -> int:
     """
     acc = 0x9E3779B97F4A7C15
     for p in parts:
-        acc = (acc ^ (p & _MASK64)) & _MASK64
-        acc = (acc + 0x9E3779B97F4A7C15) & _MASK64
-        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _MASK64
-        acc = acc ^ (acc >> 31)
+        acc = _mix_step(acc, p)
     return acc
+
+
+def _mix_step(acc: int, p: int) -> int:
+    """``stable_mix``'s fold of one more part into ``acc``: the mix of a
+    sequence is the mix of its prefix stepped with each later part."""
+    acc = (acc ^ (p & _MASK64)) & _MASK64
+    acc = (acc + 0x9E3779B97F4A7C15) & _MASK64
+    acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return acc ^ (acc >> 31)
 
 
 class MoveDiagnostic(NamedTuple):
@@ -159,8 +165,14 @@ def play_match(
     contract asks, unless the window says it was cut under their own
     ``rules`` object.  The tuple of frames holds the heap tuples the agents
     read: the larger window, or every frame when an agent reads them all
-    (``required_frames == 0``).  Under NIM each ply's diagnostic value is
-    the XOR fold of the heaps it leaves.
+    (``required_frames == 0``).
+
+    Under NIM each ply's diagnostic value is the XOR fold of the heaps it
+    leaves, carried from ply to ply rather than folded again: a move
+    changes one heap, so the value after it is the value before XOR that
+    heap's old and new counts.  A position of non-zero value has a move, so
+    the terminal test reads the heaps only when the value is 0.  Other rule
+    sets carry no value and take the closed-form terminal test on every ply.
     """
     if is_terminal(start, rules):
         raise IllegalMoveError("match needs a non-terminal start position")
@@ -184,13 +196,15 @@ def play_match(
             winner = seats[1 - mover]
             forfeit = f"{seats[mover]} ({names[mover]}): {exc}"
             break
-        # the value after this ply is the value before the next one
-        after = nimber._xor_fold(heaps) if nim else None
+        # the value after this ply is the value before the next one; a NIM
+        # move changes one heap, so the fold changes by that heap's two counts
+        after = value ^ frames[-1][move.heap_index] ^ move.new_count if nim else None
         diagnostics.append(MoveDiagnostic(seats[mover], value, after))
         value = after
         moves.append(move)
         frames = (frames + (heaps,))[-keep:]
-        if _no_moves(heaps, rules):
+        # a NIM position of non-zero value has a move, so only a zero one is tested
+        if (not after and not any(heaps)) if nim else _no_moves(heaps, rules):
             winner = seats[mover]
             break
         mover = 1 - mover
@@ -639,8 +653,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         for ai, agent_spec in enumerate(cfg.agents):
             agent = make_agent(agent_spec, cfg.rules, heap_count=hc)
             opponent = make_agent(cfg.opponent, cfg.rules, heap_count=hc)
+            cell = stable_mix(cfg.seed, hc, ai)
             for gi in range(cfg.games_per_cell):
-                game_seed = stable_mix(cfg.seed, hc, ai, gi)
+                game_seed = _mix_step(cell, gi)  # stable_mix(cfg.seed, hc, ai, gi)
                 start = _draw_start(
                     cfg.rules, hc, cfg.max_heap_size, game_seed, cfg.start_mode == "winning"
                 )
@@ -720,14 +735,18 @@ def _write_outputs(cfg, rows, matches) -> None:
     # "matches" sorts first, and its records, the bulk of the file, are laid
     # out by template instead of by the pure-Python encoder indent selects.
     # They are written one at a time, so memory holds one record's text,
-    # not copies of the whole file
+    # not copies of the whole file.  Plies repeat across games, so each
+    # distinct diagnostic and move is rendered once per write, in caches
+    # dropped when the write ends
     head = json.dumps(doc, indent=2, sort_keys=True)
+    diagnostic_texts = _Rendered(_diagnostic_json)
+    move_texts = _Rendered(_move_json)
     with open(out / "results.json", "w") as f:
         f.write('{\n  "matches": ')
         if matches:
             for i, key in enumerate(sorted(matches)):
                 f.write(",\n" if i else "[\n")
-                f.write(_record_json(matches[key]))
+                f.write(_record_json(matches[key], diagnostic_texts, move_texts))
             f.write("\n  ]")
         else:
             f.write("[]")
@@ -756,30 +775,50 @@ _DIAGNOSTIC = """{
         }"""
 
 
-def _record_json(r: MatchRecord) -> str:
+def _record_json(r: MatchRecord, diagnostic_texts: _Rendered, move_texts: _Rendered) -> str:
     """``r.to_json()`` as an entry of the ``matches`` list of
-    ``json.dumps(..., indent=2, sort_keys=True)``, byte for byte."""
-    # "%s" writes an int as str() does
-    diagnostics = [
-        _DIAGNOSTIC
-        % (
-            _json_str(mover),
-            "null" if after is None else after,
-            "null" if before is None else before,
-        )
-        for mover, before, after in r.diagnostics
-    ]
+    ``json.dumps(..., indent=2, sort_keys=True)``, byte for byte; the
+    texts of its diagnostics and moves are looked up in the two caches."""
     return _RECORD % (
-        _list_json(diagnostics),
+        _list_json(list(map(diagnostic_texts.__getitem__, r.diagnostics))),
         _json_str(r.first),
         "null" if r.forfeit is None else _json_str(r.forfeit),
-        _list_json([_json_str(_move_text(m)) for m in r.moves]),
+        _list_json(list(map(move_texts.__getitem__, r.moves))),
         _json_str(r.rules_id),
         _json_str(r.second),
         r.seed,
         _list_json([str(h) for h in r.start]),
         _json_str(r.winner),
     )
+
+
+class _Rendered(dict):
+    """JSON texts keyed by what they render, each rendered by ``render`` on
+    its first lookup and kept as long as the dict.  Keys that compare equal
+    share one text, which holds for the str, int and None fields of the
+    moves and diagnostics a match records (no bool or float among them)."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _diagnostic_json(d: MoveDiagnostic) -> str:
+    # "%s" writes an int as str() does
+    mover, before, after = d
+    return _DIAGNOSTIC % (
+        _json_str(mover),
+        "null" if after is None else after,
+        "null" if before is None else before,
+    )
+
+
+def _move_json(m: GameMove) -> str:
+    return _json_str(_move_text(m))
 
 
 def _list_json(items: list[str]) -> str:

@@ -3,7 +3,10 @@ import itertools
 import json
 import random
 import re
+from functools import reduce
+from operator import xor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -171,6 +174,57 @@ class TestPlayMatch:
         record = play_match(NIM, Position((3, 5, 7)), OracleAgent(NIM), OracleAgent(NIM), 0)
         first_moves = [d for d in record.diagnostics if d.mover == "first"]
         assert all(d.nim_sum_after == 0 for d in first_moves)
+
+
+NIM31 = GameRules.nim(31)
+_SEATS = ("first", "second")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    heaps=st.lists(st.integers(0, 31), min_size=1, max_size=9).filter(any),
+    first=st.sampled_from(("oracle", "random", "multiframe", "singleframe-heuristic")),
+    second=st.sampled_from(("oracle", "random")),
+    seed=st.integers(0, 2**32),
+)
+def test_carried_nim_value_is_the_fold_of_every_ply(heaps, first, second, seed):
+    # the match carries the value from ply to ply instead of folding the
+    # heaps again; the replayed transcript must show the fold at every ply
+    agents = [make_agent(spec, NIM31, heap_count=len(heaps)) for spec in (first, second)]
+    record = play_match(NIM31, Position(tuple(heaps)), *agents, seed)
+    assert record.forfeit is None
+    assert len(record.diagnostics) == len(record.moves)
+    p = Position(tuple(heaps))
+    for ply, (move, d) in enumerate(zip(record.moves, record.diagnostics)):
+        assert any(p.heaps)  # the match went on only while a heap was left
+        assert d.mover == _SEATS[ply % 2]
+        assert d.nim_sum_before == reduce(xor, p.heaps)
+        p = apply_move(p, move, NIM31)
+        assert d.nim_sum_after == reduce(xor, p.heaps)
+    assert not any(p.heaps)
+    assert record.winner == _SEATS[(len(record.moves) - 1) % 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rules=st.sampled_from((GameRules.kayles(15), GameRules.subtraction([1, 3, 4], 15))),
+    heaps=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    players=st.lists(st.sampled_from(("oracle", "random")), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32),
+)
+def test_no_nim_value_beyond_nim(rules, heaps, players, seed):
+    start = Position(tuple(heaps), rules.game_id)
+    assume(not is_terminal(start, rules))
+    agents = [make_agent(spec, rules) for spec in players]
+    record = play_match(rules, start, *agents, seed)
+    assert record.forfeit is None
+    assert all(d.nim_sum_before is d.nim_sum_after is None for d in record.diagnostics)
+    p = start
+    for move in record.moves:
+        assert not is_terminal(p, rules)
+        p = apply_move(p, move, rules)
+    assert is_terminal(p, rules)
+    assert record.winner == _SEATS[(len(record.moves) - 1) % 2]
 
 
 class _Plays(AgentPolicy):
@@ -1154,6 +1208,77 @@ def test_results_json_is_the_json_module_text(tmp_path_factory, records, games, 
     }
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert (out / "results.json").read_text() == expected
+
+
+@st.composite
+def _records_sharing_plies(draw):
+    """Records whose moves and diagnostics are drawn from one small pool,
+    so that one write meets the same ply many times."""
+    moves = draw(
+        st.lists(
+            st.builds(GameMove, st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    small = st.none() | st.integers(0, 3)
+    diagnostics = draw(
+        st.lists(
+            st.builds(MoveDiagnostic, st.sampled_from(("first", "second", '"\\é')), small, small),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return [
+        MatchRecord(
+            rules_id="nim",
+            start=(1, 2),
+            first="oracle",
+            second="random",
+            seed=draw(st.integers(0, 9)),
+            moves=draw(st.lists(st.sampled_from(moves), max_size=6)),
+            winner=draw(st.sampled_from(_SEATS)),
+            forfeit=None,
+            diagnostics=draw(st.lists(st.sampled_from(diagnostics), max_size=6)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=st.lists(_records_sharing_plies(), min_size=2, max_size=2))
+def test_results_json_renders_each_distinct_ply_once_per_write(tmp_path_factory, writes):
+    assume(writes[0] != writes[1])
+    out = tmp_path_factory.mktemp("out")
+    cfg = ExperimentConfig(
+        rules=GameRules.nim(7),
+        heap_counts=[3],
+        max_heap_size=7,
+        agents=["oracle"],
+        opponent="random",
+        games_per_cell=1,
+        seed=1,
+        out_dir=str(out),
+    )
+    metadata = {
+        "rng": RNG_ALGORITHM,
+        "seed": 1,
+        "rules": "nim",
+        "opponent": "random",
+        "start_mode": "winning",
+    }
+    for records in writes:
+        with mock.patch.object(
+            harness, "_diagnostic_json", wraps=harness._diagnostic_json
+        ) as diagnostic_renders, mock.patch.object(
+            harness, "_move_json", wraps=harness._move_json
+        ) as move_renders:
+            _write_outputs(cfg, [], {(3, 0, gi): r for gi, r in enumerate(records)})
+        # each write renders every distinct ply of its own records once
+        assert diagnostic_renders.call_count == len({d for r in records for d in r.diagnostics})
+        assert move_renders.call_count == len({m for r in records for m in r.moves})
+        doc = {"metadata": metadata, "rows": [], "matches": [r.to_json() for r in records]}
+        assert (out / "results.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_suite_mutation_detection(monkeypatch):
