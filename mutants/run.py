@@ -16,8 +16,12 @@ unmutated code or ends in a pytest error rather than a test failure.
 Rows leave out mutants that change no answer the code gives, such as a
 rollout opponent that empties the first non-empty heap instead of the
 largest, or ``<=`` for ``<`` in the restore reply's test: no test can kill
-those, and none should.  Selections leave out ``test_heap_table_race``
-unless they need it: it takes seconds and tests the solver's threads.
+those, and none should.  Among the adversary walk's tables, a walk that does
+not enter the agent's window in its table when the adversary's window below
+it is already proven is left out too: met again, that window replays the
+agent's move into the same proven window, which costs no node.  Selections
+leave out ``test_heap_table_race`` unless they need it: it takes seconds and
+tests the solver's threads.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # the two-frame reply from an older frame that no probe proved zero
     Mutant(
         _AGENTS,
-        "if pb not in self._proven or len(pb) != len(heaps):",
+        "if pb not in proven or len(pb) != len(heaps):",
         "if len(pb) != len(heaps):",
         _RESTORE,
     ),
@@ -82,6 +86,27 @@ MUTANTS: tuple[Mutant, ...] = (
         "if (not after and not any(heaps)) if nim else _no_moves(heaps, rules):",
         "if (not after) if nim else _no_moves(heaps, rules):",
         _CARRIED,
+    ),
+    # the adversary walk's tables: the agent's keyed on its newest frame
+    # alone, the adversary's on the current frame alone, and one table
+    # shared by both sides to move
+    Mutant(
+        _HARNESS,
+        "agent_key = history\n",
+        "agent_key = history[-1:]\n",
+        ("tests/test_harness.py", "-k", "planted_window_flaw"),
+    ),
+    Mutant(
+        _HARNESS,
+        "adversary_key = history[-adversary_window:]",
+        "adversary_key = history[-1:]",
+        ("tests/test_harness.py", "-k", "three_frame_flaw"),
+    ),
+    Mutant(
+        _HARNESS,
+        "adversary_proven: set[_Frames] = set()",
+        "adversary_proven = agent_proven",
+        ("tests/test_harness.py", "-k", "oracle_grid_node_counts"),
     ),
     # a config key that is not a field, such as the retired ``budget``
     Mutant(

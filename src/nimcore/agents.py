@@ -41,7 +41,7 @@ from .games import (
     grundy,
     legal_moves,
 )
-from .nimber import NIM_ID, _require_nim, _xor_fold, winning_moves
+from .nimber import NIM_ID, _require_nim, _xor_fold
 
 
 _Frames = tuple[tuple[int, ...], ...]  # heap tuples, oldest first
@@ -61,9 +61,9 @@ class FrameHistory:
     the heap bound and the game id are left to the agent.  The drivers cut
     their windows from heaps that a validated start and legal moves
     produced, through
-    ``_window``, which checks only that a frame is left and records in
-    ``rules`` the ``GameRules`` object the heaps are valid under; the
-    constructor leaves ``rules`` None.  Agents read the frames as tuples;
+    ``_window``, which checks nothing again and records in ``rules`` the
+    ``GameRules`` object the heaps are valid under; the constructor leaves
+    ``rules`` None.  Agents read the frames as tuples;
     ``current`` builds the newest frame's ``Position`` on each read.
     """
 
@@ -90,10 +90,8 @@ class FrameHistory:
 
 
 def _window(frames: _Frames, rules: GameRules) -> FrameHistory:
-    """The window of ``frames``, heap tuples already known to be valid
-    under ``rules``, built without checking them again."""
-    if not frames:
-        raise ContractViolationError("history needs at least one frame")
+    """The window of ``frames``, at least one heap tuple already known to
+    be valid under ``rules``, built without checking them again."""
     window = object.__new__(FrameHistory)
     window.frames = frames
     window.game_id = rules.game_id
@@ -145,9 +143,7 @@ class OracleAgent(AgentPolicy):
                 _validate(heaps, history.game_id, self.rules)
             s = _xor_fold(heaps)
             if s:
-                for i, h in enumerate(heaps):
-                    if h ^ s < h:
-                        return GameMove(i, h ^ s)
+                return _lowest_winning_move(heaps, s)
             for i, h in enumerate(heaps):
                 if h:
                     return GameMove(i, 0)
@@ -158,6 +154,15 @@ class OracleAgent(AgentPolicy):
             raise IllegalMoveError("no legal moves from a terminal position")
         zeroing = [m for m in moves if grundy(apply_move(p, m, self.rules), self.rules) == 0]
         return min(zeroing) if zeroing else min(moves)
+
+
+def _lowest_winning_move(heaps: tuple[int, ...], s: int) -> GameMove:
+    """The lowest of ``nimber.winning_moves``, read off ``heaps``, NIM
+    heaps of NIM sum ``s != 0``: the lowest heap ``h`` with ``h ^ s < h``,
+    moved to ``h ^ s``.  A heap holding the top bit of ``s`` is one."""
+    for i, h in enumerate(heaps):
+        if h ^ s < h:
+            return GameMove(i, h ^ s)
 
 
 class RandomAgent(AgentPolicy):
@@ -419,11 +424,14 @@ class MultiFrameAgent(AgentPolicy):
         if len(frames) < 2:
             return None
         pb = frames[-2]
-        if pb not in self._proven or len(pb) != len(heaps):
+        proven = self._proven
+        if pb not in proven or len(pb) != len(heaps):
             return None
-        for d, (x, y) in enumerate(zip(pb, heaps)):
+        d = 0  # the first changed heap
+        for x, y in zip(pb, heaps):
             if x != y:
                 break
+            d += 1
         else:
             return None
         # the first changed heap must have shrunk and be the only change
@@ -431,8 +439,9 @@ class MultiFrameAgent(AgentPolicy):
             return None
         # pb is a zero position and heaps is not, so a reply exists
         r, w = _reply_restore(pb, heaps, d)
-        self._proven.add(heaps[:r] + (w,) + heaps[r + 1 :])
-        return GameMove(r, w)
+        proven.add(heaps[:r] + (w,) + heaps[r + 1 :])
+        # a GameMove without the named tuple's Python-level __new__
+        return tuple.__new__(GameMove, (r, w, 0))
 
     def _decide(self, heaps: tuple[int, ...]) -> GameMove:
         """The first heap's zero candidate, read bit by bit, else the first
@@ -551,8 +560,9 @@ class Mirror72Agent(AgentPolicy):
             raise StrategyDomainError("no duplication move available")
 
         # second player: grab any win the opponent leaves, else play the plan
-        if _xor_fold(heaps):
-            return min(winning_moves(Position(heaps)))
+        s = _xor_fold(heaps)
+        if s:
+            return _lowest_winning_move(heaps, s)
         if heaps[0] == 2:
             return GameMove(0, 1)
         last = None

@@ -170,9 +170,12 @@ def _validate(heaps: tuple[int, ...], game_id: str, rules: GameRules) -> None:
 def _iter_moves(heaps: tuple[int, ...], rules: GameRules) -> Iterator[GameMove]:
     variant = rules.variant
     if variant is Variant.NIM:
+        # a GameMove without the named tuple's Python-level __new__: the
+        # adversary walk takes every NIM move from here
+        new = tuple.__new__
         for i, c in enumerate(heaps):
             for v in range(c):
-                yield GameMove(i, v)
+                yield new(GameMove, (i, v, 0))
     elif variant is Variant.SUBTRACTION:
         removals = sorted(rules.removal_set)
         for i, c in enumerate(heaps):

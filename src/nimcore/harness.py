@@ -217,10 +217,14 @@ def _agent_move(agent: AgentPolicy, frames: _Frames, rules: GameRules, rng):
     """``agent``'s move from the newest of ``frames``, heap tuples of a
     game under ``rules``, and the heaps it leaves.  The agent is handed
     its newest ``required_frames`` frames (``[-0:]`` keeps every frame)
-    as a ``FrameHistory`` of ``rules``; an empty window raises
+    as a ``FrameHistory`` of ``rules``; a negative ``required_frames``,
+    which would cut the window empty or from the wrong end, raises
     ``ContractViolationError``, and an illegal move, or one that is not a
     move, ``IllegalMoveError``."""
-    move = agent.choose(_window(frames[-agent.required_frames :], rules), rng)
+    n = agent.required_frames
+    if n < 0:
+        raise ContractViolationError("history needs at least one frame")
+    move = agent.choose(_window(frames[-n:], rules), rng)
     return move, _checked_heaps(frames[-1], move, rules)
 
 
@@ -292,14 +296,15 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
 
     An agent with ``required_frames >= 1`` sees only its window, so the
     subtree below a node depends only on the window the rest of the walk
-    can still show it (the newest ``required_frames`` frames when the
-    agent moves, one fewer but at least the current frame when the
-    adversary moves) and the side to move, as long as ``fails`` reads
-    nothing but its two arguments.  Subtrees proven clean are keyed by
-    (that window of heap tuples, side to move) and skipped when met
-    again; any failure ends the walk, so skipping them changes neither
-    the verdict nor the first counterexample.  An agent that reads every
-    frame since the start (``required_frames == 0``) gets no table.
+    can still show it and the side to move, as long as ``fails`` reads
+    nothing but its two arguments.  The walk keeps one table of windows
+    proven clean per side to move: the agent's table holds its window, the
+    newest ``required_frames`` frames, and the adversary's holds one frame
+    fewer but at least the current one.  A subtree whose window is in its
+    side's table is skipped; any failure ends the walk, so skipping it
+    changes neither the verdict nor the first counterexample.  An agent
+    that reads every frame since the start (``required_frames == 0``)
+    gets no tables.
     """
     if role not in ("first", "second"):
         raise ValueError("role must be 'first' or 'second'")
@@ -308,28 +313,33 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
     if is_terminal(start, rules):
         raise IllegalMoveError("adversary sweep needs a non-terminal start")
     frames = agent.required_frames
+    # a history grows by ``(history + (heaps,))[-keep:]``, where ``[-0:]``
+    # keeps every frame, as in a match
+    keep = frames if frames >= 1 else 0
+    tables = frames >= 1
     adversary_window = max(frames - 1, 1)
-    proven: set[tuple[_Frames, bool]] | None = set() if frames >= 1 else None
+    agent_proven: set[_Frames] = set()
+    adversary_proven: set[_Frames] = set()
+    nim = rules.variant is Variant.NIM  # NIM ends at the empty board, tested inline
     line: list[GameMove] = []
     # one entry per adversary node on the path: its history, its remaining
-    # moves, the table keys it proves clean once exhausted, and len(line);
-    # a history grows by ``(history + (heaps,))[-frames:]``, where ``[-0:]``
-    # keeps every frame
-    stack: list[tuple[_Frames, Iterator[GameMove], list, int]] = []
+    # moves, the agent's and the adversary's window it proves clean once
+    # exhausted (None when there is no such table entry), and len(line)
+    stack: list[tuple[_Frames, Iterator[GameMove], _Frames | None, _Frames | None, int]] = []
 
     def open_node(history: _Frames, agent_to_move: bool) -> bool | None:
         """Play the agent's move when it is to move, then push the
         adversary node below; True or False when the line is settled
         without one, None once a node is pushed."""
-        keys = []
+        agent_key = None
         if agent_to_move:
             heaps = history[-1]
-            if _no_moves(heaps, rules):
+            if (not any(heaps)) if nim else _no_moves(heaps, rules):
                 return not fails(heaps, None)
-            if proven is not None:
-                if (history, True) in proven:
+            if tables:
+                agent_key = history
+                if agent_key in agent_proven:
                     return True
-                keys.append((history, True))
             try:
                 move, nxt = _agent_move(agent, history, rules, _SeededOnFirstDraw(0))
             except _AGENT_FAILURES:
@@ -337,36 +347,40 @@ def _adversary_walk(rules, start, agent, role, node_budget, fails) -> AdversaryR
             line.append(move)
             if fails(heaps, nxt):
                 return False
-            history = (history + (nxt,))[-frames:]
+            history = (history + (nxt,))[-keep:]
         heaps = history[-1]
-        if _no_moves(heaps, rules):
+        if (not any(heaps)) if nim else _no_moves(heaps, rules):
             return True  # the agent took the last object
-        if proven is not None:
-            keys.append((history[-adversary_window:], False))
-            if keys[-1] in proven:
-                proven.update(keys)
+        adversary_key = None
+        if tables:
+            adversary_key = history[-adversary_window:]
+            if adversary_key in adversary_proven:
+                if agent_key is not None:
+                    agent_proven.add(agent_key)
                 return True
-        stack.append((history, _iter_moves(heaps, rules), keys, len(line)))
+        stack.append((history, _iter_moves(heaps, rules), agent_key, adversary_key, len(line)))
         return None
 
     nodes = 0
     if open_node((start.heaps,), role == "first") is False:
         return AdversaryReport(False, line, nodes, complete=True)
     while stack:
-        history, moves, keys, depth = stack[-1]
+        history, moves, agent_key, adversary_key, depth = stack[-1]
         del line[depth:]
         move = next(moves, None)
         if move is None:
             stack.pop()
-            if proven is not None:
-                proven.update(keys)
+            if adversary_key is not None:
+                adversary_proven.add(adversary_key)
+            if agent_key is not None:
+                agent_proven.add(agent_key)
             continue
         nodes += 1
         if nodes > node_budget:
             return AdversaryReport(False, None, nodes, complete=False)
         line.append(move)
         nxt = _apply_heaps(history[-1], move)
-        if open_node((history + (nxt,))[-frames:], True) is False:
+        if open_node((history + (nxt,))[-keep:], True) is False:
             return AdversaryReport(False, line, nodes, complete=True)
     return AdversaryReport(True, None, nodes, complete=True)
 

@@ -648,9 +648,7 @@ def _all_green(results) -> tuple[bool, str]:
 
 def _missed_a_win(before: tuple[int, ...], after: tuple[int, ...] | None) -> bool:
     """The never-miss rule on heap tuples: the agent faced a non-zero NIM sum and left one."""
-    return after is not None and (
-        nimber.nim_sum(Position(before)) != 0 and nimber.nim_sum(Position(after)) != 0
-    )
+    return after is not None and nimber._xor_fold(before) != 0 and nimber._xor_fold(after) != 0
 
 
 def check_mirror_strategies_exhaustive(k_values=(1, 2)) -> tuple[bool, str]:

@@ -463,7 +463,10 @@ class TestRestoreReply:
     def test_plays_the_reply_without_searching(self):
         agent = _proving(RolloutBudget(), self.A)
         assert self.A in agent._proven
-        assert _spied_choose(agent, self.A, self.B) == (GameMove(1, 0), False)
+        move, searched = _spied_choose(agent, self.A, self.B)
+        assert (move, searched) == (GameMove(1, 0), False)
+        # built without the named tuple's __new__, and still a GameMove
+        assert type(move) is GameMove and repr(move) == repr(GameMove(1, 0))
         assert (1, 0, 1) in agent._proven
         # the reply's child qualifies in turn
         assert _spied_choose(agent, (1, 0, 1), (0, 0, 1)) == (GameMove(2, 0), False)

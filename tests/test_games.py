@@ -279,6 +279,20 @@ class TestGameMove:
             setattr(m, field, 0)
         assert m == GameMove(1, 2)
 
+    @pytest.mark.parametrize(
+        "rules",
+        [NIM8, GameRules.kayles(8), GameRules.subtraction({1, 2}, 8)],
+        ids=lambda r: r.game_id,
+    )
+    def test_generated_moves_are_game_moves(self, rules):
+        # NIM's moves skip the named tuple's __new__, and are GameMoves all the same
+        moves = legal_moves(Position((3, 0, 2), rules.game_id), rules)
+        assert moves
+        for m in moves:
+            built = GameMove(*m)
+            assert type(m) is GameMove and all(type(f) is int for f in m)
+            assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+
     # a plain tuple equals the move of its fields, but is not played
     @pytest.mark.parametrize("move", [(0, 0, 0), (0, 0), GameMove(True, 0), GameMove(0, 0, False)])
     def test_only_a_move_of_three_ints_is_played(self, move):

@@ -282,15 +282,23 @@ def test_illegal_move_keeps_its_message(rules, move):
 
 
 def test_negative_window_forfeits():
-    # required_frames below 0 is outside the contract: the window is cut
-    # empty, and the agent forfeits its first move in both drivers
-    agent = OracleAgent(NIM)
-    agent.required_frames = -1
-    record = play_match(NIM, Position((3, 5)), agent, OracleAgent(NIM), 0)
-    assert record.moves == [] and record.winner == "second"
-    assert record.forfeit == "first (oracle): history needs at least one frame"
-    report = exhaustive_adversary(NIM, Position((3, 5)), agent)
-    assert report.complete and not report.agent_always_wins and report.counterexample == []
+    # required_frames below 0 is outside the contract: the agent forfeits
+    # its first move in both drivers and either seat, however many frames
+    # the history holds by then
+    for frames, seat in itertools.product((-1, -2, -5), ("first", "second")):
+        agent = OracleAgent(NIM)
+        agent.required_frames = frames
+        other = OracleAgent(NIM)
+        players = (agent, other) if seat == "first" else (other, agent)
+        record = play_match(NIM, Position((3, 5)), *players, 0)
+        assert len(record.moves) == (0 if seat == "first" else 1)
+        assert record.winner == ("second" if seat == "first" else "first")
+        assert record.forfeit == f"{seat} (oracle): history needs at least one frame"
+        for start in (Position((3, 5)), Position((1, 2, 4))):
+            report = exhaustive_adversary(GameRules.nim(7), start, agent, role=seat)
+            assert report.complete and not report.agent_always_wins
+            # in the second seat, after the adversary's first move
+            assert report.counterexample == ([] if seat == "first" else [GameMove(0, 0)])
 
 
 def test_one_validation_per_choose(monkeypatch):
@@ -430,6 +438,19 @@ def test_the_adversary_walk_builds_only_its_start(monkeypatch):
     report = exhaustive_adversary(NIM, Position((3, 5, 7)), MultiFrameAgent())
     assert report.complete and report.agent_always_wins and report.nodes > 100
     assert counts["positions"] == 1
+    # the second-seat never-miss walks read the NIM sums, and the
+    # duplication strategy its winning moves, off heap tuples too
+    rules = GameRules.nim(3)
+    for agent, heaps in (
+        (Mirror71Agent(2), (1, 1, 1, 1, 2)),
+        (Mirror72Agent(2, "second"), (2, 2, 2, 2, 3)),
+    ):
+        counts["positions"] = 0
+        report = _adversary_walk(
+            rules, Position(heaps), agent, "second", 500_000, verify._missed_a_win
+        )
+        assert report.complete and report.agent_always_wins and report.nodes > 30
+        assert counts["positions"] == 1
 
 
 # (agent's rules, start of a nim(31) match, the InvalidPositionError it forfeits with)
@@ -562,6 +583,47 @@ class TestExhaustiveAdversary:
         assert report.counterexample == line
         assert reference_adversary(rules, start, agent).counterexample == line
 
+    def test_planted_three_frame_flaw_is_found(self):
+        # a three-frame agent that errs only when the oldest frame of its
+        # window is (0,3,2), two plies before it moves: an adversary table
+        # keyed on the current frame alone would skip the flaw as proven
+        rules = GameRules.nim(3)
+        agent = FlawAfter(rules, ((0, 3, 2),))
+        agent.required_frames = 3
+        report = exhaustive_adversary(rules, Position((1, 3, 3)), agent, "first")
+        line = [parse_move(m) for m in ("0:0", "2:2", "1:2", "1:1", "1:0", "2:0")]
+        assert report == AdversaryReport(False, line, 21, complete=True)
+        assert reference_adversary(rules, Position((1, 3, 3)), agent).counterexample == line
+
+    # every non-empty start of nim(3) on three heaps, one oracle seeing
+    # ``frames`` frames per start: the exact verdicts, and the node totals
+    # read before the walk kept one table per side to move.  One table for
+    # both sides, or a table keyed on too short a window, changes them.
+    @pytest.mark.parametrize(
+        "frames, role, wins, nodes",
+        [
+            (1, "first", 48, 273),
+            (1, "second", 15, 384),
+            (3, "first", 48, 387),
+            (3, "second", 15, 502),
+        ],
+    )
+    def test_oracle_grid_node_counts(self, frames, role, wins, nodes):
+        rules = GameRules.nim(3)
+        reports = {}
+        for heaps in itertools.product(range(4), repeat=3):
+            if any(heaps):
+                agent = OracleAgent(rules)
+                agent.required_frames = frames
+                reports[heaps] = exhaustive_adversary(rules, Position(heaps), agent, role)
+        assert len(reports) == 63
+        for heaps, report in reports.items():
+            # the oracle wins exactly the starts its seat wins
+            seat_wins = (nim_sum(Position(heaps)) != 0) == (role == "first")
+            assert report.complete and report.agent_always_wins == seat_wins
+        assert sum(r.agent_always_wins for r in reports.values()) == wins
+        assert sum(r.nodes for r in reports.values()) == nodes
+
     def test_generator_stream_matches_random0(self):
         lazy, eager = _SeededOnFirstDraw(0), random.Random(0)
         for bound in (2, 7, 1000, 3):
@@ -683,6 +745,25 @@ class TestNeverMissRule:
         assert report.agent_always_wins == expected.agent_always_wins
         assert report.counterexample == expected.counterexample
         assert report.nodes <= expected.nodes
+
+    # the second-seat walks of the mirror check, with the node totals read
+    # before the walk kept one table per side to move
+    @pytest.mark.parametrize(
+        "agent, heaps, nodes",
+        [
+            (Mirror71Agent(1), (1, 1, 2), 9),
+            (Mirror71Agent(2), (1, 1, 1, 1, 2), 39),
+            (Mirror72Agent(1, "second"), (2, 2, 3), 43),
+            (Mirror72Agent(2, "second"), (2, 2, 2, 2, 3), 410),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_mirror_second_seat_node_counts(self, agent, heaps, nodes):
+        rules = GameRules.nim(3)
+        report = _adversary_walk(
+            rules, Position(heaps), agent, "second", 500_000, verify._missed_a_win
+        )
+        assert report == AdversaryReport(True, None, nodes, complete=True)
 
     def test_planted_miss_is_found(self, monkeypatch):
         rules = GameRules.nim(3)
