@@ -19,9 +19,12 @@ largest, or ``<=`` for ``<`` in the restore reply's test: no test can kill
 those, and none should.  Among the adversary walk's tables, a walk that does
 not enter the agent's window in its table when the adversary's window below
 it is already proven is left out too: met again, that window replays the
-agent's move into the same proven window, which costs no node.  Selections
-leave out ``test_heap_table_race`` unless they need it: it takes seconds and
-tests the solver's threads.
+agent's move into the same proven window, which costs no node.  In the
+win/loss walk, an entry that does not move its cursor past a successor
+whose WIN was just carried to it is left out: it reads that successor's
+memo entry again, finds the WIN and moves on, so the memo is the same.
+Selections leave out ``test_heap_table_race`` unless they need it: it takes
+seconds and tests the solver's threads.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ _ROLLOUT = ("tests/test_agents.py", "-k", "rollout")
 _RESTORE = ("tests/test_agents.py", "-k", "restore or Restore")
 _HARNESS = "src/nimcore/harness.py"
 _CARRIED = ("tests/test_harness.py", "-k", "carried_nim_value")
+_GAMES = "src/nimcore/games.py"
+_WIN_LOSS = ("tests/test_games.py", "-k", "(WinLoss or win_loss) and not race")
 
 MUTANTS: tuple[Mutant, ...] = (
     # the rollout stops after half its room, or answers yes when it runs out
@@ -115,12 +120,21 @@ MUTANTS: tuple[Mutant, ...] = (
         "continue",
         ("tests/test_harness.py", "-k", "malformed_json_config or budget_key"),
     ),
-    # the win/loss walk settles a key as a WIN on a successor that is not a LOSS
+    # the win/loss walk settles a key as a WIN on a successor that is not a
+    # LOSS; a LOSS carried to the entry below moves its cursor on instead
+    # of settling it as a WIN; a new entry descends into its second
+    # successor, not its first; a settled outcome is stored past the cap
+    Mutant(_GAMES, "elif outcome is loss:", "elif outcome is not loss:", _WIN_LOSS),
+    Mutant(_GAMES, "if outcome is win:", "if True:", _WIN_LOSS),
+    Mutant(_GAMES, "k = succ[0]", "k = succ[1]", _WIN_LOSS),
+    Mutant(_GAMES, "self._reserve(memo)", "pass", _WIN_LOSS),
+    # the same memo values stored in another order: each heap's pieces
+    # opened from the largest down, which only the reference walk sees
     Mutant(
-        "src/nimcore/games.py",
-        "elif outcome is loss:",
-        "elif outcome is not loss:",
-        ("tests/test_games.py", "-k", "(WinLoss or win_loss) and not race"),
+        _GAMES,
+        "for piece in pieces:",
+        "for piece in reversed(pieces):",
+        ("tests/test_games.py", "-k", "successor_keys or spliced_walk"),
     ),
     # the depth-and-size sweep without its depth check, or without its size check
     Mutant(

@@ -21,6 +21,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IllegalMoveError, InvalidPositionError, MemoLimitError
 
+# A full win/loss memo at this cap would take about 0.73 GB: one filled
+# with Kayles keys to 0.5M, 1M and 2M entries peaked at 108, 191 and 360 MB
+# RSS, about 0.17 MB per 1,000 entries (ROADMAP, "Memo memory").
 DEFAULT_MEMO_CAP = 1 << 22
 
 
@@ -279,15 +282,18 @@ class GrundySolver:
     an empty heap has no moves, so neither changes a value; the terminal
     key is ``()``.  Both read the non-empty pieces each move on a heap
     leaves off a per-solver table filled from the same move rules as
-    :func:`legal_moves`.  The walk builds a key's successors once, each by
-    splicing a piece into the key where its heap was, and sorting only a
-    piece that starts below the heap before it.  It checks each successor
-    against the memo as it is built: the first one already known to be a
-    LOSS settles the key as a WIN, before the rest are built and without a
-    stack entry.  Otherwise the key's stack entry keeps the successors not
-    yet in the memo, since one known to be a WIN cannot settle the key, and
-    the key is settled at the first of them found to be a LOSS, or as a
-    LOSS once all are WINs.
+    :func:`legal_moves`.  The walk is one loop.  It builds a key's
+    successors where it opens the key, each by splicing a piece into the
+    key where its heap was, and sorting only a piece that starts below the
+    heap before it.  It checks each successor against the memo as it is
+    built: the first one already known to be a LOSS settles the key as a
+    WIN, before the rest are built and without a stack entry.  Otherwise
+    the key's stack entry keeps the successors not yet in the memo, since
+    one known to be a WIN cannot settle the key, and the walk descends
+    straight into the first of them.  Each settled outcome is carried to
+    the entry below: a LOSS settles it as a WIN, and a WIN moves its
+    cursor on to the next successor not known to be a WIN; an entry whose
+    successors are all WINs is a LOSS.
 
     Tables are capacity-bounded by ``memo_cap``, an int >= 1; hitting the
     cap raises instead of silently evicting so results stay reproducible.
@@ -318,42 +324,6 @@ class GrundySolver:
                 }
             )
         return pieces
-
-    def _successors(self, key: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-        """The successor keys of ``key`` not yet in the memo, or None at the
-        first one already known to be a LOSS, before the rest are built.
-
-        A successor already known to be a WIN is left out: it can never
-        settle ``key`` as a WIN.  Each successor's memo entry is read once.
-        """
-        # Moves on equal heaps lead to the same keys, so each distinct heap
-        # size is expanded once, at its first index.  Keys from different
-        # sizes never coincide: every piece a move leaves is smaller than
-        # the heap it came from.  So a piece spliced in where the heap was
-        # stays below the heaps above it, and the key stays sorted whenever
-        # the piece is empty or starts no lower than the heap below it; only
-        # the other pieces are sorted in.
-        known = self._outcome.get
-        loss = WinLoss.LOSS  # a local: reading an enum member is slow
-        out = []
-        append = out.append
-        previous = 0
-        for i, c in enumerate(key):
-            if c == previous:
-                continue
-            below, previous = previous, c
-            head, tail = key[:i], key[i + 1 :]
-            for piece in self._heap_pieces(c):
-                if not piece or piece[0] >= below:
-                    succ = head + piece + tail
-                else:
-                    succ = tuple(sorted(head + tail + piece))
-                outcome = known(succ)
-                if outcome is None:
-                    append(succ)
-                elif outcome is loss:
-                    return None
-        return out
 
     def _reserve(self, table: dict) -> None:
         if len(table) >= self.memo_cap:
@@ -388,46 +358,95 @@ class GrundySolver:
 
         A position is a WIN for the player to move iff some successor is
         a LOSS; terminal positions are LOSSes (the previous mover took
-        the last object).  The walk runs on one explicit stack, so deep
-        games raise no ``RecursionError``, and it stops building a key's
-        successors at the first one already known to be a LOSS.  It reads
-        no Grundy value: it checks the sum rule, it does not use it.
+        the last object).  The walk is one loop over one explicit stack,
+        so deep games raise no ``RecursionError``.  It builds a key's
+        successors where it opens the key, stops at the first one already
+        known to be a LOSS, and descends straight into a new entry's first
+        unsolved successor.  Each settled outcome is stored and carried to
+        the entry below, whose cursor is on that key: a LOSS settles the
+        entry as a WIN, and a WIN moves its cursor on.  It reads no Grundy
+        value: it checks the sum rule, it does not use it.
+
+        Under threads, another thread may settle a successor between its
+        build and the descent into it; the walk then opens it again and
+        stores the same value.
         """
         validate_position(p, self.rules)
         key = tuple(sorted(h for h in p.heaps if h))
         memo = self._outcome
         if key in memo:
             return memo[key]
-        # Each entry is [key, successors, cursor]; the cursor stays on an
-        # unsolved successor until it is solved.  A key is settled as a WIN
-        # without an entry when building its successors meets a known LOSS,
-        # and an entry is settled at its first successor that is a LOSS.
-        win, loss = WinLoss.WIN, WinLoss.LOSS
+        # Each entry is [key, successors, cursor], the successors not yet in
+        # the memo when the key was opened; the cursor is on the one being
+        # walked.  Moves on equal heaps lead to the same keys, so each
+        # distinct heap size is expanded once, at its first index.  Keys
+        # from different sizes never coincide: every piece a move leaves is
+        # smaller than the heap it came from.  So a piece spliced in where
+        # the heap was stays below the heaps above it, and the key stays
+        # sorted whenever the piece is empty or starts no lower than the
+        # heap below it; only the other pieces are sorted in.
+        win, loss = WinLoss.WIN, WinLoss.LOSS  # locals: reading an enum member is slow
+        known = memo.get
+        pieces_of, heap_pieces = self._pieces.get, self._heap_pieces
         stack = []
         k = key
         while True:
-            succ = self._successors(k)
-            if succ is None:
-                self._reserve(memo)
-                memo[k] = win
+            # open k: a successor already known to be a WIN is left out, as
+            # it can never settle k as a WIN
+            succ = []
+            append = succ.append
+            previous = 0
+            for i, c in enumerate(k):
+                if c == previous:
+                    continue
+                below, previous = previous, c
+                head, tail = k[:i], k[i + 1 :]
+                pieces = pieces_of(c)
+                if pieces is None:
+                    pieces = heap_pieces(c)
+                for piece in pieces:
+                    if not piece or piece[0] >= below:
+                        s = head + piece + tail
+                    else:
+                        s = tuple(sorted(head + tail + piece))
+                    outcome = known(s)
+                    if outcome is None:
+                        append(s)
+                    elif outcome is loss:
+                        break
+                else:
+                    continue
+                outcome = win  # settled before the rest are built
+                break
             else:
-                stack.append([k, succ, 0])
-            while stack:
+                if succ:
+                    stack.append([k, succ, 0])
+                    k = succ[0]
+                    continue
+                outcome = loss
+            # store k's outcome and carry it down the stack, until an entry
+            # has a successor left to open
+            while True:
+                self._reserve(memo)
+                memo[k] = outcome
+                if not stack:
+                    return outcome
                 entry = stack[-1]
                 k, succ, i = entry
-                # each successor's entry is read once: another thread may
-                # store it between two reads
-                while i < len(succ) and (outcome := memo.get(succ[i])) is win:
+                if outcome is win:
+                    # each successor's entry is read once: another thread
+                    # may store it between two reads
                     i += 1
-                if i < len(succ) and outcome is None:
-                    entry[2] = i
-                    k = succ[i]
-                    break
+                    while i < len(succ) and (outcome := known(succ[i])) is win:
+                        i += 1
+                    if i < len(succ) and outcome is None:
+                        entry[2] = i
+                        k = succ[i]
+                        break
+                    outcome = win if i < len(succ) else loss
+                else:
+                    outcome = win  # a successor that is a LOSS
                 stack.pop()
-                self._reserve(memo)
-                memo[k] = win if i < len(succ) else loss
-            else:
-                return memo[key]
 
 
 _SOLVERS: dict[GameRules, GrundySolver] = {}

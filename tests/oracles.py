@@ -74,38 +74,57 @@ def make_brute_win(successors):
     return win
 
 
-def sorting_successors(successors):
-    """A drop-in for ``GrundySolver._successors`` that sorts every key.
+def reference_win_loss(rules, memo, heaps):
+    """The win/loss walk of ``GrundySolver.win_loss`` by its rules alone,
+    kept as its reference: ``memo`` maps sorted keys with the empty heaps
+    dropped to a ``WinLoss`` and is filled in the order the solver fills its
+    own.  Returns the outcome of ``heaps``.
 
-    The pieces each move on a heap leaves come from the move enumeration
-    ``successors`` run on that heap alone.  Each distinct heap of the key
-    is expanded once, in key order, and each piece, in sorted order, is
-    added to the other heaps and the whole sorted.  Every successor is
-    kept, a known WIN too, and the first one already known to be a LOSS
-    gives None, so a walk driven by it opens the keys the solver's walk
-    opens, in the same order."""
-    from nimcore.games import WinLoss
+    A key's replies are built from ``legal_moves`` and ``apply_move``, each
+    key sorted whole.  They come in the order of the heap moved on, each
+    distinct heap once, then of the sorted piece the move leaves.  Opening a
+    key reads each reply's memo entry in that order and stops at the first
+    one already known to be a LOSS, which settles the key as a WIN; the
+    replies not yet in the memo are kept.  Each kept reply, in order, is
+    read again and walked if still unknown, and the first LOSS among them
+    settles the key as a WIN; otherwise the key is a LOSS.  Recursive, so
+    only for short games.
+    """
+    from collections import Counter
 
-    pieces = {}
+    from nimcore.games import Position, WinLoss, apply_move, legal_moves
 
-    def rule(solver, key):
-        out = []
-        previous = 0
-        for i, c in enumerate(key):
-            if c == previous:
-                continue
-            previous = c
-            if c not in pieces:
-                pieces[c] = sorted({tuple(h for h in s if h) for s in successors((c,))})
-            rest = key[:i] + key[i + 1 :]
-            for piece in pieces[c]:
-                succ = tuple(sorted(rest + piece))
-                if solver._outcome.get(succ) is WinLoss.LOSS:
-                    return None
-                out.append(succ)
-        return out
+    def replies(key):
+        p = Position(key or (0,), rules.game_id)
+        by_piece = {}
+        for move in legal_moves(p, rules):
+            after = [h for h in apply_move(p, move, rules).heaps if h]
+            rest = key[: move.heap_index] + key[move.heap_index + 1 :]
+            piece = tuple(sorted((Counter(after) - Counter(rest)).elements()))
+            by_piece[key[move.heap_index], piece] = tuple(sorted(after))
+        return [by_piece[k] for k in sorted(by_piece)]
 
-    return rule
+    def walk(key):
+        unknown = []
+        for reply in replies(key):
+            outcome = memo.get(reply)
+            if outcome is WinLoss.LOSS:
+                memo[key] = WinLoss.WIN
+                return WinLoss.WIN
+            if outcome is None:
+                unknown.append(reply)
+        for reply in unknown:
+            outcome = memo.get(reply)
+            if outcome is None:
+                outcome = walk(reply)
+            if outcome is WinLoss.LOSS:
+                memo[key] = WinLoss.WIN
+                return WinLoss.WIN
+        memo[key] = WinLoss.LOSS
+        return WinLoss.LOSS
+
+    key = tuple(sorted(h for h in heaps if h))
+    return memo[key] if key in memo else walk(key)
 
 
 brute_nim_grundy = make_brute_grundy(nim_successors)
@@ -142,9 +161,13 @@ class _NodeBudgetExceeded(Exception):
 def _window(history, k):
     """The agent's window: the heap tuples of the newest ``k`` positions of
     ``history``, or of all of them when ``k`` is 0 or the history is
-    shorter."""
+    shorter.  A negative ``k`` is outside the agent contract and raises
+    ``ContractViolationError``, as in the harness."""
     from nimcore.agents import FrameHistory
+    from nimcore.errors import ContractViolationError
 
+    if k < 0:
+        raise ContractViolationError("history needs at least one frame")
     if 1 <= k < len(history):
         history = history[len(history) - k :]
     return FrameHistory(tuple(p.heaps for p in history), history[-1].game_id)

@@ -39,7 +39,7 @@ from oracles import (
     make_brute_grundy,
     make_brute_win,
     nim_successors,
-    sorting_successors,
+    reference_win_loss,
     subtraction_successors,
     xor_fold,
 )
@@ -414,53 +414,37 @@ def test_solver_matches_brute_force(name, positions):
 # belongs before the row of 3: that key is sorted in, not spliced
 @example(name="kayles", heaps=(3, 8), walked=[])
 def test_successor_keys_follow_legal_moves(name, heaps, walked):
-    """legal_moves and apply_move agree with the solver's own successors:
-    after the walks of ``walked`` have filled its memo, the solver returns
-    the legal-move keys not yet in it, or None when one is a known LOSS."""
+    """After the walks of ``walked`` have filled a solver's memo, the walk
+    of ``heaps`` leaves the memo, keys, values and insertion order, that
+    the reference walk leaves, which builds every successor from
+    legal_moves and apply_move."""
     rules = VARIANTS[name][0]
-    solver = GrundySolver(rules)
-    for q in walked:
-        solver.win_loss(Position(q, rules.game_id))
-    memo = dict(solver._outcome)
-    p = Position(heaps, rules.game_id)
-    after = (apply_move(p, m, rules).heaps for m in legal_moves(p, rules))
-    want = sorted({tuple(sorted(h for h in q if h)) for q in after})
-    got = solver._successors(tuple(sorted(h for h in heaps if h)))
-    if any(memo.get(k) is WinLoss.LOSS for k in want):
-        assert got is None
-    else:
-        assert sorted(got) == [k for k in want if k not in memo]
+    solver, memo = GrundySolver(rules), {}
+    for q in [*walked, heaps]:
+        got = solver.win_loss(Position(q, rules.game_id))
+        assert got is reference_win_loss(rules, memo, q)
+        assert list(solver._outcome.items()) == list(memo.items())
 
 
 @pytest.mark.parametrize(
-    "rules, successors",
-    [
-        (GameRules.nim(9), nim_successors),
-        (GameRules.kayles(9), kayles_successors),
-        (GameRules.subtraction({1, 3, 4}, 9), subtraction_successors({1, 3, 4})),
-    ],
+    "rules",
+    [GameRules.nim(9), GameRules.kayles(9), GameRules.subtraction({1, 3, 4}, 9)],
     ids=["nim", "kayles", "subtraction"],
 )
-def test_spliced_walk_matches_the_sorting_walk(monkeypatch, rules, successors):
+def test_spliced_walk_matches_the_sorting_walk(rules):
     """A fresh solver's memo after each walk of a grid, and a shared
     solver's after all of them, hold the keys, the values and the
-    insertion order that walks sorting every key leave."""
+    insertion order that the reference walk, sorting every key, leaves."""
     grid = [*itertools.product(range(10), repeat=2), *itertools.product(range(5), repeat=4)]
     random.Random(5).shuffle(grid)
     grid.insert(0, (3, 9))  # Kayles sorts in the piece (1, 6) of the row of 9
-
-    def memos():
-        shared, out = GrundySolver(rules), []
-        for heaps in grid:
-            p, fresh = Position(heaps, rules.game_id), GrundySolver(rules)
-            fresh.win_loss(p)
-            shared.win_loss(p)
-            out.append(list(fresh._outcome.items()))
-        return out + [list(shared._outcome.items())]
-
-    spliced = memos()
-    monkeypatch.setattr(GrundySolver, "_successors", sorting_successors(successors))
-    assert memos() == spliced
+    shared, shared_memo = GrundySolver(rules), {}
+    for heaps in grid:
+        p, fresh, memo = Position(heaps, rules.game_id), GrundySolver(rules), {}
+        assert fresh.win_loss(p) is reference_win_loss(rules, memo, heaps)
+        assert list(fresh._outcome.items()) == list(memo.items())
+        assert shared.win_loss(p) is reference_win_loss(rules, shared_memo, heaps)
+    assert list(shared._outcome.items()) == list(shared_memo.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,6 +507,16 @@ class TestWinLossOracle:
         solver = GrundySolver(rules)
         assert solver.win_loss(Position((200_000,), rules.game_id)) is WinLoss.LOSS
         assert len(solver._outcome) == 200_001
+
+    def test_full_memo_raises_at_its_cap(self):
+        # every store, a settled outcome carried to the entry below too,
+        # checks the cap first
+        rules = GameRules.kayles(9)
+        for memo_cap in range(1, 40):
+            solver = GrundySolver(rules, memo_cap)
+            with pytest.raises(MemoLimitError):
+                solver.win_loss(Position((9, 9), rules.game_id))
+            assert len(solver._outcome) == memo_cap
 
     def test_terminal_is_loss(self):
         assert GrundySolver(NIM8).win_loss(Position((0, 0))) is WinLoss.LOSS

@@ -301,6 +301,22 @@ def test_negative_window_forfeits():
             assert report.counterexample == ([] if seat == "first" else [GameMove(0, 0)])
 
 
+@pytest.mark.parametrize("role", ["first", "second"])
+@pytest.mark.parametrize("frames", [-1, -2])
+def test_negative_window_reference_agrees(frames, role):
+    # the reference walk refuses a negative window as the harness walk does:
+    # the same forfeit verdict and line, never a walk that lets the agent play
+    rules = GameRules.nim(7)
+    agent = OracleAgent(rules)
+    agent.required_frames = frames
+    for start in (Position((3, 5)), Position((1, 2, 4))):
+        expected = reference_adversary(rules, start, agent, role)
+        report = exhaustive_adversary(rules, start, agent, role)
+        assert report.complete and expected.complete
+        assert not report.agent_always_wins and not expected.agent_always_wins
+        assert report.counterexample == expected.counterexample
+
+
 def test_one_validation_per_choose(monkeypatch):
     # the start is validated once; each later position only by an agent
     # built for rules other than the match's own object (here equal ones),
